@@ -18,9 +18,8 @@ from .freelie import bch as bch_series
 from .freelie import bracket_of_word, z_sym
 from .graphs import weight_mc, zero_weight_predicate, UNKNOWN
 from .hc import hc_restrict, weyl_invariance_check
-from .liealg import Character, PolarizationCandidate
-from .poly import Poly
-from .polyops import BlockPolynomial, invariant_subspace
+from .liealg import Character, PolarizationCandidate, combo_name
+from .polyops import invariant_subspace
 from .series import density_series
 from .starprod import character_sigma_stable, h_component, star_cf
 from .uea import duflo_relation_check, rouviere_sharp, star_dk
@@ -146,7 +145,7 @@ def _dispatch(args, report) -> int:
         basis = invariant_subspace(pair, args.degree)
         print(f"S(p)^k in degree {args.degree}: dimension {len(basis)}")
         for f in basis:
-            s = sio.format_poly(pair, f)
+            s = sio.format_poly(sio.block_names(pair, f.space), f.poly)
             print(f"  {s}")
             report.add(f"invariant", s)
         return 0
@@ -191,7 +190,7 @@ def _dispatch(args, report) -> int:
         iw = sio.load_iwasawa(pair, data)
         P = sio.resolve_definition(pair, data, args.poly, "p")
         res = hc_restrict(iw, P, True)
-        out = _poly_str_over(pair, iw, res)
+        out = sio.format_poly([combo_name(pair.adapted_names, v) for v in iw.p0], res)
         print(out)
         report.add("restriction", out)
         if "weyl" in data:
@@ -233,32 +232,13 @@ def _dispatch(args, report) -> int:
         series = density_series(pair, args.kind, args.order)
         compiled = series.as_polynomial(pair, "p" if args.kind.startswith("J") else "g")
         space = "p" if args.kind.startswith("J") else "g"
-        s = sio.format_poly(pair, BlockPolynomial(pair, space, compiled))
+        s = sio.format_poly(sio.block_names(pair, space), compiled)
         print(f"{args.kind} expanded to order {args.order} on {space}-coordinates of X:")
         print(f"  {s}")
         report.add(args.kind, s)
         return 0
 
     raise SympairError(f"unhandled command {cmd}")  # pragma: no cover
-
-
-def _poly_str_over(pair, iw, poly: Poly) -> str:
-    from .liealg import combo_name
-    names = [combo_name(pair.adapted_names, v) for v in iw.p0]
-    parts = []
-    for exps, coeff in sorted(poly.terms.items(), key=lambda kv: (-sum(kv[0]), kv[0])):
-        mono = "*".join(
-            (f"({names[t]})" if any(ch in names[t] for ch in "+-*/") else names[t]) + (f"^{e}" if e > 1 else "")
-            for t, e in enumerate(exps) if e
-        ) or "1"
-        if mono == "1":
-            term = util.fmt(coeff)
-        elif coeff == 1:
-            term = mono
-        else:
-            term = f"{util.fmt(coeff)}*{mono}"
-        parts.append(term)
-    return " + ".join(parts).replace("+ -", "- ") if parts else "0"
 
 
 def _parse_form(pair, form: str):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from . import util
 from .errors import OrderTooHigh
 from .util import frac
 
@@ -68,35 +69,15 @@ class FreeAssocSeries:
     def constant(self) -> Fraction:
         return self.terms.get((), Fraction(0))
 
-    def without_constant(self):
-        return FreeAssocSeries(self.order, {w: c for w, c in self.terms.items() if w})
-
     def exp(self):
         if self.constant() != 0:
             raise ValueError("exp needs zero constant term")
-        out = FreeAssocSeries.unit(self.order)
-        term = FreeAssocSeries.unit(self.order)
-        k = 1
-        while True:
-            term = (term * self).scale(Fraction(1, k))
-            if not term.terms:
-                break
-            out = out + term
-            k += 1
-        return out
+        return util.exp(self, FreeAssocSeries.unit(self.order), FreeAssocSeries.__mul__)
 
     def log(self):
         if self.constant() != 1:
             raise ValueError("log needs constant term 1")
-        u = self.without_constant()
-        out = FreeAssocSeries(self.order)
-        power = FreeAssocSeries.unit(self.order)
-        for k in range(1, self.order + 1):
-            power = power * u
-            if not power.terms:
-                break
-            out = out + power.scale(Fraction((-1) ** (k + 1), k))
-        return out
+        return util.log(self, FreeAssocSeries.unit(self.order), FreeAssocSeries.__mul__)
 
     def homogeneous_part(self, n: int):
         return FreeAssocSeries(self.order, {w: c for w, c in self.terms.items() if len(w) == n})
@@ -299,27 +280,6 @@ def lie_from_assoc(series: FreeAssocSeries) -> FreeLieSeries:
     return FreeLieSeries(series.order, out)
 
 
-def dynkin_map(series: FreeAssocSeries) -> FreeAssocSeries:
-    """Right-normed bracketing map D(w) = [w_1,[w_2,[...,w_n]]], word by word."""
-    out = FreeAssocSeries(series.order)
-    cache: dict[tuple[int, ...], FreeAssocSeries] = {}
-
-    def bracket_word(w):
-        if w not in cache:
-            if len(w) == 1:
-                cache[w] = FreeAssocSeries.letter(series.order, w[0])
-            else:
-                head = FreeAssocSeries.letter(series.order, w[0])
-                tail = bracket_word(w[1:])
-                cache[w] = head * tail - tail * head
-        return cache[w]
-
-    for w, c in series.terms.items():
-        if w:
-            out = out + bracket_word(w).scale(c)
-    return out
-
-
 def _check_order(order: int, max_order: int):
     if order < 1:
         raise OrderTooHigh("order must be >= 1")
@@ -333,60 +293,6 @@ def bch(order: int, max_order: int = DEFAULT_MAX_ORDER) -> FreeLieSeries:
     ex = FreeAssocSeries.letter(order, X).exp()
     ey = FreeAssocSeries.letter(order, Y).exp()
     return lie_from_assoc((ex * ey).log())
-
-
-def bch_dynkin(order: int, max_order: int = DEFAULT_MAX_ORDER) -> FreeAssocSeries:
-    """Dynkin's explicit BCH formula, as an associative expansion.
-
-    Z = sum over m >= 1 of (-1)^(m-1)/m times the right-normed bracketing of
-    X^(p_1) Y^(q_1) ... X^(p_m) Y^(q_m), divided by n * prod(p_i! q_i!) with
-    n the word length.  Independent of the log/exp route above.
-    """
-    _check_order(order, max_order)
-    out = FreeAssocSeries(order)
-    cache: dict[tuple[int, ...], FreeAssocSeries] = {}
-
-    def bracket_word(w):
-        if w not in cache:
-            if len(w) == 1:
-                cache[w] = FreeAssocSeries.letter(order, w[0])
-            else:
-                head = FreeAssocSeries.letter(order, w[0])
-                tail = bracket_word(w[1:])
-                cache[w] = head * tail - tail * head
-        return cache[w]
-
-    def factorial(k):
-        f = 1
-        for i in range(2, k + 1):
-            f *= i
-        return f
-
-    def block_lists(m, budget):
-        """All length-m lists of (p, q) != (0, 0) with total p+q <= budget."""
-        if m == 0:
-            yield []
-            return
-        for p in range(budget + 1):
-            for q in range(budget - p + 1):
-                if p == 0 and q == 0:
-                    continue
-                if p + q > budget - (m - 1):
-                    continue
-                for rest in block_lists(m - 1, budget - p - q):
-                    yield [(p, q)] + rest
-
-    for m in range(1, order + 1):
-        for pairs in block_lists(m, order):
-            w = ()
-            denom = 1
-            for p, q in pairs:
-                w = w + (X,) * p + (Y,) * q
-                denom *= factorial(p) * factorial(q)
-            n = len(w)
-            coeff = Fraction((-1) ** (len(pairs) - 1), len(pairs)) / Fraction(n * denom)
-            out = out + bracket_word(w).scale(coeff)
-    return out
 
 
 def sym_factorize(order: int, max_order: int = DEFAULT_MAX_ORDER):

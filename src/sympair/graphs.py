@@ -25,6 +25,7 @@ from .errors import (
     CoincidentPoints,
     ColorArityMismatch,
     GaugeUnderdetermined,
+    SympairError,
     UnsupportedPalette,
 )
 from .liealg import SymmetricPair
@@ -356,6 +357,8 @@ def weight_mc(g: ColoredGraph, samples: int, seed: int) -> WeightEstimate:
     m == 0 the first aerial point is pinned at i.  The integrand is the
     determinant of the edge-form coefficients against the free coordinates.
     """
+    if samples < 1:
+        raise SympairError(f"samples must be >= 1, got {samples}")
     if g.palette != "two_color":
         raise UnsupportedPalette("weights are integrated for the two-color palette")
     if g.n > WEIGHT_CAP:

@@ -19,16 +19,15 @@ from .polyops import BlockPolynomial, is_invariant
 class IwasawaData:
     """Ordered Iwasawa blocks, all vectors in adapted coordinates."""
 
-    def __init__(self, pair: SymmetricPair, p0, n_plus, k0, r, validate: bool = True):
+    def __init__(self, pair: SymmetricPair, p0, n_plus, k0, r):
         self.pair = pair
         self.p0 = [util.vec(v) for v in p0]
         self.n_plus = [util.vec(v) for v in n_plus]
         self.k0 = [util.vec(v) for v in k0]
         self.r = [util.vec(v) for v in r]
-        if validate:
-            report = validate_iwasawa(self)
-            if report:
-                raise InvalidIwasawa("; ".join(report))
+        report = validate_iwasawa(self)
+        if report:
+            raise InvalidIwasawa("; ".join(report))
 
     @property
     def n_minus(self):
@@ -64,7 +63,7 @@ def validate_iwasawa(data: IwasawaData) -> list[str]:
     g0_span = util.span_rref(list(g0))
     for a in range(len(g0)):
         for b in range(a + 1, len(g0)):
-            w = pair.bracket_vec(g0[a], g0[b])
+            w = pair.adapted.bracket(g0[a], g0[b])
             if not util.span_contains(g0_span, w):
                 problems.append(f"g0 is not a subalgebra: [{a},{b}] escapes")
     # sigma stability of g0 is automatic for blocks chosen inside p and k
@@ -73,7 +72,7 @@ def validate_iwasawa(data: IwasawaData) -> list[str]:
     for label, block in (("p0", data.p0), ("k0", data.k0)):
         for u in block:
             for v in data.n_plus:
-                w = pair.bracket_vec(u, v)
+                w = pair.adapted.bracket(u, v)
                 if not util.span_contains(n_span, w):
                     problems.append(f"[{label}, n+] escapes n+ (witness {u} x {v})")
     if not util.direct_sum_check([data.n_minus, g0, data.n_plus], pair.dim):
@@ -93,22 +92,14 @@ def hc_restrict(data: IwasawaData, f: BlockPolynomial, require_invariant_flag: b
     if require_invariant_flag and not is_invariant(pair, f):
         raise NotInvariant("f is not k-invariant")
 
-    n0 = len(data.p0)
     # decomposition matrix: columns are (k, n+, p0) basis vectors
     k_basis = [util.unit_vec(pair.dim, i) for i in range(pair.dim_p, pair.dim)]
     cols = util.mat_from_cols(list(k_basis) + list(data.n_plus) + list(data.p0))
-    images = []
-    for i in pair.block_indices("p"):
-        x = util.solve(cols, util.unit_vec(pair.dim, i))
-        if x is None:
-            raise InvalidIwasawa("decomposition is singular")
-        comp = x[len(k_basis) + len(data.n_plus):]
-        img = Poly.zero(n0)
-        for t, c in enumerate(comp):
-            if c:
-                img = img + Poly.var(n0, t, c)
-        images.append(img)
-    out = f.poly.subs(images)
+    xs = util.solve_each(cols, [util.unit_vec(pair.dim, i) for i in pair.block_indices("p")])
+    if xs is None:
+        raise InvalidIwasawa("decomposition is singular")
+    skip = len(k_basis) + len(data.n_plus)
+    out = f.poly.subs([Poly.linear(x[skip:]) for x in xs])
     if require_invariant_flag and not _is_k0_invariant(data, out):
         raise NotInvariant("image is not k0-invariant")
     return out
@@ -116,28 +107,12 @@ def hc_restrict(data: IwasawaData, f: BlockPolynomial, require_invariant_flag: b
 
 def _is_k0_invariant(data: IwasawaData, poly: Poly) -> bool:
     pair = data.pair
-    n0 = len(data.p0)
     cols = util.mat_from_cols(list(data.p0))
     for K in data.k0:
-        images = []
-        for v in data.p0:
-            w = pair.bracket_vec(K, v)
-            x = util.solve(cols, w)
-            if x is None:
-                return False  # [k0, p0] escapes p0
-            img = Poly.zero(n0)
-            for t, c in enumerate(x):
-                if c:
-                    img = img + Poly.var(n0, t, c)
-            images.append(img)
-        acted = Poly.zero(n0)
-        for mono, c in poly.terms.items():
-            for pos in range(n0):
-                if mono[pos]:
-                    m2 = list(mono)
-                    m2[pos] -= 1
-                    acted = acted + images[pos].mul(Poly.monomial(n0, m2, c * mono[pos]))
-        if not acted.is_zero():
+        xs = util.solve_each(cols, [pair.adapted.bracket(K, v) for v in data.p0])
+        if xs is None:
+            return False  # [k0, p0] escapes p0
+        if not poly.derivation([Poly.linear(x) for x in xs]).is_zero():
             return False
     return True
 
@@ -149,22 +124,14 @@ def weyl_invariance_check(data: IwasawaData, images: list[Poly], weyl_matrices) 
     span of p0 to itself (validated, NotNormalizing otherwise).
     """
     pair = data.pair
-    n0 = len(data.p0)
     p0_orig = [pair.from_adapted(v) for v in data.p0]
     cols = util.mat_from_cols(p0_orig)
     for W in weyl_matrices:
         W = [[util.frac(c) for c in row] for row in W]
-        subs_images = []
-        for v in p0_orig:
-            w = util.mat_apply(W, v)
-            x = util.solve(cols, w)
-            if x is None:
-                raise NotNormalizing("matrix does not normalize p0")
-            img = Poly.zero(n0)
-            for t, c in enumerate(x):
-                if c:
-                    img = img + Poly.var(n0, t, c)
-            subs_images.append(img)
+        xs = util.solve_each(cols, [util.mat_apply(W, v) for v in p0_orig])
+        if xs is None:
+            raise NotNormalizing("matrix does not normalize p0")
+        subs_images = [Poly.linear(x) for x in xs]
         for f in images:
             if f.subs(subs_images) != f:
                 return False

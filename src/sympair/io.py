@@ -59,11 +59,15 @@ def parse_algebra(data: dict):
     return pair, data
 
 
+def block_names(pair: SymmetricPair, space: str) -> list[str]:
+    """Adapted basis names of one block, in block order."""
+    return [pair.adapted_names[i] for i in pair.block_indices(space)]
+
+
 def parse_monomial(pair: SymmetricPair, key: str, space: str = "p"):
     """Monomial string like "H^2*(X+Y)^1" -> exponent tuple over a block."""
-    idx = list(pair.block_indices(space))
-    names = {pair.adapted_names[i]: t for t, i in enumerate(idx)}
-    exps = [0] * len(idx)
+    names = {sym: t for t, sym in enumerate(block_names(pair, space))}
+    exps = [0] * len(names)
     key = key.strip()
     if key in ("", "1"):
         return tuple(exps)
@@ -99,26 +103,26 @@ def resolve_definition(pair: SymmetricPair, data: dict, name: str, space: str = 
     return parse_poly(pair, defs[name], space)
 
 
-def format_monomial(pair: SymmetricPair, exps, space: str = "p") -> str:
-    idx = list(pair.block_indices(space))
+def format_monomial(names: list[str], exps) -> str:
     parts = []
     for t, e in enumerate(exps):
         if not e:
             continue
-        sym = pair.adapted_names[idx[t]]
+        sym = names[t]
         if re.search(r"[+\-*/]", sym):
             sym = f"({sym})"
         parts.append(sym if e == 1 else f"{sym}^{e}")
     return "*".join(parts) if parts else "1"
 
 
-def format_poly(pair: SymmetricPair, f: BlockPolynomial) -> str:
-    if f.poly.is_zero():
+def format_poly(names: list[str], poly: Poly) -> str:
+    """Render a polynomial over the given symbol names, highest degree first."""
+    if poly.is_zero():
         return "0"
-    items = sorted(f.poly.terms.items(), key=lambda kv: (-sum(kv[0]), kv[0]))
+    items = sorted(poly.terms.items(), key=lambda kv: (-sum(kv[0]), kv[0]))
     parts = []
     for exps, coeff in items:
-        mono = format_monomial(pair, exps, f.space)
+        mono = format_monomial(names, exps)
         if mono == "1":
             term = util.fmt(coeff)
         elif coeff == 1:
@@ -177,7 +181,7 @@ def pretty_in_definitions(pair: SymmetricPair, data: dict, f: BlockPolynomial) -
             else:
                 parts.append(term)
         return " ".join(parts) if parts else "0"
-    return format_poly(pair, f)
+    return format_poly(block_names(pair, f.space), f.poly)
 
 
 def load_iwasawa(pair: SymmetricPair, data: dict) -> IwasawaData:

@@ -4,7 +4,10 @@ A LieAlgebraDef stores brackets only for ordered basis pairs i < j;
 antisymmetry is implicit and the Jacobi identity is verified on
 construction.  A SymmetricPair adds an involutive automorphism sigma and
 derives an adapted basis (the -1 eigenvectors first, then the +1 ones) in
-which every higher module of the package works.
+which every higher module of the package works.  The bracket table in that
+basis is the LieAlgebraDef `pair.adapted`, built by `LieAlgebraDef.rebased`,
+which is also how the PBW contexts and restricted adjoint actions get
+their structure constants.
 """
 
 from __future__ import annotations
@@ -42,15 +45,35 @@ class LieAlgebraDef:
                 v[int(k)] = frac(c)
             if not is_zero_vec(v):
                 self._table[(i, j)] = tuple(v)
+        # dense antisymmetric lookup, so bracket_basis allocates nothing
+        zero = zero_vec(self.dim)
+        self._rows = [[zero] * self.dim for _ in range(self.dim)]
+        for (i, j), v in self._table.items():
+            self._rows[i][j] = v
+            self._rows[j][i] = vec_scale(-1, v)
         if validate:
             self._check_jacobi()
 
     def bracket_basis(self, i: int, j: int) -> Vec:
-        if i == j:
-            return zero_vec(self.dim)
-        if i < j:
-            return self._table.get((i, j), zero_vec(self.dim))
-        return vec_scale(-1, self._table.get((j, i), zero_vec(self.dim)))
+        return self._rows[i][j]
+
+    def rebased(self, vectors) -> "LieAlgebraDef":
+        """The subalgebra spanned by `vectors`, with its brackets in that basis.
+
+        Basis symbols are named by `combo_name`.  Raises ValueError when the
+        vectors are dependent or their brackets leave their span.
+        """
+        vectors = [util.vec(v) for v in vectors]
+        if util.rank([list(v) for v in vectors]) != len(vectors):
+            raise ValueError("basis vectors are linearly dependent")
+        keys = list(itertools.combinations(range(len(vectors)), 2))
+        coords = util.solve_each(util.mat_from_cols(vectors),
+                                 [self.bracket(vectors[i], vectors[j]) for i, j in keys])
+        if coords is None:
+            raise ValueError("brackets leave the span of the basis")
+        brackets = {key: {t: c for t, c in enumerate(x) if c} for key, x in zip(keys, coords)}
+        names = [combo_name(self.basis, v) for v in vectors]
+        return LieAlgebraDef(self.name, names, brackets, validate=False)
 
     def bracket(self, u: Vec, v: Vec) -> Vec:
         out = zero_vec(self.dim)
@@ -177,9 +200,9 @@ class SymmetricPair:
         self.dim_p = len(p_vecs)
         self.dim_k = len(k_vecs)
         self.adapted_vectors = list(p_vecs) + list(k_vecs)
-        self.adapted_names = [combo_name(algebra.basis, v) for v in self.adapted_vectors]
         self._to_adapted_matrix = self._inverse_basis_matrix()
-        self._table = self._adapted_table()
+        self.adapted = algebra.rebased(self.adapted_vectors)
+        self.adapted_names = self.adapted.basis
         self._check_cartan_inclusions()
         self._ad_cache: dict[int, list[list[Fraction]]] = {}
 
@@ -221,14 +244,11 @@ class SymmetricPair:
             raise NotCartanSplit("adapted basis is not a basis")
 
     def _inverse_basis_matrix(self):
-        cols = util.mat_from_cols(self.adapted_vectors)
         n = self.dim
-        inv_cols = []
-        for i in range(n):
-            x = util.solve(cols, util.unit_vec(n, i))
-            if x is None:
-                raise NotCartanSplit("adapted basis is singular")
-            inv_cols.append(x)
+        inv_cols = util.solve_each(util.mat_from_cols(self.adapted_vectors),
+                                   [util.unit_vec(n, i) for i in range(n)])
+        if inv_cols is None:
+            raise NotCartanSplit("adapted basis is singular")
         return util.mat_from_cols(inv_cols)
 
     def to_adapted(self, v: Vec) -> Vec:
@@ -242,19 +262,11 @@ class SymmetricPair:
                 out = vec_add(out, vec_scale(c, self.adapted_vectors[i]))
         return out
 
-    def _adapted_table(self):
-        table = {}
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                w = self.algebra.bracket(self.adapted_vectors[i], self.adapted_vectors[j])
-                table[(i, j)] = self.to_adapted(w)
-        return table
-
     def _check_cartan_inclusions(self):
         dp = self.dim_p
         for i in range(self.dim):
             for j in range(i + 1, self.dim):
-                w = self._table[(i, j)]
+                w = self.adapted.bracket_basis(i, j)
                 in_p = i < dp
                 jn_p = j < dp
                 if in_p and jn_p:
@@ -272,30 +284,12 @@ class SymmetricPair:
     # -- adapted-coordinate operations -------------------------------------
 
     def bracket_adapted(self, i: int, j: int) -> Vec:
-        if i == j:
-            return zero_vec(self.dim)
-        if i < j:
-            return self._table[(i, j)]
-        return vec_scale(-1, self._table[(j, i)])
-
-    def bracket_vec(self, u: Vec, v: Vec) -> Vec:
-        out = zero_vec(self.dim)
-        for i, a in enumerate(u):
-            if not a:
-                continue
-            for j, b in enumerate(v):
-                if not b or i == j:
-                    continue
-                out = vec_add(out, vec_scale(a * b, self.bracket_adapted(i, j)))
-        return out
-
-    def ad_adapted(self, u: Vec) -> list[list[Fraction]]:
-        cols = [self.bracket_vec(u, util.unit_vec(self.dim, j)) for j in range(self.dim)]
-        return util.mat_from_cols(cols)
+        """[e_i, e_j] of two adapted basis vectors, as a dense tuple."""
+        return self.adapted.bracket_basis(i, j)
 
     def ad_basis(self, i: int) -> list[list[Fraction]]:
         if i not in self._ad_cache:
-            self._ad_cache[i] = self.ad_adapted(util.unit_vec(self.dim, i))
+            self._ad_cache[i] = self.adapted.ad(util.unit_vec(self.dim, i))
         return self._ad_cache[i]
 
     def block_indices(self, space: str) -> range:
@@ -316,14 +310,11 @@ class SymmetricPair:
     def k_part(self, v: Vec) -> Vec:
         return tuple(v[i] if i >= self.dim_p else Fraction(0) for i in range(self.dim))
 
-    def killing_g(self, u: Vec, v: Vec) -> Fraction:
-        return util.mat_trace(util.mat_mul(self.ad_adapted(u), self.ad_adapted(v)))
-
     def killing_k(self, u: Vec, v: Vec) -> Fraction:
         """Killing form of the subalgebra k (adjoint action restricted to k)."""
         if any(u[i] for i in range(self.dim_p)) or any(v[i] for i in range(self.dim_p)):
             raise ValueError("killing_k needs k-vectors")
-        M = util.mat_mul(self.ad_adapted(u), self.ad_adapted(v))
+        M = util.mat_mul(self.adapted.ad(u), self.adapted.ad(v))
         return self.block_trace(M, "k")
 
     def trk_character(self) -> Character:
@@ -404,9 +395,9 @@ def trace_word(pair: SymmetricPair, space: str, word: list[Vec]) -> Fraction:
     """
     if not word:
         return Fraction(len(pair.block_indices(space)))
-    M = pair.ad_adapted(word[0])
+    M = pair.adapted.ad(word[0])
     for w in word[1:]:
-        M = util.mat_mul(M, pair.ad_adapted(w))
+        M = util.mat_mul(M, pair.adapted.ad(w))
     return pair.block_trace(M, space)
 
 
@@ -417,14 +408,14 @@ def eval_lie_word(pair: SymmetricPair, word, X: Vec, Y: Vec) -> Vec:
     if word == "Y":
         return Y
     a, b = word
-    return pair.bracket_vec(eval_lie_word(pair, a, X, Y), eval_lie_word(pair, b, X, Y))
+    return pair.adapted.bracket(eval_lie_word(pair, a, X, Y), eval_lie_word(pair, b, X, Y))
 
 
 def trace_alternation(pair: SymmetricPair, words, X: Vec, Y: Vec) -> Fraction:
     """tr_p(x_1...x_n) + (-1)^(n-1) tr_k(x_n...x_1) with x_i = ad(word_i(X,Y))."""
     if any(X[i] for i in range(pair.dim_p, pair.dim)) or any(Y[i] for i in range(pair.dim_p, pair.dim)):
         raise ValueError("trace_alternation arguments must lie in p")
-    mats = [pair.ad_adapted(eval_lie_word(pair, w, X, Y)) for w in words]
+    mats = [pair.adapted.ad(eval_lie_word(pair, w, X, Y)) for w in words]
     fwd = mats[0]
     for M in mats[1:]:
         fwd = util.mat_mul(fwd, M)
@@ -487,22 +478,6 @@ def subalgebra_closed(algebra: LieAlgebraDef, basis: list[Vec]) -> bool:
     return True
 
 
-def restricted_ad_matrices(algebra: LieAlgebraDef, basis: list[Vec]):
-    """Matrices of ad(b_i) restricted to span(basis), in basis coordinates."""
-    cols_matrix = util.mat_from_cols(list(basis))
-    mats = []
-    for u in basis:
-        cols = []
-        for v in basis:
-            w = algebra.bracket(u, v)
-            x = util.solve(cols_matrix, w)
-            if x is None:
-                raise ValueError("basis does not span a subalgebra")
-            cols.append(x)
-        mats.append(util.mat_from_cols(cols))
-    return mats
-
-
 def _is_solvable(algebra: LieAlgebraDef, basis: list[Vec]) -> bool:
     current = util.span_rref(list(basis))
     for _ in range(len(basis) + 1):
@@ -530,10 +505,11 @@ def nilradical_solvable(algebra: LieAlgebraDef, basis: list[Vec]) -> list[Vec]:
     """
     if not _is_solvable(algebra, basis):
         raise NilradicalUndecidable("candidate subalgebra is not solvable")
-    mats = restricted_ad_matrices(algebra, basis)
     m = len(basis)
     if m == 0:
         return []
+    sub = algebra.rebased(basis)
+    mats = [sub.ad(util.unit_vec(m, i)) for i in range(m)]
     rows = []
     prefixes = [util.mat_identity(m)]
     for _ in range(m):  # word lengths 0 .. m-1

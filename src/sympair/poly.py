@@ -2,8 +2,9 @@
 
 A Poly is a mapping {exponent tuple: Fraction} together with the number of
 variables.  Exponent tuples are dense (length == nvars) which keeps hashing
-and arithmetic simple; every algebra in this package has dimension <= 8 and
-degrees stay <= 8, so density costs nothing.
+and arithmetic simple.  Rings have up to a few dozen variables (sl(4)/so(4)
+has dimension 15 and dim p = 9, and the exponential-coordinate symbols use
+three copies of p) and degrees stay small, so dense exponents cost little.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
+from . import util
 from .util import frac
 
 
@@ -45,6 +47,12 @@ class Poly:
     @classmethod
     def monomial(cls, nvars: int, exps, c=1) -> "Poly":
         return cls(nvars, {tuple(exps): frac(c)})
+
+    @classmethod
+    def linear(cls, coeffs) -> "Poly":
+        """The linear form sum_t coeffs[t] x_t, in len(coeffs) variables."""
+        n = len(coeffs)
+        return cls(n, {tuple(1 if j == t else 0 for j in range(n)): c for t, c in enumerate(coeffs) if c})
 
     def copy(self) -> "Poly":
         p = Poly(self.nvars)
@@ -153,6 +161,17 @@ class Poly:
                 out = out.diff(i)
         return out
 
+    def derivation(self, images: list["Poly"]) -> "Poly":
+        """Image under the derivation sending variable i to images[i]."""
+        out = Poly.zero(self.nvars)
+        for m, c in self.terms.items():
+            for pos in range(self.nvars):
+                if m[pos]:
+                    m2 = list(m)
+                    m2[pos] -= 1
+                    out = out + images[pos].mul(Poly.monomial(self.nvars, m2, c * m[pos]))
+        return out
+
     def degree(self) -> int:
         return max((sum(m) for m in self.terms), default=0)
 
@@ -215,18 +234,7 @@ def poly_exp(a: Poly, max_degree: int) -> Poly:
     """exp of a polynomial with zero constant term, truncated by total degree."""
     if a.constant() != 0:
         raise ValueError("poly_exp needs a zero constant term")
-    out = Poly.const(a.nvars, 1)
-    term = Poly.const(a.nvars, 1)
-    k = 1
-    while True:
-        term = term.mul(a, max_degree).scale(Fraction(1, k))
-        if term.is_zero():
-            break
-        out = out + term
-        k += 1
-        if k > max_degree + 1:
-            break
-    return out.truncate(max_degree)
+    return util.exp(a, Poly.const(a.nvars, 1), lambda u, v: u.mul(v, max_degree)).truncate(max_degree)
 
 
 def monomials_of_degree(nvars: int, d: int):

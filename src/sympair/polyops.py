@@ -101,25 +101,13 @@ def k_derivation(pair: SymmetricPair, k_index: int, f: BlockPolynomial) -> Block
     products.  For space 'p' the bracket stays in p by the Cartan split.
     """
     pair_idx = list(f.pair.block_indices(f.space))
-    nv = len(pair_idx)
     images = []
     for j in pair_idx:
         w = pair.bracket_adapted(pair.dim_p + k_index, j)
-        img = Poly.zero(nv)
-        for t, i in enumerate(pair_idx):
-            if w[i]:
-                img = img + Poly.var(nv, t, w[i])
         if f.space == "p" and any(w[i] for i in pair.block_indices("k")):
             raise RuntimeError("Cartan split violated")  # pragma: no cover
-        images.append(img)
-    out = Poly.zero(nv)
-    for m, c in f.poly.terms.items():
-        for pos in range(nv):
-            if m[pos]:
-                m2 = list(m)
-                m2[pos] -= 1
-                out = out + images[pos].mul(Poly.monomial(nv, m2, c * m[pos]))
-    return BlockPolynomial(f.pair, f.space, out)
+        images.append(Poly.linear([w[i] for i in pair_idx]))
+    return BlockPolynomial(f.pair, f.space, f.poly.derivation(images))
 
 
 def is_invariant(pair: SymmetricPair, f: BlockPolynomial) -> bool:
@@ -279,10 +267,3 @@ def cartan_eilenberg_diff(pair: SymmetricPair, chain: CEChain) -> CEChain:
                     add(full, poly.scale(sign * coef))
     return CEChain(pair, chain.degree + 1, {s: q for s, q in out.items() if not q.is_zero()})
 
-
-def ce_kernel_degree0(pair: SymmetricPair, degree: int) -> list[BlockPolynomial]:
-    """ker(d) on 0-forms in one polynomial degree: closed iff k-invariant."""
-    basis = []
-    for f in invariant_subspace(pair, degree):
-        basis.append(f)
-    return basis

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from . import util
 from .errors import OrderTooHigh
 from .liealg import SymmetricPair
 from .poly import Poly
@@ -85,37 +86,18 @@ class TraceSeries:
                 out[key] = out.get(key, Fraction(0)) + c1 * c2
         return TraceSeries(order, out)
 
-    def without_constant(self) -> "TraceSeries":
-        return TraceSeries(self.truncation_order, {k: v for k, v in self.terms.items() if k})
+    def is_zero(self) -> bool:
+        return not self.terms
 
     def exp(self) -> "TraceSeries":
         if self.terms.get((), Fraction(0)) != 0:
             raise ValueError("exp needs zero constant term")
-        out = TraceSeries.constant(self.truncation_order, 1)
-        term = TraceSeries.constant(self.truncation_order, 1)
-        k = 1
-        while True:
-            term = (term * self).scale(Fraction(1, k))
-            if not term.terms:
-                break
-            out = out + term
-            k += 1
-        return out
+        return util.exp(self, TraceSeries.constant(self.truncation_order, 1), TraceSeries.__mul__)
 
     def log(self) -> "TraceSeries":
         if self.terms.get((), Fraction(0)) != 1:
             raise ValueError("log needs constant term 1")
-        u = self.without_constant()
-        out = TraceSeries(self.truncation_order)
-        power = TraceSeries.constant(self.truncation_order, 1)
-        k = 1
-        while True:
-            power = power * u
-            if not power.terms:
-                break
-            out = out + power.scale(Fraction((-1) ** (k + 1), k))
-            k += 1
-        return out
+        return util.log(self, TraceSeries.constant(self.truncation_order, 1), TraceSeries.__mul__)
 
     def inverse(self) -> "TraceSeries":
         """Multiplicative inverse of a series with constant term 1."""

@@ -143,7 +143,6 @@ def wheel_factor_B(pair: SymmetricPair, order: int) -> TraceSeries:
 def _series_at_vector(pair: SymmetricPair, series: TraceSeries, vector: list[Poly],
                       max_degree: int) -> Poly:
     """Evaluate a p-trace series at a vector with polynomial coordinates."""
-    nv = vector[0].nvars
     compiled = series.as_polynomial(pair, "p")
     images = [vector[i] for i in pair.block_indices("p")]
     return compiled.subs(images, max_degree)
@@ -233,50 +232,8 @@ def character_sigma_stable(pair: SymmetricPair, P: BlockPolynomial, f,
         raise NotSigmaStable("sigma(b) != b")
 
     # polarization flags, computed on the adapted-coordinate copy of g
-    adapted_def = _adapted_algebra(pair)
-    report = polarization_check(adapted_def, PolarizationCandidate(f, basis))
+    report = polarization_check(pair.adapted, PolarizationCandidate(f, basis))
     if not report.is_polarization:
         raise NotPolarization(repr(report))
     return P.evaluate([f[i] for i in pair.block_indices("p")])
 
-
-def _adapted_algebra(pair: SymmetricPair):
-    """The pair's algebra re-expressed on the adapted basis."""
-    from .liealg import LieAlgebraDef
-
-    brackets = {}
-    for i in range(pair.dim):
-        for j in range(i + 1, pair.dim):
-            w = pair.bracket_adapted(i, j)
-            entries = {t: w[t] for t in range(pair.dim) if w[t]}
-            if entries:
-                brackets[(i, j)] = entries
-    return LieAlgebraDef(pair.algebra.name + "_adapted", pair.adapted_names, brackets, validate=False)
-
-
-def coadjoint_orbit_point(pair: SymmetricPair, K, f, max_power: int = 12):
-    """exp(ad K)* f for a k-vector with nilpotent ad, exactly."""
-    K = util.vec(K)
-    f = util.vec(f)
-    M = pair.ad_adapted(K)
-    # coadjoint: <exp(ad K)* f, v> = <f, exp(-ad K) v>
-    out = list(f)
-    term = list(f)
-    k = 1
-    while True:
-        # term <- -(1/k) * term o ad K   (i.e. transpose action)
-        nxt = [Fraction(0)] * pair.dim
-        for j in range(pair.dim):
-            s = Fraction(0)
-            for i in range(pair.dim):
-                if term[i] and M[i][j]:
-                    s += term[i] * M[i][j]
-            nxt[j] = -s / k
-        term = nxt
-        if all(c == 0 for c in term):
-            break
-        out = [a + b for a, b in zip(out, term)]
-        k += 1
-        if k > max_power:
-            raise ValueError("ad K is not nilpotent to the requested power")
-    return tuple(out)

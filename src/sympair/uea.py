@@ -5,12 +5,17 @@ adapted coordinates) and straightens words by the rewriting
 e_j e_i -> e_i e_j + [e_j, e_i] whenever j comes after i in the order.
 The default context is the adapted basis itself, whose order puts every
 p symbol before every k symbol; that order realizes the decomposition
-U(g) = U(g).k + beta(S(p)) used by the quotient operations.
+U(g) = U(g).k + beta(S(p)) used by the quotient operations.  A context's
+structure constants are `pair.adapted.rebased(vectors)`; the adapted
+bracket table itself lives on `pair.adapted`.
+
+beta and its inverses share two routines: `_symmetrized` averages the
+straightened orderings of one word, and `_peel` inverts any map whose top
+degree part is the identity, by degree-descending elimination.
 """
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 
 from . import util
@@ -37,24 +42,13 @@ class PBWContext:
             raise ValueError("context basis must have dim(g) vectors")
         self.dim = pair.dim
         self.k_start = pair.dim_p if k_start is None else k_start
-        cols = util.mat_from_cols(self.vectors)
-        self._cols = cols
-        self._table: dict[tuple[int, int], util.Vec] = {}
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                w = pair.bracket_vec(self.vectors[i], self.vectors[j])
-                x = util.solve(cols, w)
-                if x is None:
-                    raise ValueError("context basis is singular")
-                self._table[(i, j)] = x
+        self._cols = util.mat_from_cols(self.vectors)
+        self.algebra = pair.adapted.rebased(self.vectors)
         self._memo: dict[tuple[int, ...], dict[tuple[int, ...], Fraction]] = {}
 
     def bracket_coeffs(self, i: int, j: int) -> util.Vec:
-        if i == j:
-            return util.zero_vec(self.dim)
-        if i < j:
-            return self._table[(i, j)]
-        return util.vec_scale(-1, self._table[(j, i)])
+        """[e_i, e_j] of two context basis vectors, in context coordinates."""
+        return self.algebra.bracket_basis(i, j)
 
     def straighten(self, word: tuple[int, ...]) -> dict[tuple[int, ...], Fraction]:
         """Canonical PBW form of a basis word, as {sorted word: coefficient}."""
@@ -75,21 +69,6 @@ class PBWContext:
             result = {m: c for m, c in result.items() if c}
         self._memo[word] = result
         return result
-
-    def straighten_random(self, word: tuple[int, ...], rng: random.Random) -> dict[tuple[int, ...], Fraction]:
-        """Straighten by resolving a random inversion at each step (no memo)."""
-        invs = [i for i in range(len(word) - 1) if word[i] > word[i + 1]]
-        if not invs:
-            return {word: Fraction(1)}
-        i = rng.choice(invs)
-        swapped = word[:i] + (word[i + 1], word[i]) + word[i + 2 :]
-        result = dict(self.straighten_random(swapped, rng))
-        w = self.bracket_coeffs(word[i], word[i + 1])
-        for t in range(self.dim):
-            if w[t]:
-                for mono, c in self.straighten_random(word[:i] + (t,) + word[i + 2 :], rng).items():
-                    result[mono] = result.get(mono, Fraction(0)) + w[t] * c
-        return {m: c for m, c in result.items() if c}
 
     def convert_vector(self, v_adapted: util.Vec) -> util.Vec:
         """Adapted coordinates -> context coordinates."""
@@ -202,21 +181,46 @@ def _distinct_permutations(word):
     return out
 
 
-def _mono_to_word(pair: SymmetricPair, space: str, mono) -> tuple[int, ...]:
-    """Exponent tuple over a block -> sorted index word in the default context."""
-    idx = list(pair.block_indices(space))
-    word = []
-    for t, e in enumerate(mono):
-        word.extend([idx[t]] * e)
-    return tuple(word)
+def _mono_to_word(idx: range, mono) -> tuple[int, ...]:
+    """Exponent tuple over the symbols idx -> sorted index word."""
+    return tuple(idx[t] for t, e in enumerate(mono) for _ in range(e))
 
 
-def _word_to_mono(pair: SymmetricPair, space: str, word) -> tuple[int, ...]:
-    idx = {i: t for t, i in enumerate(pair.block_indices(space))}
+def _word_to_mono(idx: range, word) -> tuple[int, ...]:
+    """Index word over the symbols idx -> exponent tuple."""
     mono = [0] * len(idx)
     for i in word:
-        mono[idx[i]] += 1
+        mono[i - idx.start] += 1
     return tuple(mono)
+
+
+def _symmetrized(ctx: PBWContext, word) -> dict[tuple[int, ...], Fraction]:
+    """Symmetrization of one word: the average of ctx.straighten over its
+    distinct orderings."""
+    perms = _distinct_permutations(word)
+    out: dict[tuple[int, ...], Fraction] = {}
+    for perm in perms:
+        for m, c in ctx.straighten(perm).items():
+            out[m] = out.get(m, Fraction(0)) + c
+    n = len(perms)
+    return {m: c / n for m, c in out.items() if c}
+
+
+def _peel(rem: UEAElement, nvars: int, mono_of, step) -> Poly:
+    """Degree-descending inversion of a map that is the identity on top degree.
+
+    Moves the top-degree part of `rem`, read as a polynomial through
+    `mono_of`, into the result; step(rem, top) must then cancel it.
+    """
+    acc = Poly.zero(nvars)
+    while not rem.is_zero():
+        d = rem.degree()
+        top = Poly(nvars, {mono_of(w): c for w, c in rem.top_part().items()})
+        acc = acc + top
+        rem = step(rem, top)
+        if not rem.is_zero() and rem.degree() >= d:
+            raise RuntimeError("peeling failed to lower the degree")  # pragma: no cover
+    return acc
 
 
 def beta(ctx: PBWContext, f: BlockPolynomial) -> UEAElement:
@@ -224,39 +228,20 @@ def beta(ctx: PBWContext, f: BlockPolynomial) -> UEAElement:
     pair = ctx.pair
     out: dict[tuple[int, ...], Fraction] = {}
     for mono, coeff in f.poly.terms.items():
-        word = _mono_to_word(pair, f.space, mono)
-        n = len(word)
-        if n == 0:
-            out[()] = out.get((), Fraction(0)) + coeff
-            continue
-        perms = _distinct_permutations(word)
-        weight = coeff / Fraction(len(perms))
-        for perm in perms:
-            for m, c in ctx.straighten(perm).items():
-                s = out.get(m, Fraction(0)) + weight * c
-                if s:
-                    out[m] = s
-                else:
-                    out.pop(m, None)
+        for m, c in _symmetrized(ctx, _mono_to_word(pair.block_indices(f.space), mono)).items():
+            s = out.get(m, Fraction(0)) + coeff * c
+            if s:
+                out[m] = s
+            else:
+                out.pop(m, None)
     return UEAElement(ctx, out)
 
 
 def beta_inverse(ctx: PBWContext, u: UEAElement) -> BlockPolynomial:
     """Full inverse of the symmetrization, by degree-descending elimination."""
     pair = ctx.pair
-    rem = u
-    acc = Poly.zero(pair.dim)
-    guard = u.degree() + 1
-    while not rem.is_zero():
-        d = rem.degree()
-        top = Poly(pair.dim, {_word_to_mono(pair, "g", w): c for w, c in rem.top_part().items()})
-        acc = acc + top
-        rem = rem - beta(ctx, BlockPolynomial(pair, "g", top))
-        if rem.degree() >= d and not rem.is_zero():
-            raise RuntimeError("beta_inverse failed to reduce degree")  # pragma: no cover
-        guard -= 1
-        if guard < 0:
-            raise RuntimeError("beta_inverse diverged")  # pragma: no cover
+    acc = _peel(u, pair.dim, lambda w: _word_to_mono(range(pair.dim), w),
+                lambda rem, top: rem - beta(ctx, BlockPolynomial(pair, "g", top)))
     return BlockPolynomial(pair, "g", acc)
 
 
@@ -305,16 +290,8 @@ def project_mod_k_lambda(ctx: PBWContext, u: UEAElement, lam: Character) -> Bloc
     pair = ctx.pair
     if ctx.k_start != pair.dim_p:
         raise ValueError("projection needs the adapted context")
-    rem = reduce_mod_k_lambda(u, lam)
-    acc = Poly.zero(pair.dim_p)
-    guard = u.degree() + 1
-    while not rem.is_zero():
-        top = Poly(pair.dim_p, {_word_to_mono(pair, "p", w): c for w, c in rem.top_part().items()})
-        acc = acc + top
-        rem = reduce_mod_k_lambda(rem - beta(ctx, BlockPolynomial(pair, "p", top)), lam)
-        guard -= 1
-        if guard < 0:
-            raise RuntimeError("projection diverged")  # pragma: no cover
+    acc = _peel(reduce_mod_k_lambda(u, lam), pair.dim_p, lambda w: _word_to_mono(range(pair.dim_p), w),
+                lambda rem, top: reduce_mod_k_lambda(rem - beta(ctx, BlockPolynomial(pair, "p", top)), lam))
     return BlockPolynomial(pair, "p", acc)
 
 
@@ -368,7 +345,7 @@ def _uea_basis(pair: SymmetricPair, degree: int):
     monos = []
     for d in range(degree + 1):
         monos.extend(monomials_of_degree(pair.dim, d))
-    words = [_mono_to_word(pair, "g", m) for m in monos]
+    words = [_mono_to_word(range(pair.dim), m) for m in monos]
     index = {w: t for t, w in enumerate(words)}
     return words, index
 
@@ -444,55 +421,23 @@ def hc_projection_uea(pair: SymmetricPair, class_poly: BlockPolynomial, iwasawa,
         for i in w:
             term = pbw_multiply(term, images[i])
         out = out + term
-    # mod U(g).k : drop monomials containing a k0 or r symbol
-    kept = {w: c for w, c in out.terms.items() if all(i < nn + np0 for i in w)}
-    # empty n+ component
-    kept = {w: c for w, c in kept.items() if all(i >= nn for i in w)}
-    # invert the g0 symmetrization mod U(g0).k0 by triangular peeling
-    def mono_of(w):
-        m = [0] * np0
-        for i in w:
-            m[i - nn] += 1
-        return tuple(m)
+    # mod U(g).k drops monomials containing a k0 or r symbol; keep the empty n+ component
+    kept = UEAElement(hc_ctx, {w: c for w, c in out.terms.items() if all(nn <= i < nn + np0 for i in w)})
 
-    def beta_g0_reduced(poly: Poly) -> dict:
+    # invert the g0 symmetrization mod U(g0).k0 by triangular peeling
+    p0_idx = range(nn, nn + np0)
+
+    def beta_g0_reduced(poly: Poly) -> UEAElement:
         # beta over g0 followed by reduction mod U(g0).k0, inside the big algebra
         acc: dict[tuple[int, ...], Fraction] = {}
         for mono, coeff in poly.terms.items():
-            word = []
-            for t, e in enumerate(mono):
-                word.extend([nn + t] * e)
-            perms = _distinct_permutations(tuple(word)) or [()]
-            weight = coeff / Fraction(len(perms))
-            for perm in perms:
-                for m, c in hc_ctx.straighten(perm).items():
-                    # g0 is a subalgebra: straightening stays in p0/k0 symbols
-                    if any(i >= nn + np0 + nk0 or i < nn for i in m):
-                        raise RuntimeError("g0 is not closed in the Iwasawa context")
-                    if any(nn + np0 <= i < nn + np0 + nk0 for i in m):
-                        continue  # mod U(g0).k0
-                    s = acc.get(m, Fraction(0)) + weight * c
-                    if s:
-                        acc[m] = s
-                    else:
-                        acc.pop(m, None)
-        return acc
+            for m, c in _symmetrized(hc_ctx, _mono_to_word(p0_idx, mono)).items():
+                # g0 is a subalgebra: straightening stays in p0/k0 symbols
+                if any(i >= nn + np0 + nk0 or i < nn for i in m):
+                    raise RuntimeError("g0 is not closed in the Iwasawa context")
+                if any(nn + np0 <= i < nn + np0 + nk0 for i in m):
+                    continue  # mod U(g0).k0
+                acc[m] = acc.get(m, Fraction(0)) + coeff * c
+        return UEAElement(hc_ctx, acc)
 
-    rem = dict(kept)
-    result = Poly.zero(np0)
-    guard = max((len(w) for w in rem), default=0) + 1
-    while rem:
-        d = max(len(w) for w in rem)
-        top = Poly(np0, {mono_of(w): c for w, c in rem.items() if len(w) == d})
-        result = result + top
-        img = beta_g0_reduced(top)
-        for m, c in img.items():
-            s = rem.get(m, Fraction(0)) - c
-            if s:
-                rem[m] = s
-            else:
-                rem.pop(m, None)
-        guard -= 1
-        if guard < 0:
-            raise RuntimeError("hc projection diverged")  # pragma: no cover
-    return result
+    return _peel(kept, np0, lambda w: _word_to_mono(p0_idx, w), lambda rem, top: rem - beta_g0_reduced(top))

@@ -1,4 +1,5 @@
-"""Exact-rational helpers: parsing, formatting, and dense linear algebra.
+"""Exact-rational helpers: parsing, formatting, dense linear algebra, and
+the truncated exponential and logarithm shared by every series type.
 
 Matrices are lists of lists of Fraction; vectors are tuples of Fraction.
 Sizes in this package stay small (dimension <= ~40), so plain Gaussian
@@ -150,19 +151,28 @@ def nullspace(rows: list[list[Fraction]], ncols: int | None = None) -> list[Vec]
 
 def solve(A: list[list[Fraction]], b: Vec) -> Vec | None:
     """One solution of A x = b, or None if inconsistent."""
+    xs = solve_each(A, [b])
+    return None if xs is None else xs[0]
+
+
+def solve_each(A: list[list[Fraction]], bs: list[Vec]) -> list[Vec] | None:
+    """One solution of A x = b for every b in bs, by a single elimination.
+
+    None if any of the systems is inconsistent.
+    """
     n = len(A)
     ncols = len(A[0]) if n else 0
-    aug = [list(A[i]) + [b[i]] for i in range(n)]
+    aug = [list(A[i]) + [b[i] for b in bs] for i in range(n)]
     R, pivots = rref(aug)
-    for row in R:
-        if all(x == 0 for x in row[:-1]) and row[-1] != 0:
-            return None
-    x = [Fraction(0)] * ncols
-    for i, pc in enumerate(pivots):
-        if pc == ncols:
-            return None
-        x[pc] = R[i][-1]
-    return tuple(x)
+    if pivots and pivots[-1] >= ncols:
+        return None
+    out = []
+    for k in range(ncols, ncols + len(bs)):
+        x = [Fraction(0)] * ncols
+        for i, pc in enumerate(pivots):
+            x[pc] = R[i][k]
+        out.append(tuple(x))
+    return out
 
 
 def span_rref(vectors: list[Vec]) -> list[Vec]:
@@ -208,3 +218,34 @@ def direct_sum_check(blocks: list[list[Vec]], dim: int) -> bool:
     """True iff the given families are independent and together span Q^dim."""
     allv = [v for blk in blocks for v in blk]
     return len(allv) == dim and rank([list(v) for v in allv]) == dim
+
+
+# -- truncated exp and log --------------------------------------------------
+#
+# Elements need +, -, scale(c) and is_zero(); `mul` must truncate, so that
+# the powers of an element without constant term eventually vanish.
+
+def exp(x, one, mul):
+    """sum_k x^k / k! for x without constant term."""
+    out = term = one
+    k = 1
+    while True:
+        term = mul(term, x).scale(Fraction(1, k))
+        if term.is_zero():
+            return out
+        out = out + term
+        k += 1
+
+
+def log(x, one, mul):
+    """sum_k (-1)^(k+1) u^k / k with u = x - one, for x with constant term 1."""
+    u = x - one
+    out = one.scale(0)
+    power = one
+    k = 1
+    while True:
+        power = mul(power, u)
+        if power.is_zero():
+            return out
+        out = out + power.scale(Fraction((-1) ** (k + 1), k))
+        k += 1

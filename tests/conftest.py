@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import pytest
 
+from sympair import util
+from sympair.freelie import DEFAULT_MAX_ORDER, X, Y, FreeAssocSeries, _check_order
 from sympair.liealg import LieAlgebraDef, build_symmetric_pair
 from sympair.poly import Poly, monomials_up_to_degree
 from sympair.polyops import BlockPolynomial
@@ -97,6 +99,47 @@ def am_pair():
     return coadjoint_semidirect(sl2_algebra())
 
 
+def sl_so_pair(n):
+    """(sl(n), so(n)) with sigma(X) = -X^T, built from matrix units.
+
+    Basis: H_i = E_ii - E_(i+1)(i+1) for i < n, then E_ij for i != j.
+    """
+    mats = [{(i, i): 1, (i + 1, i + 1): -1} for i in range(n - 1)]
+    mats += [{(i, j): 1} for i in range(n) for j in range(n) if i != j]
+    names = [f"H{i + 1}" for i in range(n - 1)] + [f"E{i + 1}{j + 1}" for i in range(n) for j in range(n) if i != j]
+    offdiag = {next(iter(m)): t for t, m in enumerate(mats) if t >= n - 1}
+
+    def coords(mat):
+        out = [Fraction(0)] * len(mats)
+        running = Fraction(0)
+        for i in range(n - 1):  # diagonal d = sum_i h_i (e_i - e_(i+1))
+            running += mat.get((i, i), 0)
+            out[i] = running
+        for key, v in mat.items():
+            if key[0] != key[1]:
+                out[offdiag[key]] = Fraction(v)
+        return out
+
+    def product(a, b):
+        out = {}
+        for (i, k), x in a.items():
+            for (k2, j), y in b.items():
+                if k == k2:
+                    out[(i, j)] = out.get((i, j), 0) + x * y
+        return out
+
+    brackets = {}
+    for a in range(len(mats)):
+        for b in range(a + 1, len(mats)):
+            ab, ba = product(mats[a], mats[b]), product(mats[b], mats[a])
+            comm = {key: ab.get(key, 0) - ba.get(key, 0) for key in set(ab) | set(ba)}
+            brackets[(a, b)] = {t: c for t, c in enumerate(coords(comm)) if c}
+    alg = LieAlgebraDef(f"sl{n}", names, brackets)
+    cols = [coords({(c, r): -v for (r, c), v in m.items()}) for m in mats]
+    sigma = [[cols[j][i] for j in range(len(mats))] for i in range(len(mats))]
+    return build_symmetric_pair(alg, sigma)
+
+
 @pytest.fixture(scope="session")
 def omega(sl2_pair):
     return BlockPolynomial(sl2_pair, "p", Poly(2, {(2, 0): 1, (0, 2): 1}))
@@ -119,3 +162,120 @@ def random_p_vector(pair, rng, bound=3):
     for i in range(pair.dim_p):
         v[i] = Fraction(rng.randint(-bound, bound))
     return tuple(v)
+
+
+# -- reference oracles: independent routes the library is checked against ----
+
+def straighten_random(ctx, word, rng):
+    """Straighten by resolving a random inversion at each step (no memo)."""
+    invs = [i for i in range(len(word) - 1) if word[i] > word[i + 1]]
+    if not invs:
+        return {word: Fraction(1)}
+    i = rng.choice(invs)
+    swapped = word[:i] + (word[i + 1], word[i]) + word[i + 2 :]
+    result = dict(straighten_random(ctx, swapped, rng))
+    w = ctx.bracket_coeffs(word[i], word[i + 1])
+    for t in range(ctx.dim):
+        if w[t]:
+            for mono, c in straighten_random(ctx, word[:i] + (t,) + word[i + 2 :], rng).items():
+                result[mono] = result.get(mono, Fraction(0)) + w[t] * c
+    return {m: c for m, c in result.items() if c}
+
+
+def right_normed(order):
+    """w -> [w_1,[w_2,[...,w_n]]] in the tensor algebra, memoized per caller."""
+    cache = {}
+
+    def bracket_word(w):
+        if w not in cache:
+            if len(w) == 1:
+                cache[w] = FreeAssocSeries.letter(order, w[0])
+            else:
+                head = FreeAssocSeries.letter(order, w[0])
+                tail = bracket_word(w[1:])
+                cache[w] = head * tail - tail * head
+        return cache[w]
+
+    return bracket_word
+
+
+def dynkin_map(series):
+    """Right-normed bracketing map D(w) = [w_1,[w_2,[...,w_n]]], word by word."""
+    out = FreeAssocSeries(series.order)
+    bracket_word = right_normed(series.order)
+    for w, c in series.terms.items():
+        if w:
+            out = out + bracket_word(w).scale(c)
+    return out
+
+
+def bch_dynkin(order, max_order=DEFAULT_MAX_ORDER):
+    """Dynkin's explicit BCH formula, as an associative expansion.
+
+    Z = sum over m >= 1 of (-1)^(m-1)/m times the right-normed bracketing of
+    X^(p_1) Y^(q_1) ... X^(p_m) Y^(q_m), divided by n * prod(p_i! q_i!) with
+    n the word length.  Independent of the log/exp route of `bch`.
+    """
+    _check_order(order, max_order)
+    out = FreeAssocSeries(order)
+    bracket_word = right_normed(order)
+
+    def factorial(k):
+        f = 1
+        for i in range(2, k + 1):
+            f *= i
+        return f
+
+    def block_lists(m, budget):
+        """All length-m lists of (p, q) != (0, 0) with total p+q <= budget."""
+        if m == 0:
+            yield []
+            return
+        for p in range(budget + 1):
+            for q in range(budget - p + 1):
+                if p == 0 and q == 0:
+                    continue
+                if p + q > budget - (m - 1):
+                    continue
+                for rest in block_lists(m - 1, budget - p - q):
+                    yield [(p, q)] + rest
+
+    for m in range(1, order + 1):
+        for pairs in block_lists(m, order):
+            w = ()
+            denom = 1
+            for p, q in pairs:
+                w = w + (X,) * p + (Y,) * q
+                denom *= factorial(p) * factorial(q)
+            n = len(w)
+            coeff = Fraction((-1) ** (len(pairs) - 1), len(pairs)) / Fraction(n * denom)
+            out = out + bracket_word(w).scale(coeff)
+    return out
+
+
+def coadjoint_orbit_point(pair, K, f, max_power=12):
+    """exp(ad K)* f for a k-vector with nilpotent ad, exactly."""
+    K = util.vec(K)
+    f = util.vec(f)
+    M = pair.adapted.ad(K)
+    # coadjoint: <exp(ad K)* f, v> = <f, exp(-ad K) v>
+    out = list(f)
+    term = list(f)
+    k = 1
+    while True:
+        # term <- -(1/k) * term o ad K   (i.e. transpose action)
+        nxt = [Fraction(0)] * pair.dim
+        for j in range(pair.dim):
+            s = Fraction(0)
+            for i in range(pair.dim):
+                if term[i] and M[i][j]:
+                    s += term[i] * M[i][j]
+            nxt[j] = -s / k
+        term = nxt
+        if all(c == 0 for c in term):
+            break
+        out = [a + b for a, b in zip(out, term)]
+        k += 1
+        if k > max_power:
+            raise ValueError("ad K is not nilpotent to the requested power")
+    return tuple(out)

@@ -86,6 +86,20 @@ def test_hc_project(capsys):
     assert "H^2" in out and "weyl-invariant: True" in out
 
 
+def test_hc_project_renders_signed_coefficients(tmp_path, capsys):
+    # -omega^2 + 2 omega - 1/2 restricts to -H^4 + 2 H^2 - 1/2 on p0 = span(H)
+    with open(alg("sl2.json")) as fh:
+        data = json.load(fh)
+    data["definitions"]["f"] = {"H^4": "-1", "H^2*(X+Y)^2": "-2", "(X+Y)^4": "-1",
+                                "H^2": "2", "(X+Y)^2": "2", "1": "-1/2"}
+    path = tmp_path / "sl2f.json"
+    path.write_text(json.dumps(data))
+    code = run(["hc-project", str(path), "--poly", "f"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.splitlines()[0] == "-H^4 + 2*H^2 - 1/2"
+
+
 def test_char(tmp_path, capsys):
     pol = tmp_path / "pol.json"
     pol.write_text(json.dumps({"b": [["1", "1", "0"], ["0", "0", "1"]]}))
@@ -128,6 +142,13 @@ def test_graph_weight_pattern_zero(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "pattern" in out
+
+
+def test_graph_weight_zero_samples(capsys):
+    code = run(["graph-weight", "--graph", alg(os.path.join("graphs", "wedge.json")), "--samples", "0"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "samples" in err and "Traceback" not in err
 
 
 def test_e_series(capsys):

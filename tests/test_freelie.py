@@ -6,8 +6,6 @@ from sympair.errors import OrderTooHigh
 from sympair.freelie import (
     FreeAssocSeries,
     bch,
-    bch_dynkin,
-    dynkin_map,
     is_lyndon,
     lie_from_assoc,
     lyndon_words,
@@ -15,6 +13,8 @@ from sympair.freelie import (
     sym_factorize,
     z_sym,
 )
+
+from conftest import bch_dynkin, dynkin_map
 
 X, Y = 0, 1
 
@@ -59,6 +59,13 @@ def test_exp_bch_equals_product_of_exponentials():
     for order in (4, 6):
         z = bch(order)
         assert z.to_assoc().exp() == exp_letter(order, X) * exp_letter(order, Y)
+
+
+def test_exp_log_roundtrip():
+    x = FreeAssocSeries(5, {(): 1, (X,): Fraction(1, 2), (X, Y): -3, (Y, Y, X): Fraction(2, 7)})
+    assert x.log().exp() == x
+    y = x - FreeAssocSeries.unit(5)
+    assert y.exp().log() == y
 
 
 def test_order_cap():
@@ -146,5 +153,5 @@ def test_evaluate_into_pair(sl2_pair):
     assert val == util.vec_add(X_v, Y_v)
     # degree-2 term contributes half the bracket
     val2 = bch(2).evaluate(sl2_pair, X_v, Y_v)
-    half_brk = util.vec_scale(Fraction(1, 2), sl2_pair.bracket_vec(X_v, Y_v))
+    half_brk = util.vec_scale(Fraction(1, 2), sl2_pair.adapted.bracket(X_v, Y_v))
     assert val2 == util.vec_add(util.vec_add(X_v, Y_v), half_brk)

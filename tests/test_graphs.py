@@ -11,6 +11,7 @@ from sympair.errors import (
     CoincidentPoints,
     ColorArityMismatch,
     GaugeUnderdetermined,
+    SympairError,
     UnsupportedPalette,
 )
 from sympair.graphs import (
@@ -225,6 +226,13 @@ def test_weight_caps_and_palette():
         weight_mc(ColoredGraph(3, 2, [(0, 1, "+"), (0, 2, "-"), (1, 3, "+"), (1, 0, "-"), (2, 3, "+"), (2, 4, "+")]), 10, 1)
     with pytest.raises(UnsupportedPalette):
         weight_mc(ColoredGraph(1, 1, [(0, 1, "++"), (0, INF, "--")], palette="four_color"), 10, 1)
+
+
+def test_weight_rejects_too_few_samples():
+    g = ColoredGraph(1, 2, [(0, 1, "+"), (0, 2, "+")])
+    for samples in (0, -5):
+        with pytest.raises(SympairError):
+            weight_mc(g, samples, 1)
 
 
 def test_weight_non_top_form_is_zero():

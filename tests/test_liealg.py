@@ -1,11 +1,13 @@
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from sympair import util
 from sympair.errors import JacobiViolation, NotAutomorphism, NotInvolution
+from sympair.io import load_algebra_file
 from sympair.liealg import (
     LieAlgebraDef,
     PolarizationCandidate,
@@ -17,6 +19,14 @@ from sympair.liealg import (
     trace_alternation,
     trace_word,
 )
+
+from conftest import sl_so_pair
+
+ALGEBRAS = Path(__file__).resolve().parent.parent / "algebras"
+
+
+def file_pairs():
+    return [load_algebra_file(str(path))[0] for path in sorted(ALGEBRAS.glob("*.json"))]
 
 
 def test_jacobi_violation_reports_witness():
@@ -69,6 +79,43 @@ def test_user_adapted_basis_validated(sl2_pair):
         build_symmetric_pair(alg, sigma, adapted=([[1, 0, 0], [0, 1, -1]], [[0, 1, 1]]))
 
 
+# -- rebased structure constants ------------------------------------------------
+
+def test_rebased_random_basis_is_a_lie_algebra():
+    rng = random.Random(23)
+    for pair in file_pairs():
+        alg = pair.algebra
+        n = alg.dim
+        vectors = []
+        while util.rank(vectors or [[0] * n]) < n:
+            vectors = [[Fraction(rng.randint(-2, 2)) for _ in range(n)] for _ in range(n)]
+        new = alg.rebased(vectors)
+        for i, j in itertools.product(range(n), repeat=2):
+            w = new.bracket_basis(i, j)
+            combo = [sum((w[t] * vectors[t][s] for t in range(n)), Fraction(0)) for s in range(n)]
+            assert tuple(combo) == alg.bracket(util.vec(vectors[i]), util.vec(vectors[j]))
+        # validation on: the rebased constants pass the Jacobi check
+        LieAlgebraDef(new.name, new.basis, {key: dict(enumerate(v)) for key, v in new._table.items()})
+
+
+def test_rebased_rejects_dependent_and_non_closed_bases(sl2_pair):
+    alg = sl2_pair.algebra
+    with pytest.raises(ValueError):
+        alg.rebased([[1, 0, 0], [2, 0, 0]])
+    with pytest.raises(ValueError):
+        alg.rebased([[0, 1, 0], [0, 0, 1]])  # [X, Y] = H escapes
+    assert alg.rebased([[1, 0, 0], [0, 1, 0]]).bracket_basis(0, 1) == (0, 2)
+
+
+def test_adapted_algebra_matches_adapted_brackets(sl2_pair, diagonal_pair, am_pair):
+    for pair in file_pairs() + [sl2_pair, diagonal_pair, am_pair, sl_so_pair(3)]:
+        assert pair.adapted.basis == pair.adapted_names
+        for i, j in itertools.product(range(pair.dim), repeat=2):
+            w = pair.algebra.bracket(pair.adapted_vectors[i], pair.adapted_vectors[j])
+            assert pair.adapted.bracket_basis(i, j) == pair.to_adapted(w)
+            assert pair.bracket_adapted(i, j) == pair.to_adapted(w)
+
+
 # -- trace words --------------------------------------------------------------
 
 def test_trace_word_sl2(sl2_pair):
@@ -89,7 +136,7 @@ def test_trace_word_brute_force_product(sl2_pair):
             word.append(tuple(Fraction(rng.randint(-2, 2)) for _ in range(3)))
         M = util.mat_identity(3)
         for w in word:
-            M = util.mat_mul(M, sl2_pair.ad_adapted(w))
+            M = util.mat_mul(M, sl2_pair.adapted.ad(w))
         for space in ("p", "k", "g"):
             assert trace_word(sl2_pair, space, word) == sl2_pair.block_trace(M, space)
 
@@ -109,7 +156,7 @@ def test_block_trace_additivity_on_k(sl2_pair, diagonal_pair):
     for pair in (sl2_pair, diagonal_pair):
         for a in range(pair.dim_k):
             K = util.unit_vec(pair.dim, pair.dim_p + a)
-            M = pair.ad_adapted(K)
+            M = pair.adapted.ad(K)
             assert pair.block_trace(M, "g") == pair.block_trace(M, "p") + pair.block_trace(M, "k")
             # ad K preserves both blocks
             for i in pair.block_indices("p"):
@@ -123,8 +170,8 @@ def test_killing_invariance(sl2_pair, solvable_pair, diagonal_pair):
         n = pair.dim
         for i, j, k in itertools.product(range(n), repeat=3):
             x, y, z = (util.unit_vec(n, t) for t in (i, j, k))
-            lhs = pair.killing_g(pair.bracket_vec(x, y), z)
-            rhs = pair.killing_g(y, pair.bracket_vec(x, z))
+            lhs = pair.adapted.killing(pair.adapted.bracket(x, y), z)
+            rhs = pair.adapted.killing(y, pair.adapted.bracket(x, z))
             assert lhs + rhs == 0
 
 
@@ -152,8 +199,8 @@ def test_alternation_sl2_killing_oracle(sl2_pair):
     # words ([X,Y],[X,Y]) equals b(W, W) with b = K_g - 2 K_k and W = [X,Y]
     X = sl2_pair.to_adapted(util.vec([1, 0, 0]))
     Y = sl2_pair.to_adapted(util.vec([0, 1, 1]))
-    W = sl2_pair.bracket_vec(X, Y)
-    expected = sl2_pair.killing_g(W, W) - 2 * sl2_pair.killing_k(W, W)
+    W = sl2_pair.adapted.bracket(X, Y)
+    expected = sl2_pair.adapted.killing(W, W) - 2 * sl2_pair.killing_k(W, W)
     assert trace_alternation(sl2_pair, [("X", "Y"), ("X", "Y")], X, Y) == expected
     assert expected == -32
 

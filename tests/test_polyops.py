@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from sympair import util
-from sympair.poly import Poly, monomials_up_to_degree
+from sympair.poly import Poly, monomials_up_to_degree, poly_exp
 from sympair.polyops import (
     BlockPolynomial,
     CEChain,
@@ -116,6 +116,42 @@ def test_k_derivation_is_a_derivation(sl2_pair):
     lhs = k_derivation(sl2_pair, 0, f * g)
     rhs = k_derivation(sl2_pair, 0, f) * g + f * k_derivation(sl2_pair, 0, g)
     assert lhs == rhs
+
+
+def test_poly_derivation_matches_leibniz_reference():
+    rng = random.Random(29)
+    nv = 3
+
+    def rand_poly(degree):
+        return Poly(nv, {m: Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                         for m in monomials_up_to_degree(nv, degree) if rng.random() < 0.5})
+
+    for _ in range(10):
+        f = rand_poly(3)
+        images = [rand_poly(2) for _ in range(nv)]
+        # reference: expand each monomial into its factors and replace one at a time
+        expected = Poly.zero(nv)
+        for m, c in f.terms.items():
+            factors = [i for i, e in enumerate(m) for _ in range(e)]
+            for p, i in enumerate(factors):
+                term = images[i].scale(c)
+                for q, j in enumerate(factors):
+                    if q != p:
+                        term = term * Poly.var(nv, j)
+                expected = expected + term
+        assert f.derivation(images) == expected
+    coeffs = [Fraction(2), Fraction(0), Fraction(-1, 3)]
+    assert Poly.linear(coeffs) == Poly.var(3, 0, 2) + Poly.var(3, 2, Fraction(-1, 3))
+
+
+def test_poly_exp_is_truncated_power_sum():
+    a = Poly(2, {(1, 0): Fraction(1, 2), (0, 2): -3, (1, 1): Fraction(2, 5)})
+    for max_degree in range(7):
+        expected, power, factorial = Poly.zero(2), Poly.const(2, 1), 1
+        for k in range(max_degree + 1):
+            expected = expected + power.scale(Fraction(1, factorial))
+            power, factorial = power * a, factorial * (k + 1)
+        assert poly_exp(a, max_degree) == expected.truncate(max_degree)
 
 
 # -- Cartan-Eilenberg complex ------------------------------------------------------

@@ -20,6 +20,7 @@ def test_exp_log_roundtrip():
     s = TraceSeries(8, {(("p", 2),): Fraction(1, 5), (("k", 4),): Fraction(-2, 7)})
     assert s.exp().log() == s
     e = s.exp()
+    assert e.log().exp() == e
     assert (e * e.inverse()) == TraceSeries.constant(8, 1)
     assert (e.sqrt() * e.sqrt()) == e
 

@@ -12,7 +12,6 @@ from sympair.polyops import BlockPolynomial, apply_series_operator, invariant_su
 from sympair.series import TraceSeries, density_series, log_density
 from sympair.starprod import (
     character_sigma_stable,
-    coadjoint_orbit_point,
     exp_coord_operator,
     h_component,
     ln_e_scalar,
@@ -22,7 +21,7 @@ from sympair.starprod import (
 )
 from sympair.uea import PBWContext, beta, pbw_multiply, project_mod_k_lambda, rouviere_sharp
 
-from conftest import random_block_poly, random_p_vector
+from conftest import coadjoint_orbit_point, random_block_poly, random_p_vector
 
 
 # -- the k-valued component ---------------------------------------------------
@@ -369,9 +368,8 @@ def test_solvable_pair_has_no_sigma_stable_polarization(solvable_pair):
     (b & k) + (b & p), and neither split admits an isotropic subalgebra of
     the polarization dimension 3."""
     from sympair.liealg import polarization_check as check
-    from sympair.starprod import _adapted_algebra
     import itertools as it
-    alg = _adapted_algebra(solvable_pair)
+    alg = solvable_pair.adapted
     z_idx = solvable_pair.adapted_names.index("z")
     f = tuple(Fraction(1 if i == z_idx else 0) for i in range(4))
     found = []
