@@ -208,7 +208,9 @@ def _dispatch(args, report) -> int:
             report.add("predicate", pred.reason)
         est = weight_mc(g, args.samples, args.seed)
         print(f"weight = {est.value:.6f} +- {est.std_error:.6f} ({est.samples} samples, seed {est.seed})")
-        report.add("weight", est.value, est.std_error)
+        if est.nonfinite:
+            print(f"non-finite samples left out: {est.nonfinite}")
+        report.add("weight", est.value, est.std_error, nonfinite=est.nonfinite)
         return 0
 
     if cmd == "duflo-check":

@@ -46,12 +46,18 @@ class ColoredGraph:
         self.palette = palette
         colors = TWO_COLOR if palette == "two_color" else FOUR_COLOR
         norm = []
+        vertices = range(n + m)
         for src, dst, color in edges:
             if color not in colors:
                 raise ValueError(f"color {color!r} not in palette {palette}")
-            if dst != INF and src == dst:
+            src, dst = int(src), dst if dst == INF else int(dst)
+            if src not in vertices:
+                raise ValueError(f"edge source {src} is not a vertex 0..{n + m - 1}")
+            if dst != INF and dst not in vertices:
+                raise ValueError(f"edge target {dst} is neither {INF!r} nor a vertex 0..{n + m - 1}")
+            if src == dst:
                 raise ValueError("loops are not allowed")
-            norm.append((int(src), dst if dst == INF else int(dst), color))
+            norm.append((src, dst, color))
         norm.sort(key=_edge_key)
         if len(set(norm)) != len(norm):
             raise ValueError("double edge with identical source, target, color")
@@ -128,14 +134,22 @@ def _edge_key(e):
 
 
 class WeightEstimate:
-    def __init__(self, value: float, std_error: float, samples: int, seed: int):
+    """Mean and standard error over the finite samples of `samples` drawn.
+
+    `nonfinite` counts the samples left out because their integrand was
+    inf or nan (coincident points).
+    """
+
+    def __init__(self, value: float, std_error: float, samples: int, seed: int, nonfinite: int = 0):
         self.value = value
         self.std_error = std_error
         self.samples = samples
         self.seed = seed
+        self.nonfinite = nonfinite
 
     def __repr__(self):
-        return f"WeightEstimate({self.value:.6f} +- {self.std_error:.6f}, samples={self.samples}, seed={self.seed})"
+        return (f"WeightEstimate({self.value:.6f} +- {self.std_error:.6f}, samples={self.samples}, "
+                f"seed={self.seed}, nonfinite={self.nonfinite})")
 
 
 class ZeroWeight:
@@ -295,23 +309,27 @@ def angle(p: complex, q: complex, color: str, palette: str = "two_color"):
 
 
 def _angle_coeffs_arrays(xp, yp, xq, yq, color, palette):
-    """Vectorized one-form coefficients; each input is a numpy array."""
-    c = [np.zeros_like(xp) for _ in range(4)]
+    """Vectorized one-form coefficients; inputs are numpy arrays or floats."""
+    c = [0.0, 0.0, 0.0, 0.0]
     for sign, key in _arg_terms(color, palette):
         ex, ey = _ARG_FACTORS[key]
         a = xp + ex * xq
         b = yp + ey * yq
-        r2 = a * a + b * b
-        c[0] += sign * (-b) / r2
-        c[1] += sign * a / r2
-        c[2] += sign * (-b * ex) / r2
-        c[3] += sign * (a * ey) / r2
+        s = sign / (a * a + b * b)
+        sa, sb = s * a, s * b
+        c[0] = c[0] - sb
+        c[1] = c[1] + sa
+        c[2] = c[2] - ex * sb
+        c[3] = c[3] + ey * sa
     return c
 
 
 # -- Monte-Carlo weights -------------------------------------------------------
 
 _CHUNK = 1 << 15
+#: largest top-form dimension (2n edges) for graphs of at most WEIGHT_CAP
+#: aerial vertices of out-degree 2; the Laplace kernel covers these dimensions
+_LAPLACE_MAX_DIM = 2 * WEIGHT_CAP
 #: global orientation: fixed so that the solid-solid wedge has weight +1/2.
 _ORIENT = 1.0
 
@@ -355,7 +373,10 @@ def weight_mc(g: ColoredGraph, samples: int, seed: int) -> WeightEstimate:
     Gauge: ground points 0 and 1 pinned for m >= 2; for m == 1 the ground
     point sits at 0 and the first aerial point on the unit circle; for
     m == 0 the first aerial point is pinned at i.  The integrand is the
-    determinant of the edge-form coefficients against the free coordinates.
+    determinant of the edge-form coefficients against the free coordinates,
+    times the Jacobian of the map from the unit cube.  Samples whose
+    integrand is not finite (coincident points) are counted in `nonfinite`
+    and left out of the mean and the standard error.
     """
     if samples < 1:
         raise SympairError(f"samples must be >= 1, got {samples}")
@@ -375,80 +396,136 @@ def weight_mc(g: ColoredGraph, samples: int, seed: int) -> WeightEstimate:
     streams = ss.spawn(n_chunks)
     total = 0.0
     total_sq = 0.0
+    nonfinite = 0
     done = 0
     n_uniform = 2 * g.n + max(0, g.m - 2) + (1 if theta_vertex is not None else 0)
     for chunk_id in range(n_chunks):
         count = min(_CHUNK, samples - done)
         rng = np.random.default_rng(streams[chunk_id])
-        u = rng.random((count, n_uniform))
-        ucol = iter(range(n_uniform))
-
-        xs = np.zeros((count, g.n + g.m))
-        ys = np.zeros((count, g.n + g.m))
-        jac = np.ones(count)
-
-        if theta_vertex is not None:
-            theta = math.pi * u[:, next(ucol)]
-            xs[:, 0] = np.cos(theta)
-            ys[:, 0] = np.sin(theta)
-            jac *= math.pi
-            sin_t, cos_t = np.sin(theta), np.cos(theta)
-        if fixed_aerial is not None:
-            xs[:, 0] = 0.0
-            ys[:, 0] = 1.0
-        start = 0 if (theta_vertex is None and fixed_aerial is None) else 1
-        for v in range(start, g.n):
-            ux = u[:, next(ucol)]
-            uy = u[:, next(ucol)]
-            x = np.tan(math.pi * (ux - 0.5))
-            y = uy / (1.0 - uy)
-            xs[:, v] = x
-            ys[:, v] = y
-            jac *= math.pi * (1.0 + x * x)
-            jac *= 1.0 / (1.0 - uy) ** 2
-        if g.m >= 1:
-            xs[:, g.n] = 0.0
-        if g.m >= 2:
-            xs[:, g.n + 1] = 1.0
-        prev = xs[:, g.n + 1] if g.m >= 2 else None
-        for j in range(2, g.m):
-            us = u[:, next(ucol)]
-            step = us / (1.0 - us)
-            xs[:, g.n + j] = prev + step
-            jac *= 1.0 / (1.0 - us) ** 2
-            prev = xs[:, g.n + j]
-
-        M = np.zeros((count, dim, dim))
-        for row, (src, dst, color) in enumerate(edges):
-            cf = _angle_coeffs_arrays(xs[:, src], ys[:, src], xs[:, dst], ys[:, dst], color, "two_color")
-            for endpoint, v in ((0, src), (2, dst)):
-                if v < g.n:
-                    if v == theta_vertex:
-                        M[:, row, col_index[("theta", v)]] += -cf[endpoint] * sin_t + cf[endpoint + 1] * cos_t
-                    elif v == fixed_aerial:
-                        pass
-                    else:
-                        M[:, row, col_index[("ax", v)]] += cf[endpoint]
-                        M[:, row, col_index[("ay", v)]] += cf[endpoint + 1]
-                else:
-                    j = v - g.n
-                    if j >= 2:
-                        M[:, row, col_index[("ground", j)]] += cf[endpoint]
-        if dim == 1:
-            dets = M[:, 0, 0]
-        elif dim == 2:
-            dets = M[:, 0, 0] * M[:, 1, 1] - M[:, 0, 1] * M[:, 1, 0]
-        else:
-            dets = np.linalg.det(M)
-        vals = dets * jac
+        ucols = iter(np.ascontiguousarray(rng.random((count, n_uniform)).T))
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            xs, ys, jac = _place_vertices(g, ucols, theta_vertex, fixed_aerial)
+            entries = _matrix_entries(g, edges, col_index, xs, ys, theta_vertex)
+            if dim <= _LAPLACE_MAX_DIM:
+                dets = _laplace(entries, dim, 0, {})
+            else:
+                dets = _lu_det(entries, dim, count)
+            vals = np.zeros(count) if dets is None else dets * jac
+        finite = np.isfinite(vals)
+        bad = count - int(np.count_nonzero(finite))
+        if bad:
+            nonfinite += bad
+            vals = vals[finite]
         total += float(vals.sum())
         total_sq += float((vals * vals).sum())
         done += count
 
     norm = _ORIENT / (2.0 * math.pi) ** len(edges)
-    mean = total / samples
-    var = max(total_sq / samples - mean * mean, 0.0)
-    return WeightEstimate(norm * mean, abs(norm) * math.sqrt(var / samples), samples, seed)
+    used = samples - nonfinite
+    if not used:
+        return WeightEstimate(math.nan, math.nan, samples, seed, nonfinite)
+    mean = total / used
+    var = max(total_sq / used - mean * mean, 0.0)
+    return WeightEstimate(norm * mean, abs(norm) * math.sqrt(var / used), samples, seed, nonfinite)
+
+
+def _place_vertices(g: ColoredGraph, ucols, theta_vertex, fixed_aerial):
+    """Vertex coordinates and Jacobian for one chunk of uniforms.
+
+    `ucols` yields one contiguous column of uniforms per free coordinate, in
+    the order of `_gauge_plan`.  Pinned coordinates stay Python floats and
+    broadcast against the sampled arrays.
+    """
+    xs = [0.0] * (g.n + g.m)
+    ys = [0.0] * (g.n + g.m)
+    jac = 1.0  # becomes an array at the first sampled factor, then updates in place
+    if theta_vertex is not None:
+        theta = math.pi * next(ucols)
+        xs[0] = np.cos(theta)
+        ys[0] = np.sin(theta)
+        jac = math.pi
+    if fixed_aerial is not None:
+        ys[0] = 1.0
+    start = 0 if (theta_vertex is None and fixed_aerial is None) else 1
+    for v in range(start, g.n):
+        ux = next(ucols)
+        uy = next(ucols)
+        x = np.tan(math.pi * (ux - 0.5))
+        xs[v] = x
+        ys[v] = uy / (1.0 - uy)
+        jac *= math.pi * (1.0 + x * x)
+        jac *= 1.0 / (1.0 - uy) ** 2
+    if g.m >= 2:
+        xs[g.n + 1] = 1.0
+    for j in range(2, g.m):
+        us = next(ucols)
+        xs[g.n + j] = xs[g.n + j - 1] + us / (1.0 - us)
+        jac *= 1.0 / (1.0 - us) ** 2
+    return xs, ys, jac
+
+
+def _matrix_entries(g: ColoredGraph, edges, col_index, xs, ys, theta_vertex):
+    """Structurally nonzero entries {(row, column): values} of the integrand matrix.
+
+    Row t holds the one-form of edge t against the free coordinates; only
+    the coordinates of its two endpoints can be nonzero, so a row has at
+    most four entries.  On the unit circle of the m == 1 gauge the theta
+    derivative is -sin(theta) d/dx + cos(theta) d/dy.
+    """
+    entries = {}
+    for row, (src, dst, color) in enumerate(edges):
+        cf = _angle_coeffs_arrays(xs[src], ys[src], xs[dst], ys[dst], color, "two_color")
+        for endpoint, v in ((0, src), (2, dst)):
+            if v == theta_vertex:
+                entries[(row, col_index[("theta", v)])] = -cf[endpoint] * ys[v] + cf[endpoint + 1] * xs[v]
+            elif ("ax", v) in col_index:
+                entries[(row, col_index[("ax", v)])] = cf[endpoint]
+                entries[(row, col_index[("ay", v)])] = cf[endpoint + 1]
+            elif ("ground", v - g.n) in col_index:
+                entries[(row, col_index[("ground", v - g.n)])] = cf[endpoint]
+    return entries
+
+
+def _laplace(entries, dim: int, mask: int, memo: dict):
+    """Determinant of the minor on rows popcount(mask).. and the columns not in `mask`.
+
+    Laplace expansion along the minor's first row, over its structurally
+    nonzero entries only; each minor is computed once per `memo` (keyed by
+    the mask of used columns).  None stands for a structurally zero minor.
+    """
+    row = mask.bit_count()
+    if row == dim:
+        return 1.0
+    if mask in memo:
+        return memo[mask]
+    det = None
+    position = 0  # rank of `col` among the minor's columns: the cofactor sign
+    for col in range(dim):
+        bit = 1 << col
+        if mask & bit:
+            continue
+        vals = entries.get((row, col))
+        if vals is not None:
+            minor = _laplace(entries, dim, mask | bit, memo)
+            if minor is not None:
+                term = vals * minor
+                if det is None:
+                    det = -term if position % 2 else term
+                elif position % 2:
+                    det -= term
+                else:
+                    det += term
+        position += 1
+    memo[mask] = det
+    return det
+
+
+def _lu_det(entries, dim: int, count: int):
+    """Batched LU determinant of the dense matrix, for dim > _LAPLACE_MAX_DIM."""
+    M = np.zeros((count, dim, dim))
+    for (row, col), vals in entries.items():
+        M[:, row, col] = vals
+    return np.linalg.det(M)
 
 
 def mirror_orientation_sign(g: ColoredGraph) -> int:

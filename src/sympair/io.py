@@ -212,7 +212,7 @@ class RunReport:
         with open(path, "rb") as fh:
             self.inputs_digest = hashlib.sha256(fh.read()).hexdigest()
 
-    def add(self, label: str, value, std_error=None):
+    def add(self, label: str, value, std_error=None, **fields):
         entry = {"label": label}
         if isinstance(value, Fraction):
             entry["value"] = util.fmt(value)
@@ -222,6 +222,7 @@ class RunReport:
                 entry["std_error"] = std_error
         else:
             entry["value"] = value
+        entry.update(fields)
         self.results.append(entry)
 
     def as_dict(self):

@@ -42,15 +42,19 @@ class LieAlgebraDef:
                 raise ValueError(f"bracket key {(i, j)} must satisfy 0 <= i < j < dim")
             v = list(zero_vec(self.dim))
             for k, c in coeffs.items():
+                if not 0 <= int(k) < self.dim:
+                    raise ValueError(f"bracket {(i, j)} has target index {k} outside 0..{self.dim - 1}")
                 v[int(k)] = frac(c)
             if not is_zero_vec(v):
                 self._table[(i, j)] = tuple(v)
-        # dense antisymmetric lookup, so bracket_basis allocates nothing
+        # dense antisymmetric lookup, so bracket_basis allocates nothing; _terms
+        # holds each entry's nonzero (index, coefficient) pairs, which bracket sums
         zero = zero_vec(self.dim)
         self._rows = [[zero] * self.dim for _ in range(self.dim)]
         for (i, j), v in self._table.items():
             self._rows[i][j] = v
             self._rows[j][i] = vec_scale(-1, v)
+        self._terms = [[tuple((k, c) for k, c in enumerate(w) if c) for w in row] for row in self._rows]
         if validate:
             self._check_jacobi()
 
@@ -76,15 +80,19 @@ class LieAlgebraDef:
         return LieAlgebraDef(self.name, names, brackets, validate=False)
 
     def bracket(self, u: Vec, v: Vec) -> Vec:
-        out = zero_vec(self.dim)
+        out = list(zero_vec(self.dim))
+        v_terms = [(j, b) for j, b in enumerate(v) if b]
         for i, a in enumerate(u):
             if not a:
                 continue
-            for j, b in enumerate(v):
-                if not b or i == j:
-                    continue
-                out = vec_add(out, vec_scale(a * b, self.bracket_basis(i, j)))
-        return out
+            row = self._terms[i]
+            for j, b in v_terms:
+                terms = row[j]
+                if terms:
+                    ab = frac(a * b)
+                    for k, c in terms:
+                        out[k] += ab * c
+        return tuple(out)
 
     def ad(self, u: Vec) -> list[list[Fraction]]:
         """Matrix of ad(u) acting on column coordinate vectors."""

@@ -1,5 +1,7 @@
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from sympair import util
@@ -279,3 +281,115 @@ def coadjoint_orbit_point(pair, K, f, max_power=12):
         if k > max_power:
             raise ValueError("ad K is not nilpotent to the requested power")
     return tuple(out)
+
+
+def _angle_coeffs_dense(xp, yp, xq, yq, color):
+    """Vectorized two-color one-form coefficients, term by term."""
+    from sympair.graphs import _ARG_FACTORS, _arg_terms
+    c = [np.zeros_like(xp) for _ in range(4)]
+    for sign, key in _arg_terms(color, "two_color"):
+        ex, ey = _ARG_FACTORS[key]
+        a = xp + ex * xq
+        b = yp + ey * yq
+        r2 = a * a + b * b
+        c[0] += sign * (-b) / r2
+        c[1] += sign * a / r2
+        c[2] += sign * (-b * ex) / r2
+        c[3] += sign * (a * ey) / r2
+    return c
+
+
+def weight_mc_dense(g, samples, seed):
+    """Reference `weight_mc`: the dense (count, dim, dim) matrix and a batched LU.
+
+    Draws the same uniforms as the library and assembles every matrix entry
+    in a strided array; the determinant comes from `np.linalg.det` (closed
+    forms for dim 1 and 2).  Non-finite samples are not filtered.
+    """
+    from sympair.graphs import _CHUNK, _ORIENT, WeightEstimate, _gauge_plan
+    edges = g.finite_edges
+    columns, theta_vertex, fixed_aerial = _gauge_plan(g)
+    dim = len(columns)
+    if len(edges) != dim:
+        return WeightEstimate(0.0, 0.0, samples, seed)
+    col_index = {c: t for t, c in enumerate(columns)}
+
+    ss = np.random.SeedSequence(seed)
+    n_chunks = (samples + _CHUNK - 1) // _CHUNK
+    streams = ss.spawn(n_chunks)
+    total = 0.0
+    total_sq = 0.0
+    done = 0
+    n_uniform = 2 * g.n + max(0, g.m - 2) + (1 if theta_vertex is not None else 0)
+    for chunk_id in range(n_chunks):
+        count = min(_CHUNK, samples - done)
+        rng = np.random.default_rng(streams[chunk_id])
+        u = rng.random((count, n_uniform))
+        ucol = iter(range(n_uniform))
+
+        xs = np.zeros((count, g.n + g.m))
+        ys = np.zeros((count, g.n + g.m))
+        jac = np.ones(count)
+
+        if theta_vertex is not None:
+            theta = math.pi * u[:, next(ucol)]
+            xs[:, 0] = np.cos(theta)
+            ys[:, 0] = np.sin(theta)
+            jac *= math.pi
+            sin_t, cos_t = np.sin(theta), np.cos(theta)
+        if fixed_aerial is not None:
+            xs[:, 0] = 0.0
+            ys[:, 0] = 1.0
+        start = 0 if (theta_vertex is None and fixed_aerial is None) else 1
+        for v in range(start, g.n):
+            ux = u[:, next(ucol)]
+            uy = u[:, next(ucol)]
+            x = np.tan(math.pi * (ux - 0.5))
+            y = uy / (1.0 - uy)
+            xs[:, v] = x
+            ys[:, v] = y
+            jac *= math.pi * (1.0 + x * x)
+            jac *= 1.0 / (1.0 - uy) ** 2
+        if g.m >= 1:
+            xs[:, g.n] = 0.0
+        if g.m >= 2:
+            xs[:, g.n + 1] = 1.0
+        prev = xs[:, g.n + 1] if g.m >= 2 else None
+        for j in range(2, g.m):
+            us = u[:, next(ucol)]
+            step = us / (1.0 - us)
+            xs[:, g.n + j] = prev + step
+            jac *= 1.0 / (1.0 - us) ** 2
+            prev = xs[:, g.n + j]
+
+        M = np.zeros((count, dim, dim))
+        for row, (src, dst, color) in enumerate(edges):
+            cf = _angle_coeffs_dense(xs[:, src], ys[:, src], xs[:, dst], ys[:, dst], color)
+            for endpoint, v in ((0, src), (2, dst)):
+                if v < g.n:
+                    if v == theta_vertex:
+                        M[:, row, col_index[("theta", v)]] += -cf[endpoint] * sin_t + cf[endpoint + 1] * cos_t
+                    elif v == fixed_aerial:
+                        pass
+                    else:
+                        M[:, row, col_index[("ax", v)]] += cf[endpoint]
+                        M[:, row, col_index[("ay", v)]] += cf[endpoint + 1]
+                else:
+                    j = v - g.n
+                    if j >= 2:
+                        M[:, row, col_index[("ground", j)]] += cf[endpoint]
+        if dim == 1:
+            dets = M[:, 0, 0]
+        elif dim == 2:
+            dets = M[:, 0, 0] * M[:, 1, 1] - M[:, 0, 1] * M[:, 1, 0]
+        else:
+            dets = np.linalg.det(M)
+        vals = dets * jac
+        total += float(vals.sum())
+        total_sq += float((vals * vals).sum())
+        done += count
+
+    norm = _ORIENT / (2.0 * math.pi) ** len(edges)
+    mean = total / samples
+    var = max(total_sq / samples - mean * mean, 0.0)
+    return WeightEstimate(norm * mean, abs(norm) * math.sqrt(var / samples), samples, seed)

@@ -131,6 +131,8 @@ def test_graph_weight_and_json_roundtrip(tmp_path, capsys):
     entry = next(r for r in data["results"] if r["label"] == "weight")
     assert abs(entry["value"] - 0.5) < 0.02
     assert entry["std_error"] > 0
+    assert entry["nonfinite"] == 0
+    assert "non-finite" not in out
 
 
 def test_graph_weight_pattern_zero(capsys):
@@ -149,6 +151,41 @@ def test_graph_weight_zero_samples(capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "samples" in err and "Traceback" not in err
+
+
+def test_validate_rejects_bracket_target_out_of_range(tmp_path, capsys):
+    bad = tmp_path / "bad_target.json"
+    bad.write_text(json.dumps({
+        "name": "bad", "basis": ["a", "b"],
+        "brackets": {"[0,1]": {"5": "1"}},
+        "sigma": [["1", "0"], ["0", "-1"]],
+    }))
+    code = run(["validate", str(bad)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "target index 5" in err and "Traceback" not in err
+
+
+def test_graph_weight_rejects_edge_to_missing_vertex(tmp_path, capsys):
+    bad = tmp_path / "bad_edge.json"
+    bad.write_text(json.dumps({"n": 1, "m": 2, "edges": [[0, 1, "+"], [0, 7, "+"]]}))
+    code = run(["graph-weight", "--graph", str(bad), "--samples", "1000"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "edge target 7" in err and "Traceback" not in err
+
+
+def test_graph_weight_reports_nonfinite_count(tmp_path, capsys, monkeypatch):
+    import sympair.cli
+    from sympair.graphs import WeightEstimate
+    monkeypatch.setattr(sympair.cli, "weight_mc", lambda g, samples, seed: WeightEstimate(0.5, 0.01, samples, seed, 3))
+    report_path = tmp_path / "report.json"
+    code = run(["graph-weight", "--graph", alg(os.path.join("graphs", "wedge.json")),
+                "--samples", "1000", "--json", str(report_path)])
+    out = capsys.readouterr().out
+    assert code == 0 and "non-finite samples left out: 3" in out
+    entry = next(r for r in json.loads(report_path.read_text())["results"] if r["label"] == "weight")
+    assert entry["nonfinite"] == 3
 
 
 def test_e_series(capsys):

@@ -409,3 +409,65 @@ def test_four_color_enumeration_runs():
     assert all(g.palette == "four_color" for g in graphs)
     two = enumerate_graphs(1, 2, [2])
     assert len(graphs) > len(two)
+
+
+# -- the column-wise kernel against the dense reference ---------------------------
+
+def kernel_corpus():
+    import os
+    from sympair.io import load_graph_file
+    folder = os.path.join(os.path.dirname(__file__), "..", "algebras", "graphs")
+    files = [load_graph_file(os.path.join(folder, f)) for f in sorted(os.listdir(folder))]
+    top = [g for g in enumerate_graphs(2, 2, [2, 2]) if len(g.finite_edges) == 4]
+    # dim 5 (n = 2, m = 3, one dashed ground-sourced edge): the LU path
+    dim5 = ColoredGraph(2, 3, [(0, 2, "+"), (0, 3, "+"), (1, 3, "+"), (1, 4, "+"), (4, 0, "-")])
+    return files, top, dim5
+
+
+def test_weight_kernel_matches_dense_reference():
+    from conftest import weight_mc_dense
+    files, top, dim5 = kernel_corpus()
+    assert len(files) == 3 and len(top) == 21
+    for g in files + top + [dim5]:
+        for seed in (1, 77):
+            est = weight_mc(g, 32768, seed)
+            ref = weight_mc_dense(g, 32768, seed)
+            assert est.nonfinite == 0
+            assert abs(est.value - ref.value) <= 1e-9 + 1e-9 * abs(ref.value), (g, est, ref)
+            assert abs(est.std_error - ref.std_error) <= 1e-9 + 1e-9 * abs(ref.std_error), (g, est, ref)
+    assert weight_mc(dim5, 32768, 1).std_error > 0  # not structurally zero
+
+
+def test_weight_leaves_no_cyclic_garbage():
+    import gc
+    g = ColoredGraph(2, 2, [(0, 1, "+"), (0, 2, "+"), (1, 2, "+"), (1, 3, "+")])
+    gc.collect()
+    gc.disable()
+    try:
+        weight_mc(g, 40000, 3)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_weight_counts_nonfinite_samples(monkeypatch):
+    import numpy as np
+    real_rng = np.random.default_rng
+
+    class OneCoincident:
+        """Generator whose first sample puts the aerial vertex on ground vertex 0."""
+
+        def __init__(self, stream):
+            self.rng = real_rng(stream)
+
+        def random(self, shape):
+            u = self.rng.random(shape)
+            u[0] = (0.5, 0.0)  # x = tan(0) = 0, y = 0
+            return u
+
+    monkeypatch.setattr(np.random, "default_rng", OneCoincident)
+    g = ColoredGraph(1, 2, [(0, 1, "+"), (0, 2, "+")])
+    est = weight_mc(g, 20000, 4)
+    assert est.nonfinite == 1
+    assert math.isfinite(est.value) and math.isfinite(est.std_error)
+    assert abs(est.value - 0.5) < 5 * est.std_error
