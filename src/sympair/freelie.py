@@ -5,10 +5,20 @@ Lyndon basis: a Lyndon word stands for its standard bracketing (bracket of
 the standard factorization), which is triangular with respect to the
 lexicographic leading word and therefore supports exact extraction of Lie
 coordinates from any associative expansion.
+
+Truncation is graded by word length.  A product buckets both factors by
+length and only multiplies buckets whose lengths add up to at most the
+order (`util.graded_product`), so no word beyond the order is formed;
+exp and log are built from that product.  Lie coordinates are peeled one
+degree at a time in place, by the degree-n expansion of each Lyndon
+bracketing.  The factorization e^X e^Y = e^P e^K is incremental: degree n
+of P or K only needs log(e^P e^K) at order n, with P and K known through
+degree n - 1.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 from . import util
@@ -35,6 +45,13 @@ class FreeAssocSeries:
             self.terms = {w: c for w, c in self.terms.items() if c}
 
     @classmethod
+    def _of(cls, order: int, terms: dict) -> "FreeAssocSeries":
+        """A series on terms that are already normalized (nonzero, length <= order)."""
+        out = cls.__new__(cls)
+        out.order, out.terms = order, terms
+        return out
+
+    @classmethod
     def unit(cls, order: int, c=1) -> "FreeAssocSeries":
         return cls(order, {(): frac(c)})
 
@@ -43,28 +60,24 @@ class FreeAssocSeries:
         return cls(order, {(i,): frac(c)})
 
     def __add__(self, other):
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            out[w] = out.get(w, Fraction(0)) + c
-        return FreeAssocSeries(min(self.order, other.order), out)
+        order = min(self.order, other.order)
+        out = util.add_into(dict(self.terms), other.terms)
+        if self.order != other.order:
+            out = {w: c for w, c in out.items() if len(w) <= order}
+        return FreeAssocSeries._of(order, out)
 
     def __sub__(self, other):
         return self + other.scale(-1)
 
     def scale(self, c):
         c = frac(c)
-        return FreeAssocSeries(self.order, {w: c * v for w, v in self.terms.items()})
+        if not c:
+            return FreeAssocSeries(self.order)
+        return FreeAssocSeries._of(self.order, {w: c * v for w, v in self.terms.items()})
 
     def __mul__(self, other):
         order = min(self.order, other.order)
-        out: dict[tuple[int, ...], Fraction] = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                if len(w1) + len(w2) > order:
-                    continue
-                w = w1 + w2
-                out[w] = out.get(w, Fraction(0)) + c1 * c2
-        return FreeAssocSeries(order, out)
+        return FreeAssocSeries._of(order, util.graded_product(self.terms, other.terms, len, order, operator.add))
 
     def constant(self) -> Fraction:
         return self.terms.get((), Fraction(0))
@@ -80,7 +93,7 @@ class FreeAssocSeries:
         return util.log(self, FreeAssocSeries.unit(self.order), FreeAssocSeries.__mul__)
 
     def homogeneous_part(self, n: int):
-        return FreeAssocSeries(self.order, {w: c for w, c in self.terms.items() if len(w) == n})
+        return FreeAssocSeries._of(self.order, {w: c for w, c in self.terms.items() if len(w) == n})
 
     def substitute_letter(self, i: int, series: "FreeAssocSeries"):
         """Replace letter i by an associative series (e.g. zero or 2*letter)."""
@@ -144,6 +157,19 @@ def bracket_of_word(w: tuple[int, ...]):
     return (bracket_of_word(u), bracket_of_word(v))
 
 
+#: Lyndon word -> (the word, its standard bracketing), filled on first use;
+#: every series that lie_from_assoc builds keys its terms on these words
+_LYNDON: dict[tuple[int, ...], tuple] = {}
+
+
+def _lyndon(w: tuple[int, ...]):
+    """(shared word, standard bracketing) of a Lyndon word; None if w is not Lyndon."""
+    entry = _LYNDON.get(w)
+    if entry is None and is_lyndon(w):
+        entry = _LYNDON[w] = (w, bracket_of_word(w))
+    return entry
+
+
 _EXPAND_CACHE: dict = {}
 
 
@@ -203,17 +229,15 @@ class FreeLieSeries:
         return isinstance(other, FreeLieSeries) and self.terms == other.terms
 
     def to_assoc(self) -> FreeAssocSeries:
-        out = FreeAssocSeries(self.order)
+        out: dict[tuple[int, ...], Fraction] = {}
         for w, c in self.terms.items():
-            out = out + expand_bracket(bracket_of_word(w), self.order).scale(c)
-        return out
+            util.add_into(out, expand_bracket(bracket_of_word(w), len(w)).terms, c)
+        return FreeAssocSeries._of(self.order, out)
 
     def swap_letters(self) -> "FreeLieSeries":
         """The series with X and Y exchanged (recomputed on the Lyndon basis)."""
-        swapped = FreeAssocSeries(self.order)
-        for w, c in self.to_assoc().terms.items():
-            swapped = swapped + FreeAssocSeries(self.order, {tuple(1 - a for a in w): c})
-        return lie_from_assoc(swapped)
+        swapped = {tuple(1 - a for a in w): c for w, c in self.to_assoc().terms.items()}
+        return lie_from_assoc(FreeAssocSeries._of(self.order, swapped))
 
     def evaluate(self, pair, Xv, Yv):
         """Substitute adapted-coordinate vectors for the letters."""
@@ -260,20 +284,23 @@ def lie_from_assoc(series: FreeAssocSeries) -> FreeLieSeries:
     Peels the lexicographically smallest remaining word degree by degree;
     for a genuine Lie element that word is Lyndon and carries the
     coefficient of its standard bracketing.  A non-Lie input is detected
-    and rejected.
+    and rejected.  Each degree n is peeled in place in one dict, by the
+    degree-n expansion of each bracket.
     """
     out: dict[tuple[int, ...], Fraction] = {}
+    graded = util.by_degree(series.terms, len)
     for n in range(1, series.order + 1):
-        comp = series.homogeneous_part(n)
+        comp = dict(graded.get(n, ()))
         guard = 0
-        while comp.terms:
-            w = min(comp.terms)
-            c = comp.terms[w]
-            if not is_lyndon(w):
+        while comp:
+            w = min(comp)
+            c = comp[w]
+            entry = _lyndon(w)
+            if entry is None:
                 raise ValueError(f"not a Lie element: leading word {w} is not Lyndon")
+            w, b = entry
             out[w] = c
-            comp = comp - expand_bracket(bracket_of_word(w), series.order).scale(c)
-            comp = comp.homogeneous_part(n)
+            util.add_into(comp, expand_bracket(b, n).terms, -c)
             guard += 1
             if guard > 4 ** n:
                 raise RuntimeError("Lyndon peeling failed to terminate")
@@ -301,19 +328,19 @@ def sym_factorize(order: int, max_order: int = DEFAULT_MAX_ORDER):
     With sigma(X) = -X, sigma(Y) = -Y, a bracket of length n is p-type for
     odd n and k-type for even n; each degree of the defect log(e^X e^Y) -
     log(e^P e^K) is homogeneous, so the correction is assigned wholesale.
+    Degree n of the defect only depends on P and K through degree n - 1,
+    so step n works at truncation order n and peels degree n alone.
     """
     _check_order(order, max_order)
     target = bch(order, max_order)
-    P = FreeLieSeries(order)
-    K = FreeLieSeries(order)
+    P: dict[tuple[int, ...], Fraction] = {}
+    K: dict[tuple[int, ...], Fraction] = {}
     for n in range(1, order + 1):
-        current = lie_from_assoc((P.to_assoc().exp() * K.to_assoc().exp()).log())
-        defect = (target - current).homogeneous_part(n)
-        if n % 2 == 1:
-            P = P + defect
-        else:
-            K = K + defect
-    return P, K
+        e_pk = FreeLieSeries(n, P).to_assoc().exp() * FreeLieSeries(n, K).to_assoc().exp()
+        current = lie_from_assoc(e_pk.log().homogeneous_part(n))
+        defect = target.homogeneous_part(n) - current
+        (P if n % 2 == 1 else K).update(defect.terms)
+    return FreeLieSeries(order, P), FreeLieSeries(order, K)
 
 
 def z_sym(order: int, max_order: int = DEFAULT_MAX_ORDER) -> FreeLieSeries:

@@ -26,6 +26,7 @@ import time
 from fractions import Fraction
 
 from . import util
+from .errors import SympairError
 from .liealg import LieAlgebraDef, SymmetricPair, build_symmetric_pair
 from .hc import IwasawaData
 from .poly import Poly
@@ -41,6 +42,11 @@ def load_algebra_file(path: str):
 
 
 def parse_algebra(data: dict):
+    if not isinstance(data, dict):
+        raise SympairError("an algebra file must hold a JSON object")
+    for required in ("name", "basis", "sigma"):
+        if required not in data:
+            raise SympairError(f"missing key {required!r} in algebra file")
     name = data["name"]
     basis = list(data["basis"])
     brackets = {}
@@ -49,7 +55,10 @@ def parse_algebra(data: dict):
         if not m:
             raise ValueError(f"bad bracket key {key!r}")
         i, j = int(m.group(1)), int(m.group(2))
-        brackets[(i, j)] = {int(k): util.frac(v) for k, v in coeffs.items()}
+        try:
+            brackets[(i, j)] = {int(k): util.frac(v) for k, v in coeffs.items()}
+        except (TypeError, ValueError) as e:
+            raise SympairError(f"bracket {key!r}: {e}") from None
     algebra = LieAlgebraDef(name, basis, brackets)
     sigma = data["sigma"]
     adapted = None

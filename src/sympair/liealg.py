@@ -36,6 +36,9 @@ class LieAlgebraDef:
         self.dim = len(self.basis)
         if self.dim < 1:
             raise ValueError("dimension must be >= 1")
+        repeated = next((b for t, b in enumerate(self.basis) if b in self.basis[:t]), None)
+        if repeated is not None:
+            raise ValueError(f"basis name {repeated!r} is repeated")
         self._table: dict[tuple[int, int], Vec] = {}
         for (i, j), coeffs in brackets.items():
             if not (0 <= i < j < self.dim):

@@ -5,11 +5,14 @@ variables.  Exponent tuples are dense (length == nvars) which keeps hashing
 and arithmetic simple.  Rings have up to a few dozen variables (sl(4)/so(4)
 has dimension 15 and dim p = 9, and the exponential-coordinate symbols use
 three copies of p) and degrees stay small, so dense exponents cost little.
+A product truncated by total degree never forms a monomial above the
+bound (`util.graded_product`).
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from fractions import Fraction
 
 from . import util
@@ -78,15 +81,8 @@ class Poly:
     def __add__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
             other = Poly.const(self.nvars, other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m, Fraction(0)) + c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
         p = Poly(self.nvars)
-        p.terms = out
+        p.terms = util.add_into(dict(self.terms), other.terms)
         return p
 
     __radd__ = __add__
@@ -119,20 +115,10 @@ class Poly:
     __rmul__ = __mul__
 
     def mul(self, other: "Poly", max_degree: int | None = None) -> "Poly":
+        """The product, truncated by total degree when max_degree is given."""
         assert self.nvars == other.nvars
-        out: dict[tuple[int, ...], Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
-                if max_degree is not None and sum(m) > max_degree:
-                    continue
-                s = out.get(m, Fraction(0)) + c1 * c2
-                if s:
-                    out[m] = s
-                else:
-                    out.pop(m, None)
         p = Poly(self.nvars)
-        p.terms = out
+        p.terms = util.graded_product(self.terms, other.terms, sum, max_degree, _mono_mul)
         return p
 
     def pow(self, k: int, max_degree: int | None = None) -> "Poly":
@@ -192,16 +178,27 @@ class Poly:
         return total
 
     def subs(self, images: list["Poly"], max_degree: int | None = None) -> "Poly":
-        """Substitute variable i -> images[i] (all in a common target ring)."""
+        """Substitute variable i -> images[i] (all in a common target ring).
+
+        Each power images[i]^k is formed once per call, truncated at
+        max_degree like every product here.
+        """
         tgt = images[0].nvars if images else 0
-        out = Poly.zero(tgt)
+        one = Poly.const(tgt, 1)
+        powers = [[one] for _ in images]
+        out: dict[tuple[int, ...], Fraction] = {}
         for m, c in self.terms.items():
-            term = Poly.const(tgt, c)
+            term = one
             for i, k in enumerate(m):
-                for _ in range(k):
-                    term = term.mul(images[i], max_degree)
-            out = out + term
-        return out
+                if k:
+                    pw = powers[i]
+                    while len(pw) <= k:
+                        pw.append(pw[-1].mul(images[i], max_degree))
+                    term = pw[k] if term is one else term.mul(pw[k], max_degree)
+            util.add_into(out, term.terms, c)
+        p = Poly(tgt)
+        p.terms = out
+        return p
 
     def map_vars(self, target_nvars: int, mapping: dict[int, int]) -> "Poly":
         """Reindex variables into a larger ring (injective index map)."""
@@ -228,6 +225,10 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({self.nvars}, {self.terms!r})"
+
+
+def _mono_mul(m1: tuple[int, ...], m2: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(map(operator.add, m1, m2))
 
 
 def poly_exp(a: Poly, max_degree: int) -> Poly:

@@ -49,6 +49,13 @@ class TraceSeries:
                     self.terms[key] = self.terms.get(key, Fraction(0)) + c
             self.terms = {k: v for k, v in self.terms.items() if v}
 
+    @classmethod
+    def _of(cls, truncation_order: int, terms: dict) -> "TraceSeries":
+        """A series on terms that are already normalized (sorted keys, nonzero, within order)."""
+        out = cls.__new__(cls)
+        out.truncation_order, out.terms = truncation_order, terms
+        return out
+
     @staticmethod
     def _key_order(key) -> int:
         return sum(p for _, p in key)
@@ -63,28 +70,23 @@ class TraceSeries:
 
     def __add__(self, other: "TraceSeries") -> "TraceSeries":
         order = min(self.truncation_order, other.truncation_order)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, Fraction(0)) + c
-        return TraceSeries(order, out)
+        out = util.add_into(dict(self.terms), other.terms)
+        if self.truncation_order != other.truncation_order:
+            out = {k: c for k, c in out.items() if self._key_order(k) <= order}
+        return TraceSeries._of(order, out)
 
     def __sub__(self, other: "TraceSeries") -> "TraceSeries":
         return self + other.scale(-1)
 
     def scale(self, c) -> "TraceSeries":
         c = frac(c)
-        return TraceSeries(self.truncation_order, {k: c * v for k, v in self.terms.items()})
+        if not c:
+            return TraceSeries(self.truncation_order)
+        return TraceSeries._of(self.truncation_order, {k: c * v for k, v in self.terms.items()})
 
     def __mul__(self, other: "TraceSeries") -> "TraceSeries":
         order = min(self.truncation_order, other.truncation_order)
-        out: dict[tuple, Fraction] = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                key = tuple(sorted(k1 + k2))
-                if self._key_order(key) > order:
-                    continue
-                out[key] = out.get(key, Fraction(0)) + c1 * c2
-        return TraceSeries(order, out)
+        return TraceSeries._of(order, util.graded_product(self.terms, other.terms, self._key_order, order, _merge_keys))
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -148,6 +150,10 @@ class TraceSeries:
 
     def __repr__(self):
         return f"TraceSeries(order={self.truncation_order}, {self.terms!r})"
+
+
+def _merge_keys(k1: tuple, k2: tuple) -> tuple:
+    return tuple(sorted(k1 + k2))
 
 
 def _poly_mat_mul(A, B):

@@ -1,5 +1,6 @@
 """Exact-rational helpers: parsing, formatting, dense linear algebra, and
-the truncated exponential and logarithm shared by every series type.
+the graded truncated product, exponential and logarithm shared by every
+series type.
 
 Matrices are lists of lists of Fraction; vectors are tuples of Fraction.
 Sizes in this package stay small (dimension <= ~40), so plain Gaussian
@@ -20,7 +21,10 @@ def frac(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x.strip())
+        try:
+            return Fraction(x.strip())
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {x!r}") from None
     raise TypeError(f"not an exact rational: {x!r}")
 
 
@@ -118,7 +122,7 @@ def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
         for i in range(nrows):
             if i != r and M[i][c] != 0:
                 f = M[i][c]
-                M[i] = [a - f * b for a, b in zip(M[i], M[r])]
+                M[i] = [a - f * b if b else a for a, b in zip(M[i], M[r])]
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -218,6 +222,57 @@ def direct_sum_check(blocks: list[list[Vec]], dim: int) -> bool:
     """True iff the given families are independent and together span Q^dim."""
     allv = [v for blk in blocks for v in blk]
     return len(allv) == dim and rank([list(v) for v in allv]) == dim
+
+
+# -- graded truncated products ----------------------------------------------
+
+def by_degree(terms: dict, degree) -> dict:
+    """The items of `terms` grouped by degree: {d: [(key, coeff), ...]}."""
+    out: dict = {}
+    for key, c in terms.items():
+        d = degree(key)
+        if d in out:
+            out[d].append((key, c))
+        else:
+            out[d] = [(key, c)]
+    return out
+
+
+def add_into(out: dict, terms: dict, c=None) -> dict:
+    """out += c * terms in place (c None: 1), dropping keys whose sum is zero."""
+    for k, v in terms.items():
+        if c is not None:
+            v = c * v
+        s = out.get(k)
+        if s is None:
+            out[k] = v
+        else:
+            s += v
+            if s:
+                out[k] = s
+            else:
+                del out[k]
+    return out
+
+
+def graded_product(left: dict, right: dict, degree, order, combine) -> dict:
+    """The truncated product of two {key: coeff} dicts, zero coefficients dropped.
+
+    The product of the terms at k1 and k2 lands on combine(k1, k2), whose
+    degree is degree(k1) + degree(k2).  Terms are bucketed by degree and
+    only bucket pairs whose degrees add up to at most `order` (None: no
+    bound) are visited, so no key is built that the truncation drops.
+    """
+    rights = by_degree(right, degree)
+    out: dict = {}
+    for d1, terms in by_degree(left, degree).items():
+        kept = [t for d2, ts in rights.items() if order is None or d1 + d2 <= order for t in ts]
+        for k1, c1 in terms:
+            for k2, c2 in kept:
+                k = combine(k1, k2)
+                s = out.get(k)
+                out[k] = c1 * c2 if s is None else s + c1 * c2
+    return {k: c for k, c in out.items() if c}
 
 
 # -- truncated exp and log --------------------------------------------------

@@ -5,7 +5,16 @@ import numpy as np
 import pytest
 
 from sympair import util
-from sympair.freelie import DEFAULT_MAX_ORDER, X, Y, FreeAssocSeries, _check_order
+from sympair.freelie import (
+    DEFAULT_MAX_ORDER,
+    X,
+    Y,
+    FreeAssocSeries,
+    FreeLieSeries,
+    _check_order,
+    bch,
+    lie_from_assoc,
+)
 from sympair.liealg import LieAlgebraDef, build_symmetric_pair
 from sympair.poly import Poly, monomials_up_to_degree
 from sympair.polyops import BlockPolynomial
@@ -253,6 +262,22 @@ def bch_dynkin(order, max_order=DEFAULT_MAX_ORDER):
             coeff = Fraction((-1) ** (len(pairs) - 1), len(pairs)) / Fraction(n * denom)
             out = out + bracket_word(w).scale(coeff)
     return out
+
+
+def sym_factorize_reference(order, max_order=DEFAULT_MAX_ORDER):
+    """e^X e^Y = e^P e^K, recomputing log(e^P e^K) at the full order for every degree."""
+    _check_order(order, max_order)
+    target = bch(order, max_order)
+    P = FreeLieSeries(order)
+    K = FreeLieSeries(order)
+    for n in range(1, order + 1):
+        current = lie_from_assoc((P.to_assoc().exp() * K.to_assoc().exp()).log())
+        defect = (target - current).homogeneous_part(n)
+        if n % 2 == 1:
+            P = P + defect
+        else:
+            K = K + defect
+    return P, K
 
 
 def coadjoint_orbit_point(pair, K, f, max_power=12):

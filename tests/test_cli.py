@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 from sympair.cli import run
 
@@ -224,3 +226,46 @@ def test_densities_q_kind(capsys):
     code = run(["densities", alg("sl2.json"), "--kind", "q_half", "--order", "2"])
     out = capsys.readouterr().out
     assert code == 0 and "1/6" in out  # (1/48) tr_g(ad X)^2 = (1/6)(H^2 + ...)
+
+
+def _validate_file(tmp_path, capsys, data):
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps(data))
+    code = run(["validate", str(path)])
+    return code, capsys.readouterr().err
+
+
+SIGMA2 = [["1", "0"], ["0", "-1"]]
+
+
+def test_validate_rejects_zero_denominator(tmp_path, capsys):
+    code, err = _validate_file(tmp_path, capsys, {
+        "name": "bad", "basis": ["a", "b"], "brackets": {"[0,1]": {"0": "1/0"}}, "sigma": SIGMA2})
+    assert code == 2
+    assert "[0,1]" in err and "1/0" in err and "Traceback" not in err
+
+
+def test_validate_rejects_repeated_basis_name(tmp_path, capsys):
+    code, err = _validate_file(tmp_path, capsys, {"name": "bad", "basis": ["a", "a"], "sigma": SIGMA2})
+    assert code == 2
+    assert "basis name 'a' is repeated" in err
+
+
+def test_validate_names_missing_key(tmp_path, capsys):
+    for key in ("name", "basis", "sigma"):
+        data = {"name": "bad", "basis": ["a", "b"], "sigma": SIGMA2}
+        del data[key]
+        code, err = _validate_file(tmp_path, capsys, data)
+        assert code == 2
+        assert f"missing key '{key}' in algebra file" in err
+    code, err = _validate_file(tmp_path, capsys, [])
+    assert code == 2 and "JSON object" in err
+
+
+def test_python_dash_m_runs_the_cli():
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "sympair", "bch", "--order", "2"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "log(e^X e^Y) through order 2:\n  1 * X\n  1 * Y\n  1/2 * [X,Y]\n"

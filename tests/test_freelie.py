@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from sympair.errors import OrderTooHigh
 from sympair.freelie import (
     FreeAssocSeries,
+    FreeLieSeries,
     bch,
     is_lyndon,
     lie_from_assoc,
@@ -14,7 +16,7 @@ from sympair.freelie import (
     z_sym,
 )
 
-from conftest import bch_dynkin, dynkin_map
+from conftest import bch_dynkin, dynkin_map, sym_factorize_reference
 
 X, Y = 0, 1
 
@@ -155,3 +157,43 @@ def test_evaluate_into_pair(sl2_pair):
     val2 = bch(2).evaluate(sl2_pair, X_v, Y_v)
     half_brk = util.vec_scale(Fraction(1, 2), sl2_pair.adapted.bracket(X_v, Y_v))
     assert val2 == util.vec_add(util.vec_add(X_v, Y_v), half_brk)
+
+
+def test_sym_factorize_matches_full_recompute_reference():
+    for order in range(1, 8):
+        assert sym_factorize(order) == sym_factorize_reference(order)
+
+
+def random_words(rng, max_len, count):
+    return {tuple(rng.randint(0, 1) for _ in range(rng.randint(0, max_len))) for _ in range(count)}
+
+
+def test_assoc_product_matches_all_pairs_product():
+    rng = random.Random(41)
+    for _ in range(20):
+        order_a, order_b = rng.randint(2, 7), rng.randint(2, 7)
+        a = FreeAssocSeries(order_a, {w: Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                                      for w in random_words(rng, order_a, 12)})
+        b = FreeAssocSeries(order_b, {w: Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                                      for w in random_words(rng, order_b, 12)})
+        order = min(order_a, order_b)
+        expected = {}
+        for w1, c1 in a.terms.items():
+            for w2, c2 in b.terms.items():
+                if len(w1) + len(w2) <= order:
+                    expected[w1 + w2] = expected.get(w1 + w2, 0) + c1 * c2
+        product = a * b
+        assert product.order == order
+        assert product.terms == {w: c for w, c in expected.items() if c}
+        total = {w: a.terms.get(w, 0) + b.terms.get(w, 0) for w in set(a.terms) | set(b.terms) if len(w) <= order}
+        assert (a + b).terms == {w: c for w, c in total.items() if c}
+
+
+def test_lie_from_assoc_inverts_to_assoc_on_random_series():
+    rng = random.Random(43)
+    words = lyndon_words(7)
+    for order in range(1, 8):
+        for _ in range(3):
+            L = FreeLieSeries(order, {w: Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                                      for w in words if len(w) <= order and rng.random() < 0.4})
+            assert lie_from_assoc(L.to_assoc()) == L

@@ -212,3 +212,38 @@ def test_kernel_degree0_equals_invariants(sl2_pair, solvable_pair):
                 kernel.append(Poly(pair.dim_p, terms))
             kernel_span = util.span_rref([tuple(p.terms.get(m, Fraction(0)) for m in monos) for p in kernel]) if monos else []
             assert kernel_span == inv
+
+
+def random_poly(rng, nv, degree, density=0.5):
+    return Poly(nv, {m: Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                     for m in monomials_up_to_degree(nv, degree) if rng.random() < density})
+
+
+def test_poly_truncated_mul_is_truncated_full_product():
+    rng = random.Random(31)
+    for _ in range(10):
+        a, b = random_poly(rng, 3, 4), random_poly(rng, 3, 3)
+        full = {}
+        for m1, c1 in a.terms.items():
+            for m2, c2 in b.terms.items():
+                m = tuple(x + y for x, y in zip(m1, m2))
+                full[m] = full.get(m, 0) + c1 * c2
+        assert a.mul(b) == Poly(3, full)
+        for d in range(9):
+            assert a.mul(b, d) == a.mul(b).truncate(d)
+
+
+def test_poly_subs_matches_repeated_truncated_multiplication():
+    rng = random.Random(37)
+    for _ in range(6):
+        f = random_poly(rng, 3, 4)
+        images = [random_poly(rng, 4, 2, density=0.3) for _ in range(3)]
+        for d in (None, 0, 1, 2, 3, 5, 8):
+            expected = Poly.zero(4)
+            for m, c in f.terms.items():
+                term = Poly.const(4, c)
+                for i, k in enumerate(m):
+                    for _ in range(k):
+                        term = term.mul(images[i], d)
+                expected = expected + term
+            assert f.subs(images, d) == expected

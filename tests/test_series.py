@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -74,3 +75,19 @@ def test_q_half_equals_J_at_half_argument(fixture, request):
 def test_series_inverse_is_exact(sl2_pair):
     jh = density_series(sl2_pair, "J_half", 6)
     assert jh * jh.inverse() == TraceSeries.constant(6, 1)
+
+
+def test_trace_product_matches_all_pairs_product():
+    rng = random.Random(53)
+    words = [(s, p) for s in "pkg" for p in (2, 4, 6)]
+    for _ in range(10):
+        a, b = ({tuple(rng.sample(words, rng.randint(0, 2))): Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                 for _ in range(6)} for _ in range(2))
+        order = rng.choice((4, 6, 8))
+        expected = {}
+        for k1, c1 in TraceSeries(order, a).terms.items():
+            for k2, c2 in TraceSeries(order, b).terms.items():
+                key = tuple(sorted(k1 + k2))
+                if sum(p for _, p in key) <= order:
+                    expected[key] = expected.get(key, 0) + c1 * c2
+        assert (TraceSeries(order, a) * TraceSeries(order, b)).terms == {k: c for k, c in expected.items() if c}
