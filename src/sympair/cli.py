@@ -117,7 +117,7 @@ def run(argv) -> int:
     except SympairError as e:
         print(f"validation error: {e}", file=sys.stderr)
         return 2
-    except (KeyError, ValueError) as e:
+    except (KeyError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     if args.json:
@@ -231,7 +231,7 @@ def _dispatch(args, report) -> int:
         return 0
 
     if cmd == "densities":
-        series = density_series(pair, args.kind, args.order)
+        series = density_series(args.kind, args.order)
         compiled = series.as_polynomial(pair, "p" if args.kind.startswith("J") else "g")
         space = "p" if args.kind.startswith("J") else "g"
         s = sio.format_poly(sio.block_names(pair, space), compiled)

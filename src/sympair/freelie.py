@@ -25,8 +25,6 @@ from . import util
 from .errors import OrderTooHigh
 from .util import frac
 
-DEFAULT_MAX_ORDER = 8
-
 X, Y = 0, 1
 LETTERS = ("X", "Y")
 
@@ -242,11 +240,10 @@ class FreeLieSeries:
     def evaluate(self, pair, Xv, Yv):
         """Substitute adapted-coordinate vectors for the letters."""
         from .liealg import eval_lie_word
-        from .util import vec_add, vec_scale, zero_vec
-        out = zero_vec(pair.dim)
-        for w, c in self.terms.items():
-            out = vec_add(out, vec_scale(c, eval_lie_word(pair, bracket_of_word(w), Xv, Yv)))
-        return out
+        if not self.terms:
+            return util.zero_vec(pair.dim)
+        return util.lin_comb(self.terms.values(),
+                             [eval_lie_word(pair, bracket_of_word(w), Xv, Yv) for w in self.terms])
 
     def evaluate_poly(self, pair, Xp, Yp, max_degree=None):
         """Substitute polynomial-coefficient vectors for the letters."""
@@ -307,22 +304,20 @@ def lie_from_assoc(series: FreeAssocSeries) -> FreeLieSeries:
     return FreeLieSeries(series.order, out)
 
 
-def _check_order(order: int, max_order: int):
+def _check_order(order: int):
     if order < 1:
         raise OrderTooHigh("order must be >= 1")
-    if order > max_order:
-        raise OrderTooHigh(f"order {order} exceeds configured maximum {max_order}")
 
 
-def bch(order: int, max_order: int = DEFAULT_MAX_ORDER) -> FreeLieSeries:
+def bch(order: int) -> FreeLieSeries:
     """log(e^X e^Y) in Lyndon coordinates, truncated at the given order."""
-    _check_order(order, max_order)
+    _check_order(order)
     ex = FreeAssocSeries.letter(order, X).exp()
     ey = FreeAssocSeries.letter(order, Y).exp()
     return lie_from_assoc((ex * ey).log())
 
 
-def sym_factorize(order: int, max_order: int = DEFAULT_MAX_ORDER):
+def sym_factorize(order: int):
     """Solve e^X e^Y = e^P e^K with P odd-graded and K even-graded.
 
     With sigma(X) = -X, sigma(Y) = -Y, a bracket of length n is p-type for
@@ -331,8 +326,8 @@ def sym_factorize(order: int, max_order: int = DEFAULT_MAX_ORDER):
     Degree n of the defect only depends on P and K through degree n - 1,
     so step n works at truncation order n and peels degree n alone.
     """
-    _check_order(order, max_order)
-    target = bch(order, max_order)
+    _check_order(order)
+    target = bch(order)
     P: dict[tuple[int, ...], Fraction] = {}
     K: dict[tuple[int, ...], Fraction] = {}
     for n in range(1, order + 1):
@@ -343,9 +338,9 @@ def sym_factorize(order: int, max_order: int = DEFAULT_MAX_ORDER):
     return FreeLieSeries(order, P), FreeLieSeries(order, K)
 
 
-def z_sym(order: int, max_order: int = DEFAULT_MAX_ORDER) -> FreeLieSeries:
+def z_sym(order: int) -> FreeLieSeries:
     """(1/2) log(e^X e^(2Y) e^X), the symmetric-space BCH series."""
-    _check_order(order, max_order)
+    _check_order(order)
     ex = FreeAssocSeries.letter(order, X).exp()
     e2y = FreeAssocSeries.letter(order, Y, 2).exp()
     return lie_from_assoc((ex * e2y * ex).log().scale(Fraction(1, 2)))

@@ -178,12 +178,6 @@ def zero_weight_predicate(g: ColoredGraph):
     dim = 2 * g.n + g.m - 2
     if len(g.finite_edges) != dim:
         return ZeroWeight("dimension_mismatch")
-    seen = set()
-    for src, dst, color in g.edges:
-        key = (src, dst, color)
-        if key in seen:
-            return ZeroWeight("double_edge_same_color")
-        seen.add(key)
     if g.palette == "two_color":
         finite = set(g.finite_edges)
         for src, dst, color in finite:

@@ -60,7 +60,10 @@ def parse_algebra(data: dict):
         except (TypeError, ValueError) as e:
             raise SympairError(f"bracket {key!r}: {e}") from None
     algebra = LieAlgebraDef(name, basis, brackets)
-    sigma = data["sigma"]
+    try:
+        sigma = [[util.frac(c) for c in row] for row in data["sigma"]]
+    except (TypeError, ValueError) as e:
+        raise SympairError(f"sigma: {e}") from None
     adapted = None
     if "adapted" in data:
         adapted = (data["adapted"]["p"], data["adapted"]["k"])
@@ -203,11 +206,26 @@ def load_iwasawa(pair: SymmetricPair, data: dict) -> IwasawaData:
 
 
 def load_graph_file(path: str):
-    from .graphs import ColoredGraph
     with open(path) as fh:
         data = json.load(fh)
-    palette = "two_color" if all(len(c[2]) == 1 for c in data["edges"]) else "four_color"
-    return ColoredGraph(data["n"], data["m"], [tuple(e) for e in data["edges"]], palette)
+    return parse_graph(data)
+
+
+def parse_graph(data: dict):
+    from .graphs import ColoredGraph
+    if not isinstance(data, dict):
+        raise SympairError("a graph file must hold a JSON object")
+    for required in ("n", "m", "edges"):
+        if required not in data:
+            raise SympairError(f"missing key {required!r} in graph file")
+    if not all(type(data[k]) is int and data[k] >= 0 for k in ("n", "m")):
+        raise SympairError("graph 'n' and 'm' must be vertex counts")
+    edges = data["edges"]
+    if not isinstance(edges, list) or not all(isinstance(e, list) and len(e) == 3 and isinstance(e[2], str)
+                                              for e in edges):
+        raise SympairError("graph edges must be [source, target, color] triples")
+    palette = "two_color" if all(len(c[2]) == 1 for c in edges) else "four_color"
+    return ColoredGraph(data["n"], data["m"], [tuple(e) for e in edges], palette)
 
 
 class RunReport:

@@ -115,9 +115,6 @@ class LieAlgebraDef:
     def killing(self, u: Vec, v: Vec) -> Fraction:
         return util.mat_trace(util.mat_mul(self.ad(u), self.ad(v)))
 
-    def is_abelian(self) -> bool:
-        return not self._table
-
     def __repr__(self):
         return f"LieAlgebraDef({self.name!r}, dim={self.dim})"
 
@@ -267,11 +264,7 @@ class SymmetricPair:
         return util.mat_apply(self._to_adapted_matrix, util.vec(v))
 
     def from_adapted(self, v: Vec) -> Vec:
-        out = zero_vec(self.dim)
-        for i, c in enumerate(v):
-            if c:
-                out = vec_add(out, vec_scale(c, self.adapted_vectors[i]))
-        return out
+        return util.lin_comb(v, self.adapted_vectors)
 
     def _check_cartan_inclusions(self):
         dp = self.dim_p
@@ -314,12 +307,6 @@ class SymmetricPair:
 
     def block_trace(self, M, space: str) -> Fraction:
         return sum((M[i][i] for i in self.block_indices(space)), Fraction(0))
-
-    def p_part(self, v: Vec) -> Vec:
-        return tuple(v[i] if i < self.dim_p else Fraction(0) for i in range(self.dim))
-
-    def k_part(self, v: Vec) -> Vec:
-        return tuple(v[i] if i >= self.dim_p else Fraction(0) for i in range(self.dim))
 
     def killing_k(self, u: Vec, v: Vec) -> Fraction:
         """Killing form of the subalgebra k (adjoint action restricted to k)."""
@@ -527,15 +514,7 @@ def nilradical_solvable(algebra: LieAlgebraDef, basis: list[Vec]) -> list[Vec]:
         for P in prefixes:
             rows.append([util.mat_trace(util.mat_mul(P, mats[v])) for v in range(m)])
         prefixes = [util.mat_mul(P, M) for P in prefixes for M in mats]
-    coeffs = util.nullspace(rows, m)
-    out = []
-    for c in coeffs:
-        v = zero_vec(algebra.dim)
-        for i, ci in enumerate(c):
-            if ci:
-                v = vec_add(v, vec_scale(ci, basis[i]))
-        out.append(v)
-    return util.span_rref(out)
+    return util.span_rref([util.lin_comb(c, basis) for c in util.nullspace(rows, m)])
 
 
 def polarization_check(algebra: LieAlgebraDef, cand: PolarizationCandidate) -> PolarizationReport:

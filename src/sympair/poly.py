@@ -121,12 +121,6 @@ class Poly:
         p.terms = util.graded_product(self.terms, other.terms, sum, max_degree, _mono_mul)
         return p
 
-    def pow(self, k: int, max_degree: int | None = None) -> "Poly":
-        out = Poly.const(self.nvars, 1)
-        for _ in range(k):
-            out = out.mul(self, max_degree)
-        return out
-
     def diff(self, i: int) -> "Poly":
         out: dict[tuple[int, ...], Fraction] = {}
         for m, c in self.terms.items():

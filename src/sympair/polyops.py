@@ -17,8 +17,6 @@ from .liealg import SymmetricPair
 from .poly import Poly, monomials_of_degree
 from .series import TraceSeries
 
-DEFAULT_DEGREE_CAP = 8
-
 
 class BlockPolynomial:
     """A polynomial over the adapted symbols of one block ('p' or 'g')."""
@@ -119,12 +117,10 @@ def require_invariant(pair: SymmetricPair, f: BlockPolynomial, label="argument")
         raise NotInvariant(f"{label} is not k-invariant")
 
 
-def invariant_subspace(pair: SymmetricPair, degree: int, cap: int = DEFAULT_DEGREE_CAP) -> list[BlockPolynomial]:
+def invariant_subspace(pair: SymmetricPair, degree: int) -> list[BlockPolynomial]:
     """Exact basis of the k-invariants of S(p) in one homogeneous degree."""
     if degree < 0:
         raise ValueError("degree must be >= 0")
-    if degree > cap:
-        raise ValueError(f"degree {degree} above cap {cap}")
     nv = pair.dim_p
     monos = list(monomials_of_degree(nv, degree))
     index = {m: t for t, m in enumerate(monos)}

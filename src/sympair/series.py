@@ -6,7 +6,8 @@ tuple of its (space, power) factors, so the empty key is the constant term.
 Series are truncated by total order (the sum of all powers in a term).
 
 The density family is pinned by the exact order-4 calculus on sl(2): with
-a_n the Taylor coefficients of log(sinh z / z),
+a_n the Taylor coefficients of log(sinh z / z), generated exactly at every
+order as a_n = 2^(2n) B_(2n) / (2n (2n)!) from the Bernoulli numbers,
 
     log J(X) = sum_n 4^(1-n) a_n tr_p (ad X)^(2n)
     log q(X) = sum_n 4^(1-2n) a_n tr_g (ad X)^(2n)
@@ -18,6 +19,7 @@ on sl(2), the identity q^(1/2)(X) = J(X/2) for X in p, and the standard
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from . import util
@@ -26,15 +28,19 @@ from .liealg import SymmetricPair
 from .poly import Poly
 from .util import frac
 
-DEFAULT_MAX_ORDER = 8
 
-#: Taylor coefficients a_n of log(sinh z / z) = sum a_n z^(2n).
-LOG_SINHC = {
-    1: Fraction(1, 6),
-    2: Fraction(-1, 180),
-    3: Fraction(1, 2835),
-    4: Fraction(-1, 37800),
-}
+def bernoulli(n: int) -> list[Fraction]:
+    """B_0 .. B_n, by the recurrence sum_{k <= m} C(m+1, k) B_k = 0 (so B_1 = -1/2)."""
+    B = [Fraction(1)]
+    for m in range(1, n + 1):
+        B.append(-sum((math.comb(m + 1, k) * B[k] for k in range(m)), Fraction(0)) / (m + 1))
+    return B
+
+
+def log_sinhc(n: int) -> list[Fraction]:
+    """a_1 .. a_n of log(sinh z / z) = sum_k a_k z^(2k): a_k = 2^(2k) B_(2k) / (2k (2k)!)."""
+    B = bernoulli(2 * n)
+    return [4 ** k * B[2 * k] / (2 * k * math.factorial(2 * k)) for k in range(1, n + 1)]
 
 
 class TraceSeries:
@@ -173,34 +179,26 @@ def _poly_mat_mul(A, B):
 
 def log_density(kind: str, order: int) -> TraceSeries:
     """log of q, J, q_half, or J_half as an abstract trace series."""
-    terms = {}
-    for n, a_n in LOG_SINHC.items():
-        if 2 * n > order:
-            continue
-        if kind in ("J", "J_half"):
-            terms[(("p", 2 * n),)] = a_n * Fraction(4) ** (1 - n)
-        elif kind in ("q", "q_half"):
-            terms[(("g", 2 * n),)] = a_n * Fraction(4) ** (1 - 2 * n)
-        else:
-            raise ValueError(f"unknown density kind {kind!r}")
+    if kind in ("J", "J_half"):
+        space, step = "p", 1
+    elif kind in ("q", "q_half"):
+        space, step = "g", 2
+    else:
+        raise ValueError(f"unknown density kind {kind!r}")
+    terms = {((space, 2 * n),): a_n * Fraction(4) ** (1 - step * n)
+             for n, a_n in enumerate(log_sinhc(order // 2), 1)}
     series = TraceSeries(order, terms)
     if kind.endswith("_half"):
         series = series.scale(Fraction(1, 2))
     return series
 
 
-def density_series(pair: SymmetricPair, kind: str, order: int, max_order: int = DEFAULT_MAX_ORDER) -> TraceSeries:
-    """The density series of the pair, as a formal trace series.
+def density_series(kind: str, order: int) -> TraceSeries:
+    """The density series, as a formal trace series through an even order.
 
-    `pair` fixes nothing here beyond intent (the series is universal), but
-    the argument keeps call sites honest about which pair the traces will
-    later be expanded on.  Abelian pairs still get the constant series 1
-    after expansion since every trace word vanishes.
+    The series is universal; `TraceSeries.as_polynomial` expands it on a
+    pair.  Abelian pairs get the constant 1 since every trace word vanishes.
     """
     if order % 2 != 0:
         raise OrderTooHigh("density order must be even")
-    if order > max_order:
-        raise OrderTooHigh(f"order {order} exceeds configured maximum {max_order}")
-    if 2 * (max(LOG_SINHC) ) < order:
-        raise OrderTooHigh(f"no universal coefficients beyond order {2 * max(LOG_SINHC)}")
     return log_density(kind, order).exp()

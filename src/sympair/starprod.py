@@ -13,6 +13,7 @@ Requests beyond order 4 fail loudly rather than guess.
 
 from __future__ import annotations
 
+import math
 import warnings
 from fractions import Fraction
 
@@ -67,12 +68,13 @@ def ln_e_scalar(pair: SymmetricPair, X, Y) -> Fraction:
     return LN_E_ORDER4_COEFF * trace_alternation(pair, [("X", "Y"), ("X", "Y")], X, Y)
 
 
-def _bidiff_symbol(pair: SymmetricPair, lam: Character, order: int = E_MAX_ORDER) -> Poly:
+def _bidiff_symbol(pair: SymmetricPair, lam: Character) -> Poly:
     """exp(lambda(H) + ln E) as a polynomial in (xi, eta) slot variables.
 
     Variables 0..dim_p-1 are the X slots (derivatives on the first factor),
-    dim_p..2dim_p-1 the Y slots.  Truncated at total slot degree `order`.
+    dim_p..2dim_p-1 the Y slots.  Truncated at total slot degree E_MAX_ORDER.
     """
+    order = E_MAX_ORDER
     dp = pair.dim_p
     nv = 2 * dp
     Xs = pair.symbolic_vector("p", nv, 0)
@@ -86,16 +88,15 @@ def _bidiff_symbol(pair: SymmetricPair, lam: Character, order: int = E_MAX_ORDER
             if not hval[i].is_zero():
                 log_sym = log_sym + hval[i].scale(lam.values[i - dp])
     # scalar log: order-4 alternation term
-    if order >= 4:
-        W = pair.bracket_poly(Xs, Ys)
-        M = pair.ad_poly(W)
-        M2 = [[sum((M[i][t].mul(M[t][j]) for t in range(pair.dim)), Poly.zero(nv)) for j in range(pair.dim)] for i in range(pair.dim)]
-        tr = Poly.zero(nv)
-        for i in pair.block_indices("p"):
-            tr = tr + M2[i][i]
-        for i in pair.block_indices("k"):
-            tr = tr - M2[i][i]
-        log_sym = log_sym + tr.scale(LN_E_ORDER4_COEFF)
+    W = pair.bracket_poly(Xs, Ys)
+    M = pair.ad_poly(W)
+    M2 = [[sum((M[i][t].mul(M[t][j]) for t in range(pair.dim)), Poly.zero(nv)) for j in range(pair.dim)] for i in range(pair.dim)]
+    tr = Poly.zero(nv)
+    for i in pair.block_indices("p"):
+        tr = tr + M2[i][i]
+    for i in pair.block_indices("k"):
+        tr = tr - M2[i][i]
+    log_sym = log_sym + tr.scale(LN_E_ORDER4_COEFF)
     return poly_exp(log_sym.truncate(order), order)
 
 
@@ -129,12 +130,12 @@ def star_cf(pair: SymmetricPair, f: BlockPolynomial, g: BlockPolynomial,
     return BlockPolynomial(pair, "p", out)
 
 
-def wheel_factor_A(pair: SymmetricPair, order: int) -> TraceSeries:
+def wheel_factor_A(order: int) -> TraceSeries:
     """A = q^(1/2) / J^(1/2) as a trace series (B is identically 1)."""
     return (log_density("q_half", order) - log_density("J_half", order)).exp()
 
 
-def wheel_factor_B(pair: SymmetricPair, order: int) -> TraceSeries:
+def wheel_factor_B(order: int) -> TraceSeries:
     return TraceSeries.constant(order, 1)
 
 
@@ -148,8 +149,7 @@ def _series_at_vector(pair: SymmetricPair, series: TraceSeries, vector: list[Pol
     return compiled.subs(images, max_degree)
 
 
-def exp_coord_operator(pair: SymmetricPair, R: BlockPolynomial, jet_order: int,
-                       X=None, zsym: FreeLieSeries | None = None) -> Poly:
+def exp_coord_operator(pair: SymmetricPair, R: BlockPolynomial, jet_order: int, X=None) -> Poly:
     """Normalized symbol of the invariant operator attached to R, at X.
 
     Computes exp(-<xi, X>) R(d_Y)[ J^(1/2)(Y) J^(1/2)(X) J^(-1/2)(Z(X,Y))
@@ -173,11 +173,10 @@ def exp_coord_operator(pair: SymmetricPair, R: BlockPolynomial, jet_order: int,
     nv = 3 * dp  # x block, xi block, y block
     xs = pair.symbolic_vector("p", nv, 0)
     ys = pair.symbolic_vector("p", nv, 2 * dp)
-    zs = zsym if zsym is not None else z_sym_series(jet_order)
-    Z = zs.evaluate_poly(pair, xs, ys, max_degree=jet_order)
+    Z = z_sym_series(jet_order).evaluate_poly(pair, xs, ys, max_degree=jet_order)
 
     cap = jet_order + R.degree()
-    Jh = density_series(pair, "J_half", 2 * ((jet_order + 1) // 2) + 2)
+    Jh = density_series("J_half", 2 * ((jet_order + 1) // 2) + 2)
     pref = _series_at_vector(pair, Jh, ys, cap)
     pref = pref.mul(_series_at_vector(pair, Jh, xs, cap), cap)
     pref = pref.mul(_series_at_vector(pair, Jh.inverse(), Z, cap), cap)
@@ -190,16 +189,14 @@ def exp_coord_operator(pair: SymmetricPair, R: BlockPolynomial, jet_order: int,
             pairing = pairing + delta.mul(Poly.var(nv, dp + t))
     total = pref.mul(poly_exp(pairing.truncate(cap), cap), cap)
 
-    # R(d_Y) then Y = 0
-    out = Poly.zero(2 * dp)
-    for mono, c in R.poly.terms.items():
-        exps = (0,) * (2 * dp) + mono
-        d = total.diff_mono(exps)
-        # keep only y-free terms (evaluation at Y = 0)
-        for m, cc in d.terms.items():
-            if any(m[2 * dp + t] for t in range(dp)):
-                continue
-            out = out + Poly(2 * dp, {m[: 2 * dp]: c * cc})
+    # R(d_Y) then Y = 0: d^beta y^gamma at 0 is beta! when gamma = beta, else 0
+    terms: dict[tuple[int, ...], Fraction] = {}
+    for m, c in total.terms.items():
+        r = R.poly.terms.get(m[2 * dp:])
+        if r is not None:
+            key = m[:2 * dp]
+            terms[key] = terms.get(key, 0) + c * r * math.prod(math.factorial(e) for e in m[2 * dp:])
+    out = Poly(2 * dp, terms)
     if X is not None:
         X = util.vec(X)
         images = [Poly.const(dp, X[i]) for i in pair.block_indices("p")]

@@ -9,9 +9,14 @@ U(g) = U(g).k + beta(S(p)) used by the quotient operations.  A context's
 structure constants are `pair.adapted.rebased(vectors)`; the adapted
 bracket table itself lives on `pair.adapted`.
 
-beta and its inverses share two routines: `_symmetrized` averages the
-straightened orderings of one word, and `_peel` inverts any map whose top
-degree part is the identity, by degree-descending elimination.
+beta and its inverses share two routines: `_symmetrized` gives the average
+of the straightened orderings of one word by recursion on the first letter,
+
+    beta(x^alpha) = (1/|alpha|) sum_i alpha_i x_i beta(x^(alpha - e_i)),
+
+memoized on the context by sorted word (polynomial in the degree, where
+averaging the distinct orderings is factorial); `_peel` inverts any map
+whose top degree part is the identity, by degree-descending elimination.
 """
 
 from __future__ import annotations
@@ -26,9 +31,9 @@ from .series import TraceSeries, density_series
 
 
 class PBWContext:
-    """Ordered basis plus straightening memo.
+    """Ordered basis plus straightening and symmetrization memos.
 
-    The memo is the only mutable state; entries are pure functions of the
+    The memos are the only mutable state; entries are pure functions of the
     word, so concurrent readers can at worst duplicate work, never disagree.
     """
 
@@ -45,6 +50,7 @@ class PBWContext:
         self._cols = util.mat_from_cols(self.vectors)
         self.algebra = pair.adapted.rebased(self.vectors)
         self._memo: dict[tuple[int, ...], dict[tuple[int, ...], Fraction]] = {}
+        self._sym_memo: dict[tuple[int, ...], dict[tuple[int, ...], Fraction]] = {}
 
     def bracket_coeffs(self, i: int, j: int) -> util.Vec:
         """[e_i, e_j] of two context basis vectors, in context coordinates."""
@@ -155,32 +161,6 @@ def ad_action(ctx: PBWContext, i: int, u: UEAElement) -> UEAElement:
     return pbw_multiply(g, u) - pbw_multiply(u, g)
 
 
-def _distinct_permutations(word):
-    """Distinct permutations of a multiset word, depth-first."""
-    counts = {}
-    for a in word:
-        counts[a] = counts.get(a, 0) + 1
-    symbols = sorted(counts)
-    n = len(word)
-    out = []
-    cur = []
-
-    def rec():
-        if len(cur) == n:
-            out.append(tuple(cur))
-            return
-        for s in symbols:
-            if counts[s]:
-                counts[s] -= 1
-                cur.append(s)
-                rec()
-                cur.pop()
-                counts[s] += 1
-
-    rec()
-    return out
-
-
 def _mono_to_word(idx: range, mono) -> tuple[int, ...]:
     """Exponent tuple over the symbols idx -> sorted index word."""
     return tuple(idx[t] for t, e in enumerate(mono) for _ in range(e))
@@ -195,15 +175,28 @@ def _word_to_mono(idx: range, word) -> tuple[int, ...]:
 
 
 def _symmetrized(ctx: PBWContext, word) -> dict[tuple[int, ...], Fraction]:
-    """Symmetrization of one word: the average of ctx.straighten over its
-    distinct orderings."""
-    perms = _distinct_permutations(word)
-    out: dict[tuple[int, ...], Fraction] = {}
-    for perm in perms:
-        for m, c in ctx.straighten(perm).items():
-            out[m] = out.get(m, Fraction(0)) + c
-    n = len(perms)
-    return {m: c / n for m, c in out.items() if c}
+    """Symmetrization of one word: the average of ctx.straighten over its orderings.
+
+    Grouping the orderings by their first letter gives
+    beta(w) = (1/|w|) sum_i alpha_i straighten(x_i beta(w - x_i)) over the
+    distinct letters x_i of w, alpha_i their multiplicities.
+    """
+    word = tuple(sorted(word))
+    memo = ctx._sym_memo
+    if word in memo:
+        return memo[word]
+    if len(word) <= 1:
+        result = {word: Fraction(1)}
+    else:
+        out: dict[tuple[int, ...], Fraction] = {}
+        for t, i in enumerate(word):
+            if t and word[t - 1] == i:
+                continue
+            for m, c in _symmetrized(ctx, word[:t] + word[t + 1:]).items():
+                util.add_into(out, ctx.straighten((i,) + m), word.count(i) * c)
+        result = {m: c / len(word) for m, c in out.items()}
+    memo[word] = result
+    return result
 
 
 def _peel(rem: UEAElement, nvars: int, mono_of, step) -> Poly:
@@ -298,7 +291,7 @@ def project_mod_k_lambda(ctx: PBWContext, u: UEAElement, lam: Character) -> Bloc
 # -- transported star products ----------------------------------------------
 
 def star_dk(pair: SymmetricPair, f: BlockPolynomial, g: BlockPolynomial,
-            ctx: PBWContext | None = None, order: int | None = None) -> BlockPolynomial:
+            ctx: PBWContext | None = None) -> BlockPolynomial:
     """Duflo-Kontsevich product on S(g), transported from U(g).
 
     beta(d_{q^(1/2)}(f * g)) = beta(d_{q^(1/2)} f) . beta(d_{q^(1/2)} g),
@@ -306,9 +299,7 @@ def star_dk(pair: SymmetricPair, f: BlockPolynomial, g: BlockPolynomial,
     """
     ctx = ctx or PBWContext(pair)
     f, g = f.to_g(), g.to_g()
-    if order is None:
-        order = 2 * ((f.degree() + g.degree() + 1) // 2)
-    qh = density_series(pair, "q_half", order)
+    qh = density_series("q_half", 2 * ((f.degree() + g.degree() + 1) // 2))
     u = beta(ctx, apply_series_operator(pair, qh, f))
     v = beta(ctx, apply_series_operator(pair, qh, g))
     prod = beta_inverse(ctx, pbw_multiply(u, v))
@@ -316,8 +307,7 @@ def star_dk(pair: SymmetricPair, f: BlockPolynomial, g: BlockPolynomial,
 
 
 def rouviere_sharp(pair: SymmetricPair, P: BlockPolynomial, Q: BlockPolynomial,
-                   lam: Character | None = None, ctx: PBWContext | None = None,
-                   order: int | None = None) -> BlockPolynomial:
+                   lam: Character | None = None, ctx: PBWContext | None = None) -> BlockPolynomial:
     """Rouviere product on S(p)^k at character lambda.
 
     beta(d_{J^(1/2)} R) = beta(d_{J^(1/2)} P) . beta(d_{J^(1/2)} Q)
@@ -329,9 +319,7 @@ def rouviere_sharp(pair: SymmetricPair, P: BlockPolynomial, Q: BlockPolynomial,
         raise ValueError("rouviere_sharp needs p-polynomials")
     require_invariant(pair, P, "P")
     require_invariant(pair, Q, "Q")
-    if order is None:
-        order = 2 * ((P.degree() + Q.degree() + 1) // 2)
-    Jh = density_series(pair, "J_half", order)
+    Jh = density_series("J_half", 2 * ((P.degree() + Q.degree() + 1) // 2))
     u = beta(ctx, apply_series_operator(pair, Jh, P).to_g())
     v = beta(ctx, apply_series_operator(pair, Jh, Q).to_g())
     S = project_mod_k_lambda(ctx, pbw_multiply(u, v), lam.scale(-1))

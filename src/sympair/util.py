@@ -59,6 +59,18 @@ def vec_scale(c, u: Vec) -> Vec:
     return tuple(c * a for a in u)
 
 
+def lin_comb(coeffs, vectors) -> Vec:
+    """sum_i coeffs[i] * vectors[i] over a non-empty list of equal-length
+    vectors; coefficients beyond the last vector are ignored."""
+    out = [Fraction(0)] * len(vectors[0])
+    for c, v in zip(coeffs, vectors):
+        if c:
+            for t, a in enumerate(v):
+                if a:
+                    out[t] += c * a
+    return tuple(out)
+
+
 def vec_dot(u: Vec, v: Vec) -> Fraction:
     return sum((a * b for a, b in zip(u, v)), Fraction(0))
 
@@ -208,14 +220,7 @@ def span_intersect(a: list[Vec], b: list[Vec]) -> list[Vec]:
     n = len(a[0])
     rows = [[a[j][i] for j in range(len(a))] + [-b[j][i] for j in range(len(b))] for i in range(n)]
     ker = nullspace(rows, len(a) + len(b))
-    out = []
-    for coeffs in ker:
-        v = zero_vec(n)
-        for j in range(len(a)):
-            if coeffs[j]:
-                v = vec_add(v, vec_scale(coeffs[j], a[j]))
-        out.append(v)
-    return span_rref(out)
+    return span_rref([lin_comb(coeffs, a) for coeffs in ker])
 
 
 def direct_sum_check(blocks: list[list[Vec]], dim: int) -> bool:

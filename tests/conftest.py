@@ -6,7 +6,6 @@ import pytest
 
 from sympair import util
 from sympair.freelie import (
-    DEFAULT_MAX_ORDER,
     X,
     Y,
     FreeAssocSeries,
@@ -193,6 +192,34 @@ def straighten_random(ctx, word, rng):
     return {m: c for m, c in result.items() if c}
 
 
+def symmetrized_by_permutations(ctx, word):
+    """Symmetrization of one word: the average of ctx.straighten over its
+    distinct orderings, enumerated depth-first (factorial in the length)."""
+    counts = {}
+    for a in word:
+        counts[a] = counts.get(a, 0) + 1
+    perms, cur = [], []
+
+    def rec():
+        if len(cur) == len(word):
+            perms.append(tuple(cur))
+            return
+        for s in sorted(counts):
+            if counts[s]:
+                counts[s] -= 1
+                cur.append(s)
+                rec()
+                cur.pop()
+                counts[s] += 1
+
+    rec()
+    out = {}
+    for perm in perms:
+        for m, c in ctx.straighten(perm).items():
+            out[m] = out.get(m, Fraction(0)) + c
+    return {m: c / len(perms) for m, c in out.items() if c}
+
+
 def right_normed(order):
     """w -> [w_1,[w_2,[...,w_n]]] in the tensor algebra, memoized per caller."""
     cache = {}
@@ -220,14 +247,14 @@ def dynkin_map(series):
     return out
 
 
-def bch_dynkin(order, max_order=DEFAULT_MAX_ORDER):
+def bch_dynkin(order):
     """Dynkin's explicit BCH formula, as an associative expansion.
 
     Z = sum over m >= 1 of (-1)^(m-1)/m times the right-normed bracketing of
     X^(p_1) Y^(q_1) ... X^(p_m) Y^(q_m), divided by n * prod(p_i! q_i!) with
     n the word length.  Independent of the log/exp route of `bch`.
     """
-    _check_order(order, max_order)
+    _check_order(order)
     out = FreeAssocSeries(order)
     bracket_word = right_normed(order)
 
@@ -264,10 +291,10 @@ def bch_dynkin(order, max_order=DEFAULT_MAX_ORDER):
     return out
 
 
-def sym_factorize_reference(order, max_order=DEFAULT_MAX_ORDER):
+def sym_factorize_reference(order):
     """e^X e^Y = e^P e^K, recomputing log(e^P e^K) at the full order for every degree."""
-    _check_order(order, max_order)
-    target = bch(order, max_order)
+    _check_order(order)
+    target = bch(order)
     P = FreeLieSeries(order)
     K = FreeLieSeries(order)
     for n in range(1, order + 1):

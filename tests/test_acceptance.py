@@ -73,7 +73,7 @@ def invariant_basis(pair, max_degree):
 
 def test_criterion_1_density_action(sl2_pair, omega):
     with budget(1, 1.0):
-        jh = density_series(sl2_pair, "J_half", 4)
+        jh = density_series("J_half", 4)
         res = apply_series_operator(sl2_pair, jh, omega * omega)
         expected = (omega * omega
                     + omega.scale(Fraction(16, 3))
@@ -98,7 +98,7 @@ def test_criterion_3_rouviere_product(sl2_pair, omega):
 
         ctx = PBWContext(sl2_pair)
         lam0 = sl2_pair.zero_character()
-        jh = density_series(sl2_pair, "J_half", 4)
+        jh = density_series("J_half", 4)
         u = beta(ctx, apply_series_operator(sl2_pair, jh, omega).to_g())
         prod = pbw_multiply(u, u)
         # the product equals Om^2 + 8/3 Om + 16/9 mod U(g)k; the constant is
@@ -180,14 +180,14 @@ def test_criterion_6_commutativity_and_duflo(sl2_pair, solvable_pair):
 def test_criterion_7_density_identities(sl2_pair, solvable_pair, diagonal_pair):
     with budget(7, 5.0):
         for pair in (sl2_pair, solvable_pair, diagonal_pair):
-            qh = density_series(pair, "q_half", 6).as_polynomial(pair, "p")
-            J = density_series(pair, "J", 6).as_polynomial(pair, "p")
+            qh = density_series("q_half", 6).as_polynomial(pair, "p")
+            J = density_series("J", 6).as_polynomial(pair, "p")
             half = [Poly.var(pair.dim_p, i, Fraction(1, 2)) for i in range(pair.dim_p)]
             assert qh == J.subs(half)
-            A = wheel_factor_A(pair, 6)
-            B = wheel_factor_B(pair, 6)
+            A = wheel_factor_A(6)
+            B = wheel_factor_B(6)
             assert B.as_polynomial(pair, "p") == Poly.const(pair.dim_p, 1)
-            lhs = (A * density_series(pair, "J_half", 6)).as_polynomial(pair, "p")
+            lhs = (A * density_series("J_half", 6)).as_polynomial(pair, "p")
             assert lhs == qh
 
 

@@ -269,3 +269,42 @@ def test_python_dash_m_runs_the_cli():
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "log(e^X e^Y) through order 2:\n  1 * X\n  1 * Y\n  1/2 * [X,Y]\n"
+
+
+def test_bch_beyond_order_eight(capsys):
+    code = run(["bch", "--order", "9"])
+    out = capsys.readouterr().out
+    assert code == 0 and "through order 9" in out
+
+
+def test_validate_missing_file(tmp_path, capsys):
+    code = run(["validate", str(tmp_path / "nonexistent.json")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "No such file" in err and "Traceback" not in err
+
+
+def test_validate_rejects_non_rational_sigma(tmp_path, capsys):
+    code, err = _validate_file(tmp_path, capsys, {"name": "bad", "basis": ["a", "b"], "sigma": [[None, "0"], ["0", "1"]]})
+    assert code == 2
+    assert "sigma" in err and "not an exact rational: None" in err
+
+
+def _graph_weight_file(tmp_path, capsys, data):
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(data))
+    code = run(["graph-weight", "--graph", str(path), "--samples", "1000"])
+    return code, capsys.readouterr().err
+
+
+def test_graph_weight_rejects_malformed_files(tmp_path, capsys):
+    cases = [
+        ([1, 2], "JSON object"),
+        ({"n": 1, "m": 2, "edges": [[0, 1, "+"], [0, 2]]}, "[source, target, color] triples"),
+        ({"n": 1, "m": 2}, "missing key 'edges' in graph file"),
+        ({"n": "1", "m": 2, "edges": []}, "vertex counts"),
+    ]
+    for data, message in cases:
+        code, err = _graph_weight_file(tmp_path, capsys, data)
+        assert code == 2
+        assert message in err and "Traceback" not in err

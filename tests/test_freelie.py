@@ -72,9 +72,14 @@ def test_exp_log_roundtrip():
 
 def test_order_cap():
     with pytest.raises(OrderTooHigh):
-        bch(9)
-    with pytest.raises(OrderTooHigh):
         z_sym(0)
+
+
+def test_series_beyond_order_eight():
+    assert bch(9).to_assoc() == (exp_letter(9, X) * exp_letter(9, Y)).log()
+    # even components of the symmetric-space series vanish
+    assert all(len(w) % 2 == 1 for w in z_sym(9).terms)
+    assert z_sym(9).homogeneous_part(9).terms
 
 
 def test_dynkin_idempotent_property():

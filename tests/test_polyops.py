@@ -32,7 +32,7 @@ def span_of(polys, extra=()):
 # -- series operators ----------------------------------------------------------
 
 def test_density_action_on_omega_squared(sl2_pair, omega):
-    jh = density_series(sl2_pair, "J_half", 4)
+    jh = density_series("J_half", 4)
     res = apply_series_operator(sl2_pair, jh, omega * omega)
     expected = omega * omega + omega.scale(Fraction(16, 3)) + BlockPolynomial.constant(sl2_pair, "p", Fraction(128, 45))
     assert res == expected
@@ -47,12 +47,12 @@ def test_abelian_density_action_trivial(abelian_pair):
     rng = random.Random(2)
     f = random_block_poly(abelian_pair, "p", 3, rng)
     for kind in ("J_half", "q_half"):
-        s = density_series(abelian_pair, kind, 4)
+        s = density_series(kind, 4)
         assert apply_series_operator(abelian_pair, s, f) == f
 
 
 def test_operator_linearity(sl2_pair, omega):
-    jh = density_series(sl2_pair, "J_half", 4)
+    jh = density_series("J_half", 4)
     f = omega * omega
     g = omega.scale(3)
     lhs = apply_series_operator(sl2_pair, jh, f + g)
@@ -60,7 +60,7 @@ def test_operator_linearity(sl2_pair, omega):
 
 
 def test_inverse_series_roundtrip(sl2_pair, omega):
-    qh = density_series(sl2_pair, "q_half", 6)
+    qh = density_series("q_half", 6)
     f = (omega * omega).to_g()
     there = apply_series_operator(sl2_pair, qh, f)
     back = apply_series_operator(sl2_pair, qh.inverse(), there)
@@ -76,6 +76,12 @@ def test_sl2_invariants(sl2_pair, omega):
     assert len(inv2) == 1
     span, monos = span_of(inv2, [omega.poly])
     assert util.span_contains(span, tuple(omega.poly.terms.get(m, Fraction(0)) for m in monos))
+
+
+def test_sl2_invariants_beyond_degree_eight(sl2_pair, omega):
+    assert invariant_subspace(sl2_pair, 9) == []
+    (f,) = invariant_subspace(sl2_pair, 10)
+    assert f.scale(1 / f.poly.terms[(10, 0)]) == omega * omega * omega * omega * omega
 
 
 def test_solvable_invariants(solvable_pair):

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -5,7 +6,7 @@ import pytest
 
 from sympair.errors import OrderTooHigh
 from sympair.poly import Poly
-from sympair.series import TraceSeries, density_series, log_density
+from sympair.series import TraceSeries, density_series, log_density, log_sinhc
 
 
 def test_constant_and_arithmetic():
@@ -26,17 +27,32 @@ def test_exp_log_roundtrip():
     assert (e.sqrt() * e.sqrt()) == e
 
 
-def test_density_order_validation(sl2_pair):
+def test_density_order_validation():
     with pytest.raises(OrderTooHigh):
-        density_series(sl2_pair, "J_half", 3)
-    with pytest.raises(OrderTooHigh):
-        density_series(sl2_pair, "J_half", 10)
-    with pytest.raises(OrderTooHigh):
-        density_series(sl2_pair, "J_half", 10, max_order=12)
+        density_series("J_half", 3)
+
+
+def test_log_sinhc_matches_power_series_log():
+    # sinh(z)/z = sum_k u^k / (2k+1)! in u = z^2; log(1 + v) = sum_j (-1)^(j+1) v^j / j
+    n = 8
+    v = [Fraction(0)] + [Fraction(1, math.factorial(2 * k + 1)) for k in range(1, n + 1)]
+    log, power = [Fraction(0)] * (n + 1), [Fraction(1)] + [Fraction(0)] * n
+    for j in range(1, n + 1):
+        power = [sum((power[i] * v[d - i] for i in range(d + 1)), Fraction(0)) for d in range(n + 1)]
+        log = [a + Fraction((-1) ** (j + 1), j) * b for a, b in zip(log, power)]
+    assert log_sinhc(n) == log[1:]
+    assert log_sinhc(6)[4:] == [Fraction(1, 467775), Fraction(-691, 3831077250)]
+
+
+def test_density_beyond_order_eight():
+    for kind, space in (("q", "g"), ("J", "p")):
+        full, half = density_series(kind, 12), density_series(kind + "_half", 12)
+        assert half * half == full
+        assert full.coefficient(((space, 12),)) != 0
 
 
 def test_j_half_leading_coefficients(sl2_pair):
-    jh = density_series(sl2_pair, "J_half", 4)
+    jh = density_series("J_half", 4)
     assert jh.coefficient(()) == 1
     assert jh.coefficient((("p", 2),)) == Fraction(1, 12)
     # on sl(2) the order-4 part collapses to (1/360) tr_p(ad X)^4 since the
@@ -46,8 +62,8 @@ def test_j_half_leading_coefficients(sl2_pair):
     assert poly.homogeneous_part(4) == tr4.scale(Fraction(1, 360))
 
 
-def test_q_half_leading_coefficient(sl2_pair):
-    qh = density_series(sl2_pair, "q_half", 2)
+def test_q_half_leading_coefficient():
+    qh = density_series("q_half", 2)
     assert qh.coefficient((("g", 2),)) == Fraction(1, 48)
 
 
@@ -58,7 +74,7 @@ def test_half_kinds_are_square_roots():
 
 def test_abelian_density_is_one(abelian_pair):
     for kind in ("q", "J", "q_half", "J_half"):
-        poly = density_series(abelian_pair, kind, 6).as_polynomial(abelian_pair, "p")
+        poly = density_series(kind, 6).as_polynomial(abelian_pair, "p")
         assert poly == Poly.const(2, 1)
 
 
@@ -66,14 +82,14 @@ def test_abelian_density_is_one(abelian_pair):
 def test_q_half_equals_J_at_half_argument(fixture, request):
     pair = request.getfixturevalue(fixture)
     for order in (4, 6):
-        qh = density_series(pair, "q_half", order).as_polynomial(pair, "p")
-        J = density_series(pair, "J", order).as_polynomial(pair, "p")
+        qh = density_series("q_half", order).as_polynomial(pair, "p")
+        J = density_series("J", order).as_polynomial(pair, "p")
         half = [Poly.var(pair.dim_p, i, Fraction(1, 2)) for i in range(pair.dim_p)]
         assert qh == J.subs(half)
 
 
 def test_series_inverse_is_exact(sl2_pair):
-    jh = density_series(sl2_pair, "J_half", 6)
+    jh = density_series("J_half", 6)
     assert jh * jh.inverse() == TraceSeries.constant(6, 1)
 
 

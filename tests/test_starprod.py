@@ -174,7 +174,7 @@ def test_bridge_identity_to_uea(sl2_pair, omega):
     """The product transported by beta(d_J f) agrees with the E-route."""
     ctx = PBWContext(sl2_pair)
     lam0 = sl2_pair.zero_character()
-    jh = density_series(sl2_pair, "J_half", 4)
+    jh = density_series("J_half", 4)
     basis = [BlockPolynomial.constant(sl2_pair, "p", 1), omega]
     for f in basis:
         for g in basis:
@@ -189,28 +189,28 @@ def test_bridge_identity_to_uea(sl2_pair, omega):
 # -- wheel factors ----------------------------------------------------------------
 
 def test_wheel_factor_B_is_one(sl2_pair):
-    assert wheel_factor_B(sl2_pair, 6) == TraceSeries.constant(6, 1)
+    assert wheel_factor_B(6) == TraceSeries.constant(6, 1)
 
 
 def test_wheel_factor_A_abelian(abelian_pair):
-    A = wheel_factor_A(abelian_pair, 6)
+    A = wheel_factor_A(6)
     assert A.as_polynomial(abelian_pair, "p") == Poly.const(2, 1)
 
 
 @pytest.mark.parametrize("fixture", ["sl2_pair", "solvable_pair", "diagonal_pair"])
 def test_AJ_equals_q_identity(fixture, request):
     pair = request.getfixturevalue(fixture)
-    A = wheel_factor_A(pair, 6)
-    lhs = (A * density_series(pair, "J_half", 6)).as_polynomial(pair, "p")
-    rhs = density_series(pair, "q_half", 6).as_polynomial(pair, "p")
+    A = wheel_factor_A(6)
+    lhs = (A * density_series("J_half", 6)).as_polynomial(pair, "p")
+    rhs = density_series("q_half", 6).as_polynomial(pair, "p")
     assert lhs == rhs
 
 
 def test_wheel_factor_A_division_oracle(sl2_pair):
     # independent route: divide the compiled polynomials on p
-    A = wheel_factor_A(sl2_pair, 6).as_polynomial(sl2_pair, "p")
-    qh = density_series(sl2_pair, "q_half", 6).as_polynomial(sl2_pair, "p")
-    jh_inv = density_series(sl2_pair, "J_half", 6).inverse().as_polynomial(sl2_pair, "p")
+    A = wheel_factor_A(6).as_polynomial(sl2_pair, "p")
+    qh = density_series("q_half", 6).as_polynomial(sl2_pair, "p")
+    jh_inv = density_series("J_half", 6).inverse().as_polynomial(sl2_pair, "p")
     assert A == qh.mul(jh_inv, 6).truncate(6)
 
 
@@ -256,6 +256,12 @@ def test_exp_coord_concrete_point(sl2_pair, omega):
     assert at == sym.subs(images)
 
 
+def test_exp_coord_at_origin_beyond_order_eight(sl2_pair, omega):
+    # the density at jet 7 is compiled through order 10
+    at = exp_coord_operator(sl2_pair, omega, 7, X=(Fraction(0), Fraction(0)))
+    assert at == omega.poly
+
+
 def test_exp_coord_sl2_against_uea_factorization_oracle(sl2_pair, omega):
     """Independent oracle: move J^(1/2)(Y) onto R by adjunction and use the
     group-factorization series from sym_factorize instead of z_sym."""
@@ -273,7 +279,7 @@ def test_exp_coord_sl2_against_uea_factorization_oracle(sl2_pair, omega):
     P, _ = sym_factorize(jet)
     Z = P.evaluate_poly(sl2_pair, xs, ys, max_degree=jet)
     cap = jet + omega.degree()
-    jh = density_series(sl2_pair, "J_half", 6)
+    jh = density_series("J_half", 6)
     pref = _series_at_vector(sl2_pair, jh, xs, cap)
     pref = pref.mul(_series_at_vector(sl2_pair, jh.inverse(), Z, cap), cap)
     pairing = Poly.zero(nv)

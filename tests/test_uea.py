@@ -11,6 +11,7 @@ from sympair.polyops import BlockPolynomial, apply_series_operator, invariant_su
 from sympair.series import density_series
 from sympair.uea import (
     PBWContext,
+    _symmetrized,
     UEAElement,
     ad_action,
     beta,
@@ -24,7 +25,7 @@ from sympair.uea import (
     star_dk,
 )
 
-from conftest import random_block_poly, straighten_random
+from conftest import random_block_poly, sl_so_pair, straighten_random, symmetrized_by_permutations
 
 
 @pytest.fixture(scope="module")
@@ -378,7 +379,7 @@ def test_dressed_projection_differs_below_top_degree(sl2_pair, sl2_ctx, omega):
     from sympair.series import density_series
     from sympair.uea import project_mod_k_lambda_dressed
     lam0 = sl2_pair.zero_character()
-    jh = density_series(sl2_pair, "J_half", 4)
+    jh = density_series("J_half", 4)
     u = beta(sl2_ctx, omega * omega)
     plain = project_mod_k_lambda(sl2_ctx, u, lam0)
     dressed = project_mod_k_lambda_dressed(sl2_ctx, u, lam0, jh)
@@ -397,3 +398,30 @@ def test_project_beta_times_k_at_zero_lambda(sl2_pair, sl2_ctx):
         f = random_block_poly(sl2_pair, "p", 3, rng)
         u = pbw_multiply(beta(sl2_ctx, f.to_g()), UEAElement.generator(sl2_ctx, 2))
         assert project_mod_k_lambda(sl2_ctx, u, lam0).poly.is_zero()
+
+
+# -- recursive symmetrization and products beyond order 8 ------------------------------
+
+@pytest.mark.parametrize("which", ["sl2diag", "sl3", "sl4"])
+def test_symmetrized_matches_permutation_average(which, diagonal_pair):
+    pair = diagonal_pair if which == "sl2diag" else sl_so_pair(int(which[2]))
+    ctx = PBWContext(pair)
+    rng = random.Random(f"symmetrize/{which}")
+    for _ in range(60):
+        word = tuple(rng.randrange(pair.dim) for _ in range(rng.randint(0, 5)))
+        assert _symmetrized(ctx, word) == symmetrized_by_permutations(ctx, word)
+
+
+def test_rouviere_associative_beyond_order_eight(sl2_pair, omega):
+    w2, w3 = omega * omega, omega * omega * omega
+    lhs = rouviere_sharp(sl2_pair, rouviere_sharp(sl2_pair, omega, w2), w3)
+    rhs = rouviere_sharp(sl2_pair, omega, rouviere_sharp(sl2_pair, w2, w3))
+    assert lhs == rhs and lhs.degree() == 12
+
+
+def test_star_dk_associative_on_degree_three(sl2_pair):
+    rng = random.Random(5)
+    f, g, h = (random_block_poly(sl2_pair, "g", 3, rng, density=0.3) for _ in range(3))
+    assert f.degree() == g.degree() == h.degree() == 3
+    lhs = star_dk(sl2_pair, star_dk(sl2_pair, f, g), h)
+    assert lhs == star_dk(sl2_pair, f, star_dk(sl2_pair, g, h))
