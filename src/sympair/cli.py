@@ -222,9 +222,7 @@ def _dispatch(args, report) -> int:
     if cmd == "char":
         P = sio.resolve_definition(pair, data, args.poly, "p")
         f = _parse_form(pair, args.f)
-        import json as _json
-        with open(args.pol) as fh:
-            b = [pair.to_adapted(util.vec(v)) for v in _json.load(fh)["b"]]
+        b = sio.load_polarization(pair, args.pol)
         val = character_sigma_stable(pair, P, f, PolarizationCandidate(f, b))
         print(util.fmt(val))
         report.add("character", val)

@@ -237,14 +237,6 @@ class FreeLieSeries:
         swapped = {tuple(1 - a for a in w): c for w, c in self.to_assoc().terms.items()}
         return lie_from_assoc(FreeAssocSeries._of(self.order, swapped))
 
-    def evaluate(self, pair, Xv, Yv):
-        """Substitute adapted-coordinate vectors for the letters."""
-        from .liealg import eval_lie_word
-        if not self.terms:
-            return util.zero_vec(pair.dim)
-        return util.lin_comb(self.terms.values(),
-                             [eval_lie_word(pair, bracket_of_word(w), Xv, Yv) for w in self.terms])
-
     def evaluate_poly(self, pair, Xp, Yp, max_degree=None):
         """Substitute polynomial-coefficient vectors for the letters."""
         word_vals = {}

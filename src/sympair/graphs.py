@@ -62,22 +62,10 @@ class ColoredGraph:
         if len(set(norm)) != len(norm):
             raise ValueError("double edge with identical source, target, color")
         self.edges = tuple(norm)
-        self._validate_colors()
-
-    def _validate_colors(self):
-        ground = range(self.n, self.n + self.m)
-        minus = "-" if self.palette == "two_color" else "--"
         for src, dst, color in self.edges:
-            if src in ground:
-                ok = color == "-" if self.palette == "two_color" else color.startswith("-")
-                if not ok:
-                    raise ValueError("edges leaving the real axis must carry the dashed color")
-            if dst in ground:
-                ok = color == "+" if self.palette == "two_color" else color.startswith("+")
-                if not ok:
-                    raise ValueError("edges into ground vertices must carry the solid color")
-            if dst == INF and color != minus:
-                raise ValueError("edges to infinity carry the dashed color")
+            why = _color_violation(n, m, palette, src, dst, color)
+            if why:
+                raise ValueError(why)
 
     @property
     def finite_edges(self):
@@ -107,12 +95,13 @@ class ColoredGraph:
                 best = (key, g)
         return best[1] if best else self
 
+    def _mirror_vertex(self, v):
+        """Image of a vertex under the reflection through the vertical axis (ground order reversed)."""
+        return v if v == INF or v < self.n else self.n + (self.m - 1) - (v - self.n)
+
     def mirror(self) -> "ColoredGraph":
         """Reflection through the vertical axis: ground order reversed."""
-        def re(v):
-            if v == INF or v < self.n:
-                return v
-            return self.n + (self.m - 1) - (v - self.n)
+        re = self._mirror_vertex
         return ColoredGraph(self.n, self.m, [(re(s), re(d), c) for s, d, c in self.edges], self.palette)
 
     def __eq__(self, other):
@@ -131,6 +120,22 @@ class ColoredGraph:
 def _edge_key(e):
     src, dst, color = e
     return (src, (1, 0) if dst == INF else (0, dst), color)
+
+
+def _color_violation(n: int, m: int, palette: str, src, dst, color: str) -> str | None:
+    """Why an edge's color is inadmissible, or None.
+
+    Edges leaving a ground vertex carry the dashed color, edges into one
+    the solid color, and edges to infinity the (fully) dashed color.  In
+    both palettes the first character is the color in the plane.
+    """
+    if n <= src < n + m and not color.startswith("-"):
+        return "edges leaving the real axis must carry the dashed color"
+    if dst != INF and n <= dst < n + m and not color.startswith("+"):
+        return "edges into ground vertices must carry the solid color"
+    if dst == INF and color != ("-" if palette == "two_color" else "--"):
+        return "edges to infinity carry the dashed color"
+    return None
 
 
 class WeightEstimate:
@@ -209,34 +214,19 @@ def enumerate_graphs(n: int, m: int, out_degrees, palette: str = "two_color",
     if palette not in ("two_color", "four_color"):
         raise UnsupportedPalette(palette)
     colors = TWO_COLOR if palette == "two_color" else FOUR_COLOR
-    minus = "-" if palette == "two_color" else "--"
     ground_out_degrees = ground_out_degrees or [0] * m
-    vertices = list(range(n + m))
+    targets = list(range(n + m)) + ([INF] if allow_infinity else [])
 
-    def choices_for(v, deg, is_ground):
-        opts = []
-        for tgt in vertices + ([INF] if allow_infinity else []):
-            if tgt == v:
-                continue
-            for color in colors:
-                if tgt == INF and color != minus:
-                    continue
-                if tgt != INF and tgt >= n:
-                    ok = color == "+" if palette == "two_color" else color.startswith("+")
-                    if not ok:
-                        continue
-                if is_ground:
-                    ok = color == "-" if palette == "two_color" else color.startswith("-")
-                    if not ok:
-                        continue
-                opts.append((tgt, color))
-        return [c for c in itertools.combinations(opts, deg)]
+    def choices_for(v, deg):
+        opts = [(tgt, color) for tgt in targets if tgt != v for color in colors
+                if _color_violation(n, m, palette, v, tgt, color) is None]
+        return list(itertools.combinations(opts, deg))
 
     per_vertex = []
     for v in range(n):
-        per_vertex.append([(v, ch) for ch in choices_for(v, out_degrees[v], False)])
+        per_vertex.append([(v, ch) for ch in choices_for(v, out_degrees[v])])
     for j in range(m):
-        per_vertex.append([(n + j, ch) for ch in choices_for(n + j, ground_out_degrees[j], True)])
+        per_vertex.append([(n + j, ch) for ch in choices_for(n + j, ground_out_degrees[j])])
 
     seen = set()
     out = []
@@ -530,14 +520,8 @@ def mirror_orientation_sign(g: ColoredGraph) -> int:
     list is re-sorted canonically, which permutes the rows of the
     coefficient determinant (factor sign of that permutation).
     """
-    edges = g.finite_edges
-
-    def re(v):
-        if v == INF or v < g.n:
-            return v
-        return g.n + (g.m - 1) - (v - g.n)
-
-    imgs = [(re(s), re(d), c) for s, d, c in edges]
+    re = g._mirror_vertex
+    imgs = [(re(s), re(d), c) for s, d, c in g.finite_edges]
     order = sorted(range(len(imgs)), key=lambda t: _edge_key(imgs[t]))
     sign = 1
     seen = [False] * len(order)
@@ -552,7 +536,7 @@ def mirror_orientation_sign(g: ColoredGraph) -> int:
             length += 1
         if length % 2 == 0:
             sign = -sign
-    return sign * (-1) ** (len(edges) + g.n)
+    return sign * (-1) ** (len(imgs) + g.n)
 
 
 # -- operator compilation ------------------------------------------------------

@@ -41,12 +41,28 @@ def load_algebra_file(path: str):
     return parse_algebra(data)
 
 
-def parse_algebra(data: dict):
+def _object(data, keys, what: str) -> dict:
+    """`data`, checked to be a JSON object holding `keys`; `what` names it in errors."""
     if not isinstance(data, dict):
-        raise SympairError("an algebra file must hold a JSON object")
-    for required in ("name", "basis", "sigma"):
-        if required not in data:
-            raise SympairError(f"missing key {required!r} in algebra file")
+        raise SympairError(f"{what} must hold a JSON object")
+    for key in keys:
+        if key not in data:
+            raise SympairError(f"missing key {key!r} in {what}")
+    return data
+
+
+def _vectors(value, dim: int, what: str) -> list[util.Vec]:
+    """`value` read as a list of rational vectors of length dim; `what` names it in errors."""
+    if not isinstance(value, list) or not all(isinstance(v, list) and len(v) == dim for v in value):
+        raise SympairError(f"{what} must be a list of vectors of length {dim}")
+    try:
+        return [util.vec(v) for v in value]
+    except (TypeError, ValueError) as e:
+        raise SympairError(f"{what}: {e}") from None
+
+
+def parse_algebra(data: dict):
+    _object(data, ("name", "basis", "sigma"), "algebra file")
     name = data["name"]
     basis = list(data["basis"])
     brackets = {}
@@ -66,7 +82,9 @@ def parse_algebra(data: dict):
         raise SympairError(f"sigma: {e}") from None
     adapted = None
     if "adapted" in data:
-        adapted = (data["adapted"]["p"], data["adapted"]["k"])
+        block = _object(data["adapted"], ("p", "k"), "the 'adapted' block of algebra file")
+        adapted = [_vectors(block[key], algebra.dim, f"'adapted' key {key!r} in algebra file")
+                   for key in ("p", "k")]
     pair = build_symmetric_pair(algebra, sigma, adapted=adapted)
     return pair, data
 
@@ -111,7 +129,7 @@ def parse_poly(pair: SymmetricPair, mapping: dict, space: str = "p") -> BlockPol
 def resolve_definition(pair: SymmetricPair, data: dict, name: str, space: str = "p") -> BlockPolynomial:
     defs = data.get("definitions", {})
     if name not in defs:
-        raise KeyError(f"no definition named {name!r} in the algebra file")
+        raise SympairError(f"no definition named {name!r} under key 'definitions' in algebra file")
     return parse_poly(pair, defs[name], space)
 
 
@@ -162,7 +180,7 @@ def pretty_in_definitions(pair: SymmetricPair, data: dict, f: BlockPolynomial) -
     for name in sorted(defs):
         try:
             d = resolve_definition(pair, data, name, f.space)
-        except (ValueError, KeyError):
+        except ValueError:
             continue
         if d.poly.is_zero() or d.degree() == 0:
             continue
@@ -197,12 +215,21 @@ def pretty_in_definitions(pair: SymmetricPair, data: dict, f: BlockPolynomial) -
 
 
 def load_iwasawa(pair: SymmetricPair, data: dict) -> IwasawaData:
-    block = data.get("iwasawa")
-    if block is None:
-        raise KeyError("algebra file has no iwasawa block")
-    conv = lambda vs: [pair.to_adapted(util.vec(v)) for v in vs]
-    return IwasawaData(pair, conv(block.get("p0", [])), conv(block.get("n_plus", [])),
-                       conv(block.get("k0", [])), conv(block.get("r", [])))
+    _object(data, ("iwasawa",), "algebra file")
+    block = _object(data["iwasawa"], (), "the 'iwasawa' block of algebra file")
+    conv = lambda key: [pair.to_adapted(v) for v in
+                        _vectors(block.get(key, []), pair.dim, f"'iwasawa' key {key!r} in algebra file")]
+    return IwasawaData(pair, conv("p0"), conv("n_plus"), conv("k0"), conv("r"))
+
+
+def load_polarization(pair: SymmetricPair, path: str) -> list[util.Vec]:
+    """The candidate subspace of a polarization file, in adapted coordinates.
+
+    The file holds {"b": [vector, ...]} with vectors over the original basis.
+    """
+    with open(path) as fh:
+        data = _object(json.load(fh), ("b",), f"polarization file {path}")
+    return [pair.to_adapted(v) for v in _vectors(data["b"], pair.dim, f"key 'b' in polarization file {path}")]
 
 
 def load_graph_file(path: str):
@@ -213,11 +240,7 @@ def load_graph_file(path: str):
 
 def parse_graph(data: dict):
     from .graphs import ColoredGraph
-    if not isinstance(data, dict):
-        raise SympairError("a graph file must hold a JSON object")
-    for required in ("n", "m", "edges"):
-        if required not in data:
-            raise SympairError(f"missing key {required!r} in graph file")
+    _object(data, ("n", "m", "edges"), "graph file")
     if not all(type(data[k]) is int and data[k] >= 0 for k in ("n", "m")):
         raise SympairError("graph 'n' and 'm' must be vertex counts")
     edges = data["edges"]

@@ -7,7 +7,10 @@ derives an adapted basis (the -1 eigenvectors first, then the +1 ones) in
 which every higher module of the package works.  The bracket table in that
 basis is the LieAlgebraDef `pair.adapted`, built by `LieAlgebraDef.rebased`,
 which is also how the PBW contexts and restricted adjoint actions get
-their structure constants.
+their structure constants.  `SymmetricPair.bracket_poly` is the one
+bracket of polynomial-coefficient vectors (`ad_poly` takes its columns),
+and `trace_word` the one numeric block trace of adjoint words, which
+`trace_alternation` and `trk_character` call.
 """
 
 from __future__ import annotations
@@ -212,7 +215,6 @@ class SymmetricPair:
         self.adapted = algebra.rebased(self.adapted_vectors)
         self.adapted_names = self.adapted.basis
         self._check_cartan_inclusions()
-        self._ad_cache: dict[int, list[list[Fraction]]] = {}
 
     # -- construction internals -------------------------------------------
 
@@ -291,11 +293,6 @@ class SymmetricPair:
         """[e_i, e_j] of two adapted basis vectors, as a dense tuple."""
         return self.adapted.bracket_basis(i, j)
 
-    def ad_basis(self, i: int) -> list[list[Fraction]]:
-        if i not in self._ad_cache:
-            self._ad_cache[i] = self.adapted.ad(util.unit_vec(self.dim, i))
-        return self._ad_cache[i]
-
     def block_indices(self, space: str) -> range:
         if space == "p":
             return range(self.dim_p)
@@ -317,11 +314,8 @@ class SymmetricPair:
 
     def trk_character(self) -> Character:
         """The character K |-> tr_k(ad K restricted to k)."""
-        vals = []
-        for a in range(self.dim_k):
-            M = self.ad_basis(self.dim_p + a)
-            vals.append(self.block_trace(M, "k"))
-        return Character(self, vals)
+        return Character(self, [trace_word(self, "k", [util.unit_vec(self.dim, i)])
+                                for i in self.block_indices("k")])
 
     def zero_character(self) -> Character:
         return Character(self, [0] * self.dim_k)
@@ -339,38 +333,31 @@ class SymmetricPair:
         return out
 
     def bracket_poly(self, u: list[Poly], v: list[Poly]) -> list[Poly]:
-        """Bracket of vectors with polynomial coefficients."""
-        nv = next((q.nvars for q in u + v if q is not None), 0)
-        out = [Poly.zero(nv) for _ in range(self.dim)]
-        for i in range(self.dim):
-            if u[i].is_zero():
+        """Bracket of vectors with polynomial coefficients.
+
+        Sums over the nonzero structure constants of `adapted` only; every
+        polynomial bracket and adjoint matrix of the package is built here.
+        """
+        nv = u[0].nvars
+        out: list[dict] = [{} for _ in range(self.dim)]
+        v_terms = [(j, b) for j, b in enumerate(v) if b]
+        for i, a in enumerate(u):
+            if not a:
                 continue
-            for j in range(self.dim):
-                if i == j or v[j].is_zero():
-                    continue
-                w = self.bracket_adapted(i, j)
-                c = u[i].mul(v[j])
-                for t in range(self.dim):
-                    if w[t]:
-                        out[t] = out[t] + c.scale(w[t])
-        return out
+            row = self.adapted._terms[i]
+            for j, b in v_terms:
+                if row[j]:
+                    ab = a.mul(b)
+                    for t, c in row[j]:
+                        util.add_into(out[t], ab.terms, c)
+        return [Poly(nv, terms) for terms in out]
 
     def ad_poly(self, u: list[Poly]) -> list[list[Poly]]:
-        """Matrix of ad(u) for a polynomial-coefficient vector u."""
+        """Matrix of ad(u) for a polynomial-coefficient vector u: column j is [u, e_j]."""
         nv = u[0].nvars
-        M = [[Poly.zero(nv) for _ in range(self.dim)] for _ in range(self.dim)]
-        for j in range(self.dim):
-            col = [Poly.zero(nv) for _ in range(self.dim)]
-            for i in range(self.dim):
-                if u[i].is_zero() or i == j:
-                    continue
-                w = self.bracket_adapted(i, j)
-                for t in range(self.dim):
-                    if w[t]:
-                        col[t] = col[t] + u[i].scale(w[t])
-            for t in range(self.dim):
-                M[t][j] = col[t]
-        return M
+        zero, one = Poly.zero(nv), Poly.const(nv, 1)
+        units = ([one if t == j else zero for t in range(self.dim)] for j in range(self.dim))
+        return util.mat_from_cols([self.bracket_poly(u, e) for e in units])
 
     def __repr__(self):
         return (
@@ -413,16 +400,9 @@ def trace_alternation(pair: SymmetricPair, words, X: Vec, Y: Vec) -> Fraction:
     """tr_p(x_1...x_n) + (-1)^(n-1) tr_k(x_n...x_1) with x_i = ad(word_i(X,Y))."""
     if any(X[i] for i in range(pair.dim_p, pair.dim)) or any(Y[i] for i in range(pair.dim_p, pair.dim)):
         raise ValueError("trace_alternation arguments must lie in p")
-    mats = [pair.adapted.ad(eval_lie_word(pair, w, X, Y)) for w in words]
-    fwd = mats[0]
-    for M in mats[1:]:
-        fwd = util.mat_mul(fwd, M)
-    rev = mats[-1]
-    for M in reversed(mats[:-1]):
-        rev = util.mat_mul(rev, M)
-    n = len(mats)
-    sign = Fraction(1) if (n - 1) % 2 == 0 else Fraction(-1)
-    return pair.block_trace(fwd, "p") + sign * pair.block_trace(rev, "k")
+    vecs = [eval_lie_word(pair, w, X, Y) for w in words]
+    sign = 1 if len(vecs) % 2 else -1
+    return trace_word(pair, "p", vecs) + sign * trace_word(pair, "k", vecs[::-1])
 
 
 # -- polarizations ----------------------------------------------------------

@@ -7,8 +7,11 @@ the k-valued component
              - 1/48 [X,[Y,[X,Y]]] - 1/48 [Y,[X,[X,Y]]] + ...
 
 and the scalar logarithm, whose order-2 part vanishes identically and
-whose order-4 part is (1/240) b([X,Y],[X,Y]) with b = K_g - 2 K_k.
-Requests beyond order 4 fail loudly rather than guess.
+whose order-4 part is the trace series (1/240)(tr_p - tr_k)(ad W)^2 at
+W = [X,Y] in k, that is (1/240) b(W, W) with b = K_g - 2 K_k.  The
+symbol compiles it over the k block with `TraceSeries.as_polynomial`, the
+one symbolic trace-word compiler; `ln_e_scalar` evaluates it at vectors
+through `trace_word`.  Requests beyond order 4 fail loudly rather than guess.
 """
 
 from __future__ import annotations
@@ -45,6 +48,9 @@ H_TERMS = (
 #: coefficient of the alternation sum on ([X,Y],[X,Y]) in ln E, order 4.
 LN_E_ORDER4_COEFF = Fraction(1, 240)
 
+#: ln E through order 4 as a trace series in W = [X, Y] in k: (1/240)(tr_p - tr_k)(ad W)^2
+LN_E_SERIES = (TraceSeries.word(2, "p", 2) - TraceSeries.word(2, "k", 2)).scale(LN_E_ORDER4_COEFF)
+
 
 def h_component(order: int) -> FreeLieSeries:
     """The k-valued Lie series H(X, Y) through the requested order (<= 4)."""
@@ -73,6 +79,8 @@ def _bidiff_symbol(pair: SymmetricPair, lam: Character) -> Poly:
 
     Variables 0..dim_p-1 are the X slots (derivatives on the first factor),
     dim_p..2dim_p-1 the Y slots.  Truncated at total slot degree E_MAX_ORDER.
+    ln E is the trace series LN_E_SERIES, compiled over the k block and
+    substituted at W = [X, Y], which lies in k.
     """
     order = E_MAX_ORDER
     dp = pair.dim_p
@@ -87,16 +95,8 @@ def _bidiff_symbol(pair: SymmetricPair, lam: Character) -> Poly:
         for i in pair.block_indices("k"):
             if not hval[i].is_zero():
                 log_sym = log_sym + hval[i].scale(lam.values[i - dp])
-    # scalar log: order-4 alternation term
     W = pair.bracket_poly(Xs, Ys)
-    M = pair.ad_poly(W)
-    M2 = [[sum((M[i][t].mul(M[t][j]) for t in range(pair.dim)), Poly.zero(nv)) for j in range(pair.dim)] for i in range(pair.dim)]
-    tr = Poly.zero(nv)
-    for i in pair.block_indices("p"):
-        tr = tr + M2[i][i]
-    for i in pair.block_indices("k"):
-        tr = tr - M2[i][i]
-    log_sym = log_sym + tr.scale(LN_E_ORDER4_COEFF)
+    log_sym = log_sym + LN_E_SERIES.as_polynomial(pair, "k").subs([W[i] for i in pair.block_indices("k")], order)
     return poly_exp(log_sym.truncate(order), order)
 
 
@@ -141,10 +141,9 @@ def wheel_factor_B(order: int) -> TraceSeries:
 
 # -- invariant operators in exponential coordinates ---------------------------
 
-def _series_at_vector(pair: SymmetricPair, series: TraceSeries, vector: list[Poly],
+def _series_at_vector(pair: SymmetricPair, compiled: Poly, vector: list[Poly],
                       max_degree: int) -> Poly:
-    """Evaluate a p-trace series at a vector with polynomial coordinates."""
-    compiled = series.as_polynomial(pair, "p")
+    """Evaluate a trace series compiled over p at a vector with polynomial coordinates."""
     images = [vector[i] for i in pair.block_indices("p")]
     return compiled.subs(images, max_degree)
 
@@ -177,9 +176,10 @@ def exp_coord_operator(pair: SymmetricPair, R: BlockPolynomial, jet_order: int, 
 
     cap = jet_order + R.degree()
     Jh = density_series("J_half", 2 * ((jet_order + 1) // 2) + 2)
-    pref = _series_at_vector(pair, Jh, ys, cap)
-    pref = pref.mul(_series_at_vector(pair, Jh, xs, cap), cap)
-    pref = pref.mul(_series_at_vector(pair, Jh.inverse(), Z, cap), cap)
+    jh, jh_inv = Jh.as_polynomial(pair, "p"), Jh.inverse().as_polynomial(pair, "p")
+    pref = _series_at_vector(pair, jh, ys, cap)
+    pref = pref.mul(_series_at_vector(pair, jh, xs, cap), cap)
+    pref = pref.mul(_series_at_vector(pair, jh_inv, Z, cap), cap)
 
     # exp(<xi, Z - X>): every term of Z - X has y-degree >= 1
     pairing = Poly.zero(nv)

@@ -150,6 +150,32 @@ def sl_so_pair(n):
     return build_symmetric_pair(alg, sigma)
 
 
+def ln_e_symbol_reference(pair):
+    """ln E through order 4 as a polynomial in the (X, Y) slot variables.
+
+    (1/240)(tr_p - tr_k)(ad W)^2 at W = [X, Y], with ad W and its square
+    built by dense loops over the structure constants (no polynomial
+    bracket, adjoint matrix or trace-series compiler of the package).  X
+    slots are variables 0..dim_p-1, Y slots dim_p..2 dim_p-1.
+    """
+    dp, n = pair.dim_p, pair.dim
+    nv = 2 * dp
+    c = pair.adapted.bracket_basis
+    W = [Poly.zero(nv) for _ in range(n)]
+    for a in range(dp):
+        for b in range(dp):
+            xy = Poly.var(nv, a).mul(Poly.var(nv, dp + b))
+            W = [W[t] + xy.scale(c(a, b)[t]) for t in range(n)]
+    M = [[sum((W[i].scale(c(i, j)[t]) for i in range(n)), Poly.zero(nv)) for j in range(n)] for t in range(n)]
+    M2 = [[sum((M[i][t].mul(M[t][j]) for t in range(n)), Poly.zero(nv)) for j in range(n)] for i in range(n)]
+    tr = Poly.zero(nv)
+    for i in pair.block_indices("p"):
+        tr = tr + M2[i][i]
+    for i in pair.block_indices("k"):
+        tr = tr - M2[i][i]
+    return tr.scale(Fraction(1, 240))
+
+
 @pytest.fixture(scope="session")
 def omega(sl2_pair):
     return BlockPolynomial(sl2_pair, "p", Poly(2, {(2, 0): 1, (0, 2): 1}))

@@ -40,7 +40,7 @@ from sympair.uea import (
     star_dk,
 )
 
-from conftest import random_block_poly, straighten_random
+from conftest import ln_e_symbol_reference, random_block_poly, straighten_random
 
 
 class budget:
@@ -116,18 +116,7 @@ def test_criterion_4_e_calibration(sl2_pair, omega):
     with budget(4, 5.0):
         # order-4 bidifferential (tr_p - tr_k)(ad[X,Y])^2 on omega x omega
         dp = sl2_pair.dim_p
-        nv = 2 * dp
-        Xs = sl2_pair.symbolic_vector("p", nv, 0)
-        Ys = sl2_pair.symbolic_vector("p", nv, dp)
-        W = sl2_pair.bracket_poly(Xs, Ys)
-        M = sl2_pair.ad_poly(W)
-        M2 = [[sum((M[i][t].mul(M[t][j]) for t in range(sl2_pair.dim)), Poly.zero(nv))
-               for j in range(sl2_pair.dim)] for i in range(sl2_pair.dim)]
-        tr = Poly.zero(nv)
-        for i in sl2_pair.block_indices("p"):
-            tr = tr + M2[i][i]
-        for i in sl2_pair.block_indices("k"):
-            tr = tr - M2[i][i]
+        tr = ln_e_symbol_reference(sl2_pair).scale(240)
         value = Fraction(0)
         for mono, c in tr.terms.items():
             df = omega.poly.diff_mono(mono[:dp])

@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from sympair.cli import run
 
 ALG = os.path.join(os.path.dirname(__file__), "..", "algebras")
@@ -308,3 +310,51 @@ def test_graph_weight_rejects_malformed_files(tmp_path, capsys):
         code, err = _graph_weight_file(tmp_path, capsys, data)
         assert code == 2
         assert message in err and "Traceback" not in err
+
+
+def _fixture(name, **changes):
+    with open(alg(name)) as fh:
+        data = json.load(fh)
+    data.update(changes)
+    return data
+
+
+CHAR = ["char", "--poly", "zz", "--f", "z"]
+
+#: command, algebra file data, polarization file data or None, message naming the key and the file
+MALFORMED = [
+    pytest.param(["validate"], _fixture("sl2.json", adapted={"k": [["0", "1", "-1"]]}), None,
+                 "missing key 'p' in the 'adapted' block of algebra file", id="adapted-without-p"),
+    pytest.param(["validate"], _fixture("sl2.json", adapted={"p": [["1", "0"]], "k": [["0", "1", "-1"]]}), None,
+                 "'adapted' key 'p' in algebra file must be a list of vectors of length 3", id="adapted-short-vector"),
+    pytest.param(["validate"], _fixture("sl2.json", adapted=[]), None,
+                 "the 'adapted' block of algebra file must hold a JSON object", id="adapted-not-object"),
+    pytest.param(CHAR, _fixture("heisenberg3.json"), {},
+                 "missing key 'b' in polarization file", id="polarization-without-b"),
+    pytest.param(CHAR, _fixture("heisenberg3.json"), {"b": 5},
+                 "key 'b' in polarization file", id="polarization-b-number"),
+    pytest.param(CHAR, _fixture("heisenberg3.json"), {"b": [["1", None, "0"]]},
+                 "key 'b' in polarization file", id="polarization-b-not-rational"),
+    pytest.param(CHAR, _fixture("heisenberg3.json"), [["1", "1", "0"]],
+                 "must hold a JSON object", id="polarization-top-level-list"),
+    pytest.param(["star-dk", "--p", "nope", "--q", "zz"], _fixture("heisenberg3.json"), None,
+                 "no definition named 'nope' under key 'definitions' in algebra file", id="missing-definition"),
+    pytest.param(["hc-project", "--poly", "zz"], _fixture("heisenberg3.json"), None,
+                 "missing key 'iwasawa' in algebra file", id="missing-iwasawa"),
+    pytest.param(["hc-project", "--poly", "omega"], _fixture("sl2.json", iwasawa={"p0": 1}), None,
+                 "'iwasawa' key 'p0' in algebra file must be a list of vectors of length 3", id="iwasawa-not-vectors"),
+]
+
+
+@pytest.mark.parametrize("command, algebra, polarization, message", MALFORMED)
+def test_malformed_files_name_key_and_file(tmp_path, capsys, command, algebra, polarization, message):
+    alg_path, pol_path = tmp_path / "alg.json", tmp_path / "pol.json"
+    alg_path.write_text(json.dumps(algebra))
+    argv = [command[0], str(alg_path)] + command[1:]
+    if polarization is not None:
+        pol_path.write_text(json.dumps(polarization))
+        argv += ["--pol", str(pol_path)]
+    code = run(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert message in err and "Traceback" not in err and '"' not in err

@@ -1,13 +1,15 @@
 import random
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from sympair import util
 from sympair.errors import NotPolarization, NotSigmaStable, OrderTooHigh, TruncationWarning
+from sympair.io import load_algebra_file
 from sympair.liealg import Character, PolarizationCandidate
-from sympair.poly import Poly
+from sympair.poly import Poly, poly_exp
 from sympair.polyops import BlockPolynomial, apply_series_operator, invariant_subspace
 from sympair.series import TraceSeries, density_series, log_density
 from sympair.starprod import (
@@ -21,7 +23,9 @@ from sympair.starprod import (
 )
 from sympair.uea import PBWContext, beta, pbw_multiply, project_mod_k_lambda, rouviere_sharp
 
-from conftest import coadjoint_orbit_point, random_block_poly, random_p_vector
+from conftest import coadjoint_orbit_point, ln_e_symbol_reference, random_block_poly, random_p_vector, sl_so_pair
+
+ALGEBRAS = Path(__file__).resolve().parent.parent / "algebras"
 
 
 # -- the k-valued component ---------------------------------------------------
@@ -162,6 +166,33 @@ def test_bidiff_symbol_lambda_twist_and_swap(solvable_pair, sl2_pair):
         assert sym.map_vars(2 * dp, mapping) == swapped
 
 
+def _nonzero_character(pair):
+    """A nonzero character (a form on k vanishing on [k, k]), or None if k = [k, k]."""
+    k = pair.block_indices("k")
+    rows = [list(pair.bracket_adapted(a, b)[pair.dim_p:]) for a in k for b in k if a < b]
+    null = util.nullspace(rows, pair.dim_k)
+    return Character(pair, null[0]) if null else None
+
+
+@pytest.mark.parametrize("name", sorted(path.stem for path in ALGEBRAS.glob("*.json")) + ["sl3", "sl4"])
+def test_bidiff_symbol_matches_ln_e_reference(name):
+    """exp(lambda(H) + ln E) with ln E from the dense-loop oracle, every character kind."""
+    from sympair.starprod import _bidiff_symbol
+    if name in ("sl3", "sl4"):
+        pair = sl_so_pair(int(name[2]))
+    else:
+        pair = load_algebra_file(str(ALGEBRAS / f"{name}.json"))[0]
+    dp = pair.dim_p
+    Xs = pair.symbolic_vector("p", 2 * dp, 0)
+    Ys = pair.symbolic_vector("p", 2 * dp, dp)
+    hval = h_component(4).evaluate_poly(pair, Xs, Ys, max_degree=4)
+    ln_e = ln_e_symbol_reference(pair)
+    lams = [pair.zero_character(), pair.trk_character(), _nonzero_character(pair)]
+    for lam in filter(None, lams):
+        log_sym = sum((hval[i].scale(lam.values[i - dp]) for i in pair.block_indices("k")), ln_e)
+        assert _bidiff_symbol(pair, lam) == poly_exp(log_sym.truncate(4), 4)
+
+
 def test_star_cf_truncation_warning(sl2_pair, omega):
     cube = omega * omega * omega
     with warnings.catch_warnings(record=True) as rec:
@@ -262,6 +293,20 @@ def test_exp_coord_at_origin_beyond_order_eight(sl2_pair, omega):
     assert at == omega.poly
 
 
+def test_exp_coord_compiles_two_series(sl2_pair, omega, monkeypatch):
+    """J^(1/2) and its inverse are each compiled once per call."""
+    compiled = []
+    original = TraceSeries.as_polynomial
+
+    def counting(series, pair, over):
+        compiled.append(series)
+        return original(series, pair, over)
+
+    monkeypatch.setattr(TraceSeries, "as_polynomial", counting)
+    exp_coord_operator(sl2_pair, omega, 5)
+    assert len(compiled) == 2 and compiled[0] != compiled[1]
+
+
 def test_exp_coord_sl2_against_uea_factorization_oracle(sl2_pair, omega):
     """Independent oracle: move J^(1/2)(Y) onto R by adjunction and use the
     group-factorization series from sym_factorize instead of z_sym."""
@@ -280,8 +325,8 @@ def test_exp_coord_sl2_against_uea_factorization_oracle(sl2_pair, omega):
     Z = P.evaluate_poly(sl2_pair, xs, ys, max_degree=jet)
     cap = jet + omega.degree()
     jh = density_series("J_half", 6)
-    pref = _series_at_vector(sl2_pair, jh, xs, cap)
-    pref = pref.mul(_series_at_vector(sl2_pair, jh.inverse(), Z, cap), cap)
+    pref = _series_at_vector(sl2_pair, jh.as_polynomial(sl2_pair, "p"), xs, cap)
+    pref = pref.mul(_series_at_vector(sl2_pair, jh.inverse().as_polynomial(sl2_pair, "p"), Z, cap), cap)
     pairing = Poly.zero(nv)
     for t, i in enumerate(sl2_pair.block_indices("p")):
         delta = Z[i] - Poly.var(nv, t)
