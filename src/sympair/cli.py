@@ -50,9 +50,9 @@ def _character(pair, name: str, data=None) -> Character:
         return pair.trk_character()
     if name == "half-trk":
         return pair.trk_character().scale(Fraction(1, 2))
-    named = (data or {}).get("characters", {})
-    if name in named:
-        return Character(pair, [util.frac(c) for c in named[name]])
+    named = sio.load_character(pair, data or {}, name)
+    if named is not None:
+        return named
     raise SympairError(f"unknown character {name!r} (use zero | trk | half-trk or a file-defined name)")
 
 
@@ -194,7 +194,7 @@ def _dispatch(args, report) -> int:
         print(out)
         report.add("restriction", out)
         if "weyl" in data:
-            ok = weyl_invariance_check(iw, [res], data["weyl"])
+            ok = weyl_invariance_check(iw, [res], sio.load_weyl(pair, data))
             print(f"weyl-invariant: {ok}")
             report.add("weyl_invariant", "true" if ok else "false")
         return 0

@@ -576,7 +576,7 @@ def compile_operator(g: ColoredGraph, pair: SymmetricPair, arguments) -> BlockPo
         for v in range(g.n):
             e1, e2 = out_pairs[v]
             a, b = assign[e1], assign[e2]
-            w = pair.bracket_adapted(a, b)
+            w = pair.adapted.bracket_basis(a, b)
             # vertex symbol: (1/2) <xi, [e_a, e_b]>, then incoming derivatives
             vp = Poly(dim, {tuple(1 if t == i else 0 for t in range(dim)): Fraction(w[i], 2)
                             for i in range(dim) if w[i]})

@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from . import util
 from .errors import SympairError
-from .liealg import LieAlgebraDef, SymmetricPair, build_symmetric_pair
+from .liealg import Character, LieAlgebraDef, SymmetricPair, build_symmetric_pair
 from .hc import IwasawaData
 from .poly import Poly
 from .polyops import BlockPolynomial
@@ -51,14 +51,19 @@ def _object(data, keys, what: str) -> dict:
     return data
 
 
+def _rational(value, what: str) -> Fraction:
+    """`value` read as an exact rational; `what` names it in errors."""
+    try:
+        return util.frac(value)
+    except (TypeError, ValueError) as e:
+        raise SympairError(f"{what}: {e}") from None
+
+
 def _vectors(value, dim: int, what: str) -> list[util.Vec]:
     """`value` read as a list of rational vectors of length dim; `what` names it in errors."""
     if not isinstance(value, list) or not all(isinstance(v, list) and len(v) == dim for v in value):
         raise SympairError(f"{what} must be a list of vectors of length {dim}")
-    try:
-        return [util.vec(v) for v in value]
-    except (TypeError, ValueError) as e:
-        raise SympairError(f"{what}: {e}") from None
+    return [tuple(_rational(c, what) for c in v) for v in value]
 
 
 def parse_algebra(data: dict):
@@ -127,10 +132,32 @@ def parse_poly(pair: SymmetricPair, mapping: dict, space: str = "p") -> BlockPol
 
 
 def resolve_definition(pair: SymmetricPair, data: dict, name: str, space: str = "p") -> BlockPolynomial:
-    defs = data.get("definitions", {})
+    defs = _object(data.get("definitions", {}), (), "the 'definitions' block of algebra file")
     if name not in defs:
         raise SympairError(f"no definition named {name!r} under key 'definitions' in algebra file")
-    return parse_poly(pair, defs[name], space)
+    what = f"definition {name!r} in algebra file"
+    mapping = _object(defs[name], (), what)
+    coeffs = {key: _rational(c, f"{what}, monomial {key!r}") for key, c in mapping.items()}
+    return parse_poly(pair, coeffs, space)
+
+
+def load_character(pair: SymmetricPair, data: dict, name: str) -> Character | None:
+    """The character defined under `name` in the 'characters' block, or None."""
+    block = _object(data.get("characters", {}), (), "the 'characters' block of algebra file")
+    if name not in block:
+        return None
+    value, what = block[name], f"'characters' key {name!r} in algebra file"
+    if not isinstance(value, list) or len(value) != pair.dim_k:
+        raise SympairError(f"{what} must be a list of {pair.dim_k} rationals")
+    return Character(pair, [_rational(c, what) for c in value])
+
+
+def load_weyl(pair: SymmetricPair, data: dict) -> list[list[util.Vec]]:
+    """The matrices of the 'weyl' block, each dim x dim over the original basis."""
+    value, what = data["weyl"], "key 'weyl' in algebra file"
+    if not isinstance(value, list) or not all(isinstance(m, list) and len(m) == pair.dim for m in value):
+        raise SympairError(f"{what} must be a list of {pair.dim}x{pair.dim} matrices")
+    return [_vectors(m, pair.dim, what) for m in value]
 
 
 def format_monomial(names: list[str], exps) -> str:

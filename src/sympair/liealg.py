@@ -10,7 +10,7 @@ which is also how the PBW contexts and restricted adjoint actions get
 their structure constants.  `SymmetricPair.bracket_poly` is the one
 bracket of polynomial-coefficient vectors (`ad_poly` takes its columns),
 and `trace_word` the one numeric block trace of adjoint words, which
-`trace_alternation` and `trk_character` call.
+`trace_alternation`, `trk_character` and `killing_k` call.
 """
 
 from __future__ import annotations
@@ -152,7 +152,7 @@ class Character:
             raise ValueError("character needs one value per k-basis vector")
         for a in range(pair.dim_k):
             for b in range(a + 1, pair.dim_k):
-                w = pair.bracket_adapted(pair.dim_p + a, pair.dim_p + b)
+                w = pair.adapted.bracket_basis(pair.dim_p + a, pair.dim_p + b)
                 val = sum(
                     (self.values[t - pair.dim_p] * w[t] for t in range(pair.dim_p, pair.dim)),
                     Fraction(0),
@@ -290,7 +290,11 @@ class SymmetricPair:
     # -- adapted-coordinate operations -------------------------------------
 
     def bracket_adapted(self, i: int, j: int) -> Vec:
-        """[e_i, e_j] of two adapted basis vectors, as a dense tuple."""
+        """[e_i, e_j] of two adapted basis vectors, as a dense tuple.
+
+        The package reads `adapted.bracket_basis` directly; this name stays
+        for the benchmark's output checks (`perfbench/oracles.py`).
+        """
         return self.adapted.bracket_basis(i, j)
 
     def block_indices(self, space: str) -> range:
@@ -309,8 +313,7 @@ class SymmetricPair:
         """Killing form of the subalgebra k (adjoint action restricted to k)."""
         if any(u[i] for i in range(self.dim_p)) or any(v[i] for i in range(self.dim_p)):
             raise ValueError("killing_k needs k-vectors")
-        M = util.mat_mul(self.adapted.ad(u), self.adapted.ad(v))
-        return self.block_trace(M, "k")
+        return trace_word(self, "k", [u, v])
 
     def trk_character(self) -> Character:
         """The character K |-> tr_k(ad K restricted to k)."""

@@ -101,7 +101,7 @@ def k_derivation(pair: SymmetricPair, k_index: int, f: BlockPolynomial) -> Block
     pair_idx = list(f.pair.block_indices(f.space))
     images = []
     for j in pair_idx:
-        w = pair.bracket_adapted(pair.dim_p + k_index, j)
+        w = pair.adapted.bracket_basis(pair.dim_p + k_index, j)
         if f.space == "p" and any(w[i] for i in pair.block_indices("k")):
             raise RuntimeError("Cartan split violated")  # pragma: no cover
         images.append(Poly.linear([w[i] for i in pair_idx]))
@@ -242,7 +242,7 @@ def cartan_eilenberg_diff(pair: SymmetricPair, chain: CEChain) -> CEChain:
         # bracket term: replace one slot value K_b by its expansion via [K_a, K_c]
         for a in range(dk):
             for c in range(a + 1, dk):
-                w = pair.bracket_adapted(pair.dim_p + a, pair.dim_p + c)
+                w = pair.adapted.bracket_basis(pair.dim_p + a, pair.dim_p + c)
                 for b in range(dk):
                     coef = w[pair.dim_p + b]
                     if not coef or b not in subset:

@@ -3,24 +3,26 @@
 A PBWContext fixes an ordered basis of g (given by vectors in the pair's
 adapted coordinates) and straightens words by the rewriting
 e_j e_i -> e_i e_j + [e_j, e_i] whenever j comes after i in the order.
-The default context is the adapted basis itself, whose order puts every
-p symbol before every k symbol; that order realizes the decomposition
-U(g) = U(g).k + beta(S(p)) used by the quotient operations.  A context's
-structure constants are `pair.adapted.rebased(vectors)`; the adapted
-bracket table itself lives on `pair.adapted`.
+The order puts a run of p symbols (`ctx.p_symbols`) before the k symbols,
+which come last.  The default context is the adapted basis, with the
+bracket table `pair.adapted`; others use `pair.adapted.rebased(vectors)`.
 
-beta and its inverses share two routines: `_symmetrized` gives the average
-of the straightened orderings of one word by recursion on the first letter,
+`_symmetrized` gives the average of the straightened orderings of one word
+by recursion on the first letter, memoized per context by sorted word,
 
     beta(x^alpha) = (1/|alpha|) sum_i alpha_i x_i beta(x^(alpha - e_i)),
 
-memoized on the context by sorted word (polynomial in the degree, where
-averaging the distinct orderings is factorial); `_peel` inverts any map
-whose top degree part is the identity, by degree-descending elimination.
+`_beta_over` sums it over a polynomial, and `_peel` inverts any map that is
+the identity on top degree, by degree-descending elimination.  Both
+quotients of U(g) share `_project`, the projection mod U(g).k^lambda onto
+beta of the p symbols: the Rouviere product in the default context, and the
+Harish-Chandra map in the Iwasawa basis (n+, p0, k0, r) at lambda = 0,
+after dropping n+.U(g); there beta(S(p0)) is U(g0)/U(g0).k0.
 """
 
 from __future__ import annotations
 
+import bisect
 from fractions import Fraction
 
 from . import util
@@ -37,9 +39,10 @@ class PBWContext:
     word, so concurrent readers can at worst duplicate work, never disagree.
     """
 
-    def __init__(self, pair: SymmetricPair, vectors=None, k_start: int | None = None):
+    def __init__(self, pair: SymmetricPair, vectors=None, k_start: int | None = None, p_start: int = 0):
         self.pair = pair
-        if vectors is None:
+        default = vectors is None
+        if default:
             vectors = [util.unit_vec(pair.dim, i) for i in range(pair.dim)]
             k_start = pair.dim_p
         self.vectors = [util.vec(v) for v in vectors]
@@ -47,14 +50,11 @@ class PBWContext:
             raise ValueError("context basis must have dim(g) vectors")
         self.dim = pair.dim
         self.k_start = pair.dim_p if k_start is None else k_start
-        self._cols = util.mat_from_cols(self.vectors)
-        self.algebra = pair.adapted.rebased(self.vectors)
+        self.p_symbols = range(p_start, self.k_start)
+        # rebasing the adapted table onto its own unit vectors would rebuild it unchanged
+        self.algebra = pair.adapted if default else pair.adapted.rebased(self.vectors)
         self._memo: dict[tuple[int, ...], dict[tuple[int, ...], Fraction]] = {}
         self._sym_memo: dict[tuple[int, ...], dict[tuple[int, ...], Fraction]] = {}
-
-    def bracket_coeffs(self, i: int, j: int) -> util.Vec:
-        """[e_i, e_j] of two context basis vectors, in context coordinates."""
-        return self.algebra.bracket_basis(i, j)
 
     def straighten(self, word: tuple[int, ...]) -> dict[tuple[int, ...], Fraction]:
         """Canonical PBW form of a basis word, as {sorted word: coefficient}."""
@@ -67,7 +67,7 @@ class PBWContext:
             i = inv
             swapped = word[:i] + (word[i + 1], word[i]) + word[i + 2 :]
             result = dict(self.straighten(swapped))
-            w = self.bracket_coeffs(word[i], word[i + 1])
+            w = self.algebra.bracket_basis(word[i], word[i + 1])
             for t in range(self.dim):
                 if w[t]:
                     for mono, c in self.straighten(word[:i] + (t,) + word[i + 2 :]).items():
@@ -75,13 +75,6 @@ class PBWContext:
             result = {m: c for m, c in result.items() if c}
         self._memo[word] = result
         return result
-
-    def convert_vector(self, v_adapted: util.Vec) -> util.Vec:
-        """Adapted coordinates -> context coordinates."""
-        x = util.solve(self._cols, v_adapted)
-        if x is None:
-            raise ValueError("vector outside context span")
-        return x
 
 
 class UEAElement:
@@ -216,18 +209,17 @@ def _peel(rem: UEAElement, nvars: int, mono_of, step) -> Poly:
     return acc
 
 
+def _beta_over(ctx: PBWContext, symbols: range, poly: Poly) -> UEAElement:
+    """Symmetrization of a polynomial whose variable t is the context symbol symbols[t]."""
+    out: dict[tuple[int, ...], Fraction] = {}
+    for mono, coeff in poly.terms.items():
+        util.add_into(out, _symmetrized(ctx, _mono_to_word(symbols, mono)), coeff)
+    return UEAElement(ctx, out)
+
+
 def beta(ctx: PBWContext, f: BlockPolynomial) -> UEAElement:
     """Symmetrization of a polynomial: average of all factor orderings."""
-    pair = ctx.pair
-    out: dict[tuple[int, ...], Fraction] = {}
-    for mono, coeff in f.poly.terms.items():
-        for m, c in _symmetrized(ctx, _mono_to_word(pair.block_indices(f.space), mono)).items():
-            s = out.get(m, Fraction(0)) + coeff * c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-    return UEAElement(ctx, out)
+    return _beta_over(ctx, ctx.pair.block_indices(f.space), f.poly)
 
 
 def beta_inverse(ctx: PBWContext, u: UEAElement) -> BlockPolynomial:
@@ -239,31 +231,28 @@ def beta_inverse(ctx: PBWContext, u: UEAElement) -> BlockPolynomial:
 
 
 def reduce_mod_k_lambda(u: UEAElement, lam: Character) -> UEAElement:
-    """Rewrite mod U(g).k^lambda: a trailing k symbol K becomes -lambda(K).
+    """Rewrite mod U(g).k^lambda: each k symbol K of a word becomes -lambda(K).
 
-    Requires the default context (k symbols at the end of the order), where
-    every monomial containing a k symbol ends in one.
+    The k symbols come last in every context order, so in a PBW monomial
+    they form its tail, and the tail reduces to a product of scalars.
     """
     ctx = u.ctx
     ks = ctx.k_start
-    terms = dict(u.terms)
-    while True:
-        dirty = [w for w in terms if w and w[-1] >= ks]
-        if not dirty:
-            break
-        for w in dirty:
-            c = terms.pop(w, None)
-            if c is None:
-                continue
-            lam_val = lam.of_k_vector(ctx.vectors[w[-1]])
-            if lam_val:
-                w2 = w[:-1]
-                s = terms.get(w2, Fraction(0)) - lam_val * c
-                if s:
-                    terms[w2] = s
-                else:
-                    terms.pop(w2, None)
-    return UEAElement(ctx, terms)
+    neg = [-lam.of_k_vector(v) for v in ctx.vectors[ks:]]
+    out: dict[tuple[int, ...], Fraction] = {}
+    for w, c in u.terms.items():
+        t = bisect.bisect_left(w, ks)
+        for i in w[t:]:
+            c *= neg[i - ks]
+        out[w[:t]] = out.get(w[:t], 0) + c
+    return UEAElement(ctx, out)
+
+
+def _project(ctx: PBWContext, u: UEAElement, lam: Character) -> Poly:
+    """S over ctx.p_symbols with u = beta(S) mod U(g).k^lambda; u has no symbol before them."""
+    p = ctx.p_symbols
+    return _peel(reduce_mod_k_lambda(u, lam), len(p), lambda w: _word_to_mono(p, w),
+                 lambda rem, top: reduce_mod_k_lambda(rem - _beta_over(ctx, p, top), lam))
 
 
 def project_mod_k_lambda_dressed(ctx: PBWContext, u: UEAElement, lam: Character,
@@ -281,11 +270,9 @@ def project_mod_k_lambda_dressed(ctx: PBWContext, u: UEAElement, lam: Character,
 def project_mod_k_lambda(ctx: PBWContext, u: UEAElement, lam: Character) -> BlockPolynomial:
     """The unique S in S(p) with u = beta(S) mod U(g).k^lambda."""
     pair = ctx.pair
-    if ctx.k_start != pair.dim_p:
+    if ctx.p_symbols != pair.block_indices("p"):
         raise ValueError("projection needs the adapted context")
-    acc = _peel(reduce_mod_k_lambda(u, lam), pair.dim_p, lambda w: _word_to_mono(range(pair.dim_p), w),
-                lambda rem, top: reduce_mod_k_lambda(rem - beta(ctx, BlockPolynomial(pair, "p", top)), lam))
-    return BlockPolynomial(pair, "p", acc)
+    return BlockPolynomial(pair, "p", _project(ctx, u, lam))
 
 
 # -- transported star products ----------------------------------------------
@@ -384,48 +371,19 @@ def duflo_relation_check(pair: SymmetricPair, lam: Character, degree: int,
 
 # -- Harish-Chandra projection through the enveloping algebra ----------------
 
-def hc_projection_uea(pair: SymmetricPair, class_poly: BlockPolynomial, iwasawa,
-                      ctx: PBWContext | None = None) -> Poly:
+def hc_projection_uea(pair: SymmetricPair, class_poly: BlockPolynomial, iwasawa) -> Poly:
     """Project a class beta(S) mod U(g).k onto the small-pair coordinates.
 
-    Straightens a representative in the order (n+, p0, k0, r), drops the
-    k-tail, keeps the empty-n+ component, and inverts the g0-symmetrization
-    modulo U(g0).k0.  Returns a polynomial in the p0 symbols.
+    Symmetrizes S in the Iwasawa order (n+, p0, k0, r), drops n+.U(g), and
+    projects the rest mod U(g).k onto beta(S(p0)).  Returns a polynomial in
+    the p0 symbols.
     """
-    ctx = ctx or PBWContext(pair)
-    vectors = list(iwasawa.n_plus) + list(iwasawa.p0) + list(iwasawa.k0) + list(iwasawa.r)
-    hc_ctx = PBWContext(pair, vectors, k_start=len(iwasawa.n_plus) + len(iwasawa.p0))
     nn = len(iwasawa.n_plus)
-    np0 = len(iwasawa.p0)
-    nk0 = len(iwasawa.k0)
-
-    u = beta(ctx, class_poly.to_g())
-    # re-express each default-context monomial in the Iwasawa context
-    images = [UEAElement.from_vector(hc_ctx, hc_ctx.convert_vector(util.unit_vec(pair.dim, i)))
-              for i in range(pair.dim)]
-    out = UEAElement(hc_ctx)
-    for w, c in u.terms.items():
-        term = UEAElement.unit(hc_ctx, c)
-        for i in w:
-            term = pbw_multiply(term, images[i])
-        out = out + term
-    # mod U(g).k drops monomials containing a k0 or r symbol; keep the empty n+ component
-    kept = UEAElement(hc_ctx, {w: c for w, c in out.terms.items() if all(nn <= i < nn + np0 for i in w)})
-
-    # invert the g0 symmetrization mod U(g0).k0 by triangular peeling
-    p0_idx = range(nn, nn + np0)
-
-    def beta_g0_reduced(poly: Poly) -> UEAElement:
-        # beta over g0 followed by reduction mod U(g0).k0, inside the big algebra
-        acc: dict[tuple[int, ...], Fraction] = {}
-        for mono, coeff in poly.terms.items():
-            for m, c in _symmetrized(hc_ctx, _mono_to_word(p0_idx, mono)).items():
-                # g0 is a subalgebra: straightening stays in p0/k0 symbols
-                if any(i >= nn + np0 + nk0 or i < nn for i in m):
-                    raise RuntimeError("g0 is not closed in the Iwasawa context")
-                if any(nn + np0 <= i < nn + np0 + nk0 for i in m):
-                    continue  # mod U(g0).k0
-                acc[m] = acc.get(m, Fraction(0)) + coeff * c
-        return UEAElement(hc_ctx, acc)
-
-    return _peel(kept, np0, lambda w: _word_to_mono(p0_idx, w), lambda rem, top: rem - beta_g0_reduced(top))
+    ctx = PBWContext(pair, iwasawa.n_plus + iwasawa.p0 + iwasawa.k0 + iwasawa.r,
+                     k_start=nn + len(iwasawa.p0), p_start=nn)
+    # symmetrization does not depend on the basis: substitute Iwasawa coordinates first
+    units = [util.unit_vec(pair.dim, i) for i in range(pair.dim)]
+    coords = util.solve_each(util.mat_from_cols(ctx.vectors), units)
+    u = _beta_over(ctx, range(pair.dim), class_poly.to_g().poly.subs([Poly.linear(x) for x in coords]))
+    kept = UEAElement(ctx, {w: c for w, c in u.terms.items() if not w or w[0] >= nn})
+    return _project(ctx, kept, pair.zero_character())

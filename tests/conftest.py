@@ -210,7 +210,7 @@ def straighten_random(ctx, word, rng):
     i = rng.choice(invs)
     swapped = word[:i] + (word[i + 1], word[i]) + word[i + 2 :]
     result = dict(straighten_random(ctx, swapped, rng))
-    w = ctx.bracket_coeffs(word[i], word[i + 1])
+    w = ctx.algebra.bracket_basis(word[i], word[i + 1])
     for t in range(ctx.dim):
         if w[t]:
             for mono, c in straighten_random(ctx, word[:i] + (t,) + word[i + 2 :], rng).items():

@@ -343,6 +343,14 @@ MALFORMED = [
                  "missing key 'iwasawa' in algebra file", id="missing-iwasawa"),
     pytest.param(["hc-project", "--poly", "omega"], _fixture("sl2.json", iwasawa={"p0": 1}), None,
                  "'iwasawa' key 'p0' in algebra file must be a list of vectors of length 3", id="iwasawa-not-vectors"),
+    pytest.param(["star-rou", "--p", "zz", "--q", "zz", "--lambda", "mu"],
+                 _fixture("solvable4.json", characters={"mu": [None]}), None,
+                 "'characters' key 'mu' in algebra file: not an exact rational", id="character-not-rational"),
+    pytest.param(["star-rou", "--p", "zz", "--q", "zz"],
+                 _fixture("solvable4.json", definitions={"zz": {"z": None}}), None,
+                 "definition 'zz' in algebra file, monomial 'z': not an exact rational", id="definition-not-rational"),
+    pytest.param(["hc-project", "--poly", "omega"], _fixture("sl2.json", weyl=5), None,
+                 "key 'weyl' in algebra file must be a list of 3x3 matrices", id="weyl-number"),
 ]
 
 

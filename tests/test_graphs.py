@@ -284,7 +284,7 @@ def test_compile_wedge_is_half_poisson(sl2_pair, solvable_pair):
             oracle = Poly.zero(pair.dim)
             for a in pair.block_indices("p"):
                 for b in pair.block_indices("p"):
-                    w = pair.bracket_adapted(a, b)
+                    w = pair.adapted.bracket_basis(a, b)
                     lin = Poly(pair.dim, {tuple(1 if t == i else 0 for t in range(pair.dim)): Fraction(w[i], 2)
                                           for i in range(pair.dim) if w[i]})
                     oracle = oracle + lin.mul(f.poly.diff(a)).mul(g.poly.diff(b))

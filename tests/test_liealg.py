@@ -113,7 +113,7 @@ def test_adapted_algebra_matches_adapted_brackets(sl2_pair, diagonal_pair, am_pa
         for i, j in itertools.product(range(pair.dim), repeat=2):
             w = pair.algebra.bracket(pair.adapted_vectors[i], pair.adapted_vectors[j])
             assert pair.adapted.bracket_basis(i, j) == pair.to_adapted(w)
-            assert pair.bracket_adapted(i, j) == pair.to_adapted(w)
+            assert pair.adapted.bracket_basis(i, j) == pair.to_adapted(w)
 
 
 # -- trace words --------------------------------------------------------------

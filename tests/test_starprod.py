@@ -169,7 +169,7 @@ def test_bidiff_symbol_lambda_twist_and_swap(solvable_pair, sl2_pair):
 def _nonzero_character(pair):
     """A nonzero character (a form on k vanishing on [k, k]), or None if k = [k, k]."""
     k = pair.block_indices("k")
-    rows = [list(pair.bracket_adapted(a, b)[pair.dim_p:]) for a in k for b in k if a < b]
+    rows = [list(pair.adapted.bracket_basis(a, b)[pair.dim_p:]) for a in k for b in k if a < b]
     null = util.nullspace(rows, pair.dim_k)
     return Character(pair, null[0]) if null else None
 

@@ -174,7 +174,7 @@ def test_star_dk_degree_one_commutator(sl2_pair):
         for j in range(3):
             f = BlockPolynomial(sl2_pair, "g", Poly.var(3, i))
             g = BlockPolynomial(sl2_pair, "g", Poly.var(3, j))
-            w = sl2_pair.bracket_adapted(i, j)
+            w = sl2_pair.adapted.bracket_basis(i, j)
             expect = BlockPolynomial(
                 sl2_pair, "g", sum((Poly.var(3, t, w[t]) for t in range(3) if w[t]), Poly.zero(3))
             )
@@ -373,6 +373,37 @@ def test_hc_projection_multiplicative_on_classes(sl2_pair, omega):
         a = hc_projection_uea(sl2_pair, P, iw)
         b = hc_projection_uea(sl2_pair, Q, iw)
         assert lhs == a.mul(b)
+
+
+def test_hc_projection_with_nonzero_k0(diagonal_pair):
+    """sl2 + sl2 with the swap: g0 = k0 + p0 is spanned by H1 + H2 and H1 - H2.
+
+    The only pair here whose little pair has k0 != 0, so the projection
+    must also drop U(g0).k0.
+    """
+    from sympair.hc import IwasawaData, hc_restrict
+    pair = diagonal_pair
+    iw = IwasawaData(
+        pair,
+        p0=[adapted(pair, [1, 0, 0, -1, 0, 0])],
+        n_plus=[adapted(pair, [0, 1, 0, 0, 0, 0]), adapted(pair, [0, 0, 0, 0, 0, 1])],
+        k0=[adapted(pair, [1, 0, 0, 1, 0, 0])],
+        r=[adapted(pair, [0, 1, 0, 0, 1, 0]), adapted(pair, [0, 0, 1, 0, 0, 1])],
+    )
+    C = invariant_subspace(pair, 2)[0]
+    for f in [C, C * C] + invariant_subspace(pair, 4):
+        d = f.degree()
+        top = hc_projection_uea(pair, f, iw).homogeneous_part(d)
+        assert top == hc_restrict(iw, f, True).homogeneous_part(d)
+    ctx = PBWContext(pair)
+    lam0 = pair.zero_character()
+    for P, Q in [(C, C), (C, C * C)]:
+        prod_class = project_mod_k_lambda(ctx, pbw_multiply(beta(ctx, P.to_g()), beta(ctx, Q.to_g())), lam0)
+        lhs = hc_projection_uea(pair, prod_class, iw)
+        assert lhs == hc_projection_uea(pair, P, iw).mul(hc_projection_uea(pair, Q, iw))
+    assert hc_projection_uea(pair, C, iw).terms == {(2,): Fraction(1, 4), (1,): -1}
+    assert hc_projection_uea(pair, C * C, iw).terms == {
+        (4,): Fraction(1, 16), (3,): Fraction(-1, 2), (2,): Fraction(2, 3), (1,): Fraction(4, 3)}
 
 
 def test_dressed_projection_differs_below_top_degree(sl2_pair, sl2_ctx, omega):
