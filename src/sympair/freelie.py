@@ -6,14 +6,15 @@ the standard factorization), which is triangular with respect to the
 lexicographic leading word and therefore supports exact extraction of Lie
 coordinates from any associative expansion.
 
-Truncation is graded by word length.  A product buckets both factors by
-length and only multiplies buckets whose lengths add up to at most the
-order (`util.graded_product`), so no word beyond the order is formed;
-exp and log are built from that product.  Lie coordinates are peeled one
-degree at a time in place, by the degree-n expansion of each Lyndon
-bracketing.  The factorization e^X e^Y = e^P e^K is incremental: degree n
-of P or K only needs log(e^P e^K) at order n, with P and K known through
-degree n - 1.
+Both series types are `util.Series` graded by word length; that base
+class supplies their sums, scaling, homogeneous parts and equality.  A
+product buckets both factors by length and only multiplies buckets whose
+lengths add up to at most the order (`util.graded_product`), so no word
+beyond the order is formed; exp and log are built from that product.
+Lie coordinates are peeled one degree at a time in place, by the
+degree-n expansion of each Lyndon bracketing.  The factorization
+e^X e^Y = e^P e^K is incremental: degree n of P or K only needs
+log(e^P e^K) at order n, with P and K known through degree n - 1.
 """
 
 from __future__ import annotations
@@ -29,25 +30,8 @@ X, Y = 0, 1
 LETTERS = ("X", "Y")
 
 
-class FreeAssocSeries:
+class FreeAssocSeries(util.Series):
     """Finite rational combination of words, truncated by word length."""
-
-    def __init__(self, order: int, terms: dict | None = None):
-        self.order = order
-        self.terms: dict[tuple[int, ...], Fraction] = {}
-        if terms:
-            for w, c in terms.items():
-                c = frac(c)
-                if c and len(w) <= order:
-                    self.terms[tuple(w)] = self.terms.get(tuple(w), Fraction(0)) + c
-            self.terms = {w: c for w, c in self.terms.items() if c}
-
-    @classmethod
-    def _of(cls, order: int, terms: dict) -> "FreeAssocSeries":
-        """A series on terms that are already normalized (nonzero, length <= order)."""
-        out = cls.__new__(cls)
-        out.order, out.terms = order, terms
-        return out
 
     @classmethod
     def unit(cls, order: int, c=1) -> "FreeAssocSeries":
@@ -56,22 +40,6 @@ class FreeAssocSeries:
     @classmethod
     def letter(cls, order: int, i: int, c=1) -> "FreeAssocSeries":
         return cls(order, {(i,): frac(c)})
-
-    def __add__(self, other):
-        order = min(self.order, other.order)
-        out = util.add_into(dict(self.terms), other.terms)
-        if self.order != other.order:
-            out = {w: c for w, c in out.items() if len(w) <= order}
-        return FreeAssocSeries._of(order, out)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c):
-        c = frac(c)
-        if not c:
-            return FreeAssocSeries(self.order)
-        return FreeAssocSeries._of(self.order, {w: c * v for w, v in self.terms.items()})
 
     def __mul__(self, other):
         order = min(self.order, other.order)
@@ -90,9 +58,6 @@ class FreeAssocSeries:
             raise ValueError("log needs constant term 1")
         return util.log(self, FreeAssocSeries.unit(self.order), FreeAssocSeries.__mul__)
 
-    def homogeneous_part(self, n: int):
-        return FreeAssocSeries._of(self.order, {w: c for w, c in self.terms.items() if len(w) == n})
-
     def substitute_letter(self, i: int, series: "FreeAssocSeries"):
         """Replace letter i by an associative series (e.g. zero or 2*letter)."""
         out = FreeAssocSeries(self.order)
@@ -102,15 +67,6 @@ class FreeAssocSeries:
                 term = term * (series if a == i else FreeAssocSeries.letter(self.order, a))
             out = out + term
         return out
-
-    def __eq__(self, other):
-        return isinstance(other, FreeAssocSeries) and self.terms == other.terms
-
-    def is_zero(self):
-        return not self.terms
-
-    def __repr__(self):
-        return f"FreeAssocSeries(order={self.order}, {len(self.terms)} terms)"
 
 
 # -- Lyndon machinery -------------------------------------------------------
@@ -188,43 +144,11 @@ def expand_bracket(b, order: int) -> FreeAssocSeries:
     return out
 
 
-class FreeLieSeries:
+class FreeLieSeries(util.Series):
     """Rational combination of standard Lyndon bracketings, graded by length."""
-
-    def __init__(self, order: int, terms: dict | None = None):
-        self.order = order
-        self.terms: dict[tuple[int, ...], Fraction] = {}
-        if terms:
-            for w, c in terms.items():
-                c = frac(c)
-                if c and len(w) <= order:
-                    self.terms[tuple(w)] = self.terms.get(tuple(w), Fraction(0)) + c
-            self.terms = {w: c for w, c in self.terms.items() if c}
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            out[w] = out.get(w, Fraction(0)) + c
-        return FreeLieSeries(min(self.order, other.order), out)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c):
-        c = frac(c)
-        return FreeLieSeries(self.order, {w: c * v for w, v in self.terms.items()})
-
-    def homogeneous_part(self, n: int):
-        return FreeLieSeries(self.order, {w: c for w, c in self.terms.items() if len(w) == n})
 
     def degrees(self):
         return sorted({len(w) for w in self.terms})
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        return isinstance(other, FreeLieSeries) and self.terms == other.terms
 
     def to_assoc(self) -> FreeAssocSeries:
         out: dict[tuple[int, ...], Fraction] = {}
@@ -262,9 +186,6 @@ class FreeLieSeries:
         if max_degree is not None:
             out = [q.truncate(max_degree) for q in out]
         return out
-
-    def __repr__(self):
-        return f"FreeLieSeries(order={self.order}, {self.terms!r})"
 
 
 def lie_from_assoc(series: FreeAssocSeries) -> FreeLieSeries:

@@ -270,30 +270,27 @@ def angle(p: complex, q: complex, color: str, palette: str = "two_color"):
 
     Returns (value, coeffs) with coeffs = [d/dRe p, d/dIm p, d/dRe q, d/dIm q].
     The value is a sum of atan2 branches (well defined modulo 2 pi); the
-    coefficients come from d arg(w) = (x dy - y dx)/|w|^2 term by term.
+    coefficients are the Monte-Carlo kernel's, `_angle_coeffs_arrays`.
     """
     if p == q:
         raise CoincidentPoints("p == q")
     value = 0.0
-    coeffs = [0.0, 0.0, 0.0, 0.0]
     xp, yp, xq, yq = p.real, p.imag, q.real, q.imag
     for sign, key in _arg_terms(color, palette):
         ex, ey = _ARG_FACTORS[key]
         a = xp + ex * xq
         b = yp + ey * yq
-        r2 = a * a + b * b
-        if r2 == 0.0:
+        if a * a + b * b == 0.0:
             raise CoincidentPoints(f"factor {key} degenerates")
         value += sign * math.atan2(b, a)
-        coeffs[0] += sign * (-b) / r2
-        coeffs[1] += sign * a / r2
-        coeffs[2] += sign * (-b * ex) / r2
-        coeffs[3] += sign * (a * ey) / r2
-    return value, coeffs
+    return value, _angle_coeffs_arrays(xp, yp, xq, yq, color, palette)
 
 
 def _angle_coeffs_arrays(xp, yp, xq, yq, color, palette):
-    """Vectorized one-form coefficients; inputs are numpy arrays or floats."""
+    """One-form coefficients from d arg(w) = (x dy - y dx)/|w|^2, term by term.
+
+    Inputs are numpy arrays or floats.
+    """
     c = [0.0, 0.0, 0.0, 0.0]
     for sign, key in _arg_terms(color, palette):
         ex, ey = _ARG_FACTORS[key]

@@ -68,23 +68,23 @@ def _vectors(value, dim: int, what: str) -> list[util.Vec]:
 
 def parse_algebra(data: dict):
     _object(data, ("name", "basis", "sigma"), "algebra file")
-    name = data["name"]
-    basis = list(data["basis"])
+    name, basis = data["name"], data["basis"]
+    if not isinstance(basis, list) or not all(isinstance(b, str) for b in basis):
+        raise SympairError("key 'basis' in algebra file must be a list of names")
     brackets = {}
-    for key, coeffs in data.get("brackets", {}).items():
+    for key, coeffs in _object(data.get("brackets", {}), (), "the 'brackets' block of algebra file").items():
         m = _BRACKET_KEY.match(key.replace(" ", ""))
         if not m:
             raise ValueError(f"bad bracket key {key!r}")
         i, j = int(m.group(1)), int(m.group(2))
+        what = f"bracket {key!r} in algebra file"
+        coeffs = _object(coeffs, (), what)
         try:
             brackets[(i, j)] = {int(k): util.frac(v) for k, v in coeffs.items()}
         except (TypeError, ValueError) as e:
-            raise SympairError(f"bracket {key!r}: {e}") from None
+            raise SympairError(f"{what}: {e}") from None
     algebra = LieAlgebraDef(name, basis, brackets)
-    try:
-        sigma = [[util.frac(c) for c in row] for row in data["sigma"]]
-    except (TypeError, ValueError) as e:
-        raise SympairError(f"sigma: {e}") from None
+    sigma = _vectors(data["sigma"], algebra.dim, "key 'sigma' in algebra file")
     adapted = None
     if "adapted" in data:
         block = _object(data["adapted"], ("p", "k"), "the 'adapted' block of algebra file")
@@ -100,7 +100,11 @@ def block_names(pair: SymmetricPair, space: str) -> list[str]:
 
 
 def parse_monomial(pair: SymmetricPair, key: str, space: str = "p"):
-    """Monomial string like "H^2*(X+Y)^1" -> exponent tuple over a block."""
+    """Monomial string like "H^2*(X+Y)^1" -> exponent tuple over a block.
+
+    A malformed exponent raises SympairError.  An unknown symbol raises
+    ValueError: the key may be over another block.
+    """
     names = {sym: t for t, sym in enumerate(block_names(pair, space))}
     exps = [0] * len(names)
     key = key.strip()
@@ -110,6 +114,8 @@ def parse_monomial(pair: SymmetricPair, key: str, space: str = "p"):
         factor = factor.strip()
         if "^" in factor:
             sym, power = factor.rsplit("^", 1)
+            if not power.strip().isdecimal():
+                raise SympairError(f"exponent {power!r} is not a non-negative integer")
             power = int(power)
         else:
             sym, power = factor, 1
@@ -122,23 +128,21 @@ def parse_monomial(pair: SymmetricPair, key: str, space: str = "p"):
     return tuple(exps)
 
 
-def parse_poly(pair: SymmetricPair, mapping: dict, space: str = "p") -> BlockPolynomial:
-    nv = len(pair.block_indices(space))
-    terms = {}
-    for key, coeff in mapping.items():
-        exps = parse_monomial(pair, key, space)
-        terms[exps] = terms.get(exps, Fraction(0)) + util.frac(coeff)
-    return BlockPolynomial(pair, space, Poly(nv, terms))
-
-
 def resolve_definition(pair: SymmetricPair, data: dict, name: str, space: str = "p") -> BlockPolynomial:
     defs = _object(data.get("definitions", {}), (), "the 'definitions' block of algebra file")
     if name not in defs:
         raise SympairError(f"no definition named {name!r} under key 'definitions' in algebra file")
     what = f"definition {name!r} in algebra file"
-    mapping = _object(defs[name], (), what)
-    coeffs = {key: _rational(c, f"{what}, monomial {key!r}") for key, c in mapping.items()}
-    return parse_poly(pair, coeffs, space)
+    terms = {}
+    for key, c in _object(defs[name], (), what).items():
+        where = f"{what}, monomial {key!r}"
+        c = _rational(c, where)
+        try:
+            exps = parse_monomial(pair, key, space)
+        except SympairError as e:
+            raise SympairError(f"{where}: {e}") from None
+        terms[exps] = terms.get(exps, Fraction(0)) + c
+    return BlockPolynomial(pair, space, Poly(len(pair.block_indices(space)), terms))
 
 
 def load_character(pair: SymmetricPair, data: dict, name: str) -> Character | None:
@@ -172,29 +176,31 @@ def format_monomial(names: list[str], exps) -> str:
     return "*".join(parts) if parts else "1"
 
 
-def format_poly(names: list[str], poly: Poly) -> str:
-    """Render a polynomial over the given symbol names, highest degree first."""
-    if poly.is_zero():
-        return "0"
-    items = sorted(poly.terms.items(), key=lambda kv: (-sum(kv[0]), kv[0]))
+def _signed_sum(terms) -> str:
+    """Render (coefficient, label) pairs as "c*label + ... - c*label"; label None is a constant."""
     parts = []
-    for exps, coeff in items:
-        mono = format_monomial(names, exps)
-        if mono == "1":
+    for coeff, label in terms:
+        if label is None:
             term = util.fmt(coeff)
         elif coeff == 1:
-            term = mono
+            term = label
         elif coeff == -1:
-            term = f"-{mono}"
+            term = f"-{label}"
         else:
-            term = f"{util.fmt(coeff)}*{mono}"
+            term = f"{util.fmt(coeff)}*{label}"
         if parts and not term.startswith("-"):
             parts.append(f"+ {term}")
         elif parts:
             parts.append(f"- {term[1:]}")
         else:
             parts.append(term)
-    return " ".join(parts)
+    return " ".join(parts) if parts else "0"
+
+
+def format_poly(names: list[str], poly: Poly) -> str:
+    """Render a polynomial over the given symbol names, highest degree first."""
+    items = sorted(poly.terms.items(), key=lambda kv: (-sum(kv[0]), kv[0]))
+    return _signed_sum((c, format_monomial(names, exps) if any(exps) else None) for exps, c in items)
 
 
 def pretty_in_definitions(pair: SymmetricPair, data: dict, f: BlockPolynomial) -> str:
@@ -221,23 +227,8 @@ def pretty_in_definitions(pair: SymmetricPair, data: dict, f: BlockPolynomial) -
         x = util.solve(A, b)
         if x is None:
             continue
-        parts = []
-        for k in range(len(powers) - 1, -1, -1):
-            c = x[k]
-            if not c:
-                continue
-            if k == 0:
-                term = util.fmt(c)
-            else:
-                base = name if k == 1 else f"{name}^{k}"
-                term = base if c == 1 else (f"-{base}" if c == -1 else f"{util.fmt(c)}*{base}")
-            if parts and not term.startswith("-"):
-                parts.append(f"+ {term}")
-            elif parts:
-                parts.append(f"- {term[1:]}")
-            else:
-                parts.append(term)
-        return " ".join(parts) if parts else "0"
+        return _signed_sum((x[k], None if k == 0 else name if k == 1 else f"{name}^{k}")
+                           for k in range(len(powers) - 1, -1, -1) if x[k])
     return format_poly(block_names(pair, f.space), f.poly)
 
 

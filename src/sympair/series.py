@@ -3,7 +3,8 @@
 A TraceSeries is a finite rational combination of products of block-trace
 words tr_s((ad X)^(2n)) with s in {p, k, g}; the key of a term is the sorted
 tuple of its (space, power) factors, so the empty key is the constant term.
-Series are truncated by total order (the sum of all powers in a term).
+It is a `util.Series` whose degree is the total order (the sum of all powers
+in a term); that base class supplies its sums, scaling and equality.
 
 The density family is pinned by the exact order-4 calculus on sl(2): with
 a_n the Taylor coefficients of log(sinh z / z), generated exactly at every
@@ -43,28 +44,20 @@ def log_sinhc(n: int) -> list[Fraction]:
     return [4 ** k * B[2 * k] / (2 * k * math.factorial(2 * k)) for k in range(1, n + 1)]
 
 
-class TraceSeries:
-    def __init__(self, truncation_order: int, terms: dict | None = None):
-        self.truncation_order = truncation_order
-        self.terms: dict[tuple, Fraction] = {}
-        if terms:
-            for key, c in terms.items():
-                c = frac(c)
-                key = tuple(sorted(tuple(key)))
-                if c and self._key_order(key) <= truncation_order:
-                    self.terms[key] = self.terms.get(key, Fraction(0)) + c
-            self.terms = {k: v for k, v in self.terms.items() if v}
-
-    @classmethod
-    def _of(cls, truncation_order: int, terms: dict) -> "TraceSeries":
-        """A series on terms that are already normalized (sorted keys, nonzero, within order)."""
-        out = cls.__new__(cls)
-        out.truncation_order, out.terms = truncation_order, terms
-        return out
+class TraceSeries(util.Series):
+    """Combination of products of block-trace words, truncated by total power."""
 
     @staticmethod
-    def _key_order(key) -> int:
+    def degree(key) -> int:
         return sum(p for _, p in key)
+
+    @staticmethod
+    def key(k) -> tuple:
+        return tuple(sorted(k))
+
+    @property
+    def truncation_order(self) -> int:
+        return self.order
 
     @classmethod
     def constant(cls, order: int, c=1) -> "TraceSeries":
@@ -74,38 +67,19 @@ class TraceSeries:
     def word(cls, order: int, space: str, power: int, c=1) -> "TraceSeries":
         return cls(order, {((space, power),): frac(c)})
 
-    def __add__(self, other: "TraceSeries") -> "TraceSeries":
-        order = min(self.truncation_order, other.truncation_order)
-        out = util.add_into(dict(self.terms), other.terms)
-        if self.truncation_order != other.truncation_order:
-            out = {k: c for k, c in out.items() if self._key_order(k) <= order}
-        return TraceSeries._of(order, out)
-
-    def __sub__(self, other: "TraceSeries") -> "TraceSeries":
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "TraceSeries":
-        c = frac(c)
-        if not c:
-            return TraceSeries(self.truncation_order)
-        return TraceSeries._of(self.truncation_order, {k: c * v for k, v in self.terms.items()})
-
     def __mul__(self, other: "TraceSeries") -> "TraceSeries":
-        order = min(self.truncation_order, other.truncation_order)
-        return TraceSeries._of(order, util.graded_product(self.terms, other.terms, self._key_order, order, _merge_keys))
-
-    def is_zero(self) -> bool:
-        return not self.terms
+        order = min(self.order, other.order)
+        return TraceSeries._of(order, util.graded_product(self.terms, other.terms, self.degree, order, _merge_keys))
 
     def exp(self) -> "TraceSeries":
         if self.terms.get((), Fraction(0)) != 0:
             raise ValueError("exp needs zero constant term")
-        return util.exp(self, TraceSeries.constant(self.truncation_order, 1), TraceSeries.__mul__)
+        return util.exp(self, TraceSeries.constant(self.order, 1), TraceSeries.__mul__)
 
     def log(self) -> "TraceSeries":
         if self.terms.get((), Fraction(0)) != 1:
             raise ValueError("log needs constant term 1")
-        return util.log(self, TraceSeries.constant(self.truncation_order, 1), TraceSeries.__mul__)
+        return util.log(self, TraceSeries.constant(self.order, 1), TraceSeries.__mul__)
 
     def inverse(self) -> "TraceSeries":
         """Multiplicative inverse of a series with constant term 1."""
@@ -114,15 +88,8 @@ class TraceSeries:
     def sqrt(self) -> "TraceSeries":
         return self.log().scale(Fraction(1, 2)).exp()
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, TraceSeries)
-            and self.truncation_order == other.truncation_order
-            and self.terms == other.terms
-        )
-
     def coefficient(self, key) -> Fraction:
-        return self.terms.get(tuple(sorted(tuple(key))), Fraction(0))
+        return self.terms.get(self.key(key), Fraction(0))
 
     def as_polynomial(self, pair: SymmetricPair, over: str) -> Poly:
         """Polynomial in the coordinates of X over the `over` block.
@@ -153,9 +120,6 @@ class TraceSeries:
                 term = term.mul(word_poly(space, power))
             out = out + term
         return out
-
-    def __repr__(self):
-        return f"TraceSeries(order={self.truncation_order}, {self.terms!r})"
 
 
 def _merge_keys(k1: tuple, k2: tuple) -> tuple:
@@ -199,6 +163,6 @@ def density_series(kind: str, order: int) -> TraceSeries:
     The series is universal; `TraceSeries.as_polynomial` expands it on a
     pair.  Abelian pairs get the constant 1 since every trace word vanishes.
     """
-    if order % 2 != 0:
-        raise OrderTooHigh("density order must be even")
+    if order < 0 or order % 2 != 0:
+        raise OrderTooHigh("density order must be even and >= 0")
     return log_density(kind, order).exp()

@@ -348,6 +348,8 @@ def invariant_uea_subspace(pair: SymmetricPair, ctx: PBWContext, degree: int):
 def duflo_relation_check(pair: SymmetricPair, lam: Character, degree: int,
                          ctx: PBWContext | None = None) -> bool:
     """Exact test of k^(-lam).U âˆ© U^k == U^k âˆ© U.k^(-lam + tr_k) at a degree."""
+    if degree < 0:
+        raise ValueError("degree must be >= 0")
     ctx = ctx or PBWContext(pair)
     inv_basis, words, index = invariant_uea_subspace(pair, ctx, degree)
     trk = pair.trk_character()

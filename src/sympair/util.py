@@ -1,6 +1,6 @@
 """Exact-rational helpers: parsing, formatting, dense linear algebra, and
-the graded truncated product, exponential and logarithm shared by every
-series type.
+the truncated series shared by every series type: the linear arithmetic
+of `Series`, the graded truncated product, exponential and logarithm.
 
 Matrices are lists of lists of Fraction; vectors are tuples of Fraction.
 Sizes in this package stay small (dimension <= ~40), so plain Gaussian
@@ -278,6 +278,69 @@ def graded_product(left: dict, right: dict, degree, order, combine) -> dict:
                 s = out.get(k)
                 out[k] = c1 * c2 if s is None else s + c1 * c2
     return {k: c for k, c in out.items() if c}
+
+
+# -- truncated series -------------------------------------------------------
+
+class Series:
+    """An exact combination {key: Fraction} truncated by degree.
+
+    No coefficient is zero and no key has degree above `order`.  Two
+    class-level hooks set the grading: `degree(key)` (default: the key's
+    length) and `key(k)`, the normal form of a key given to the
+    constructor (default: a tuple).  Series of different orders add at the
+    smaller one, where both are known.  Equal series have the same class,
+    order and terms: the order decides which terms a product keeps.
+    """
+
+    degree = staticmethod(len)
+    key = staticmethod(tuple)
+
+    def __init__(self, order: int, terms: dict | None = None):
+        self.order = order
+        self.terms: dict = {}
+        if terms:
+            for k, c in terms.items():
+                c = frac(c)
+                k = self.key(k)
+                if c and self.degree(k) <= order:
+                    self.terms[k] = self.terms.get(k, Fraction(0)) + c
+            self.terms = {k: c for k, c in self.terms.items() if c}
+
+    @classmethod
+    def _of(cls, order: int, terms: dict):
+        """A series on terms that are already normalized (normal keys, nonzero, within order)."""
+        out = cls.__new__(cls)
+        out.order, out.terms = order, terms
+        return out
+
+    def __add__(self, other):
+        order = min(self.order, other.order)
+        out = add_into(dict(self.terms), other.terms)
+        if self.order != other.order:
+            out = {k: c for k, c in out.items() if self.degree(k) <= order}
+        return self._of(order, out)
+
+    def __sub__(self, other):
+        return self + other.scale(-1)
+
+    def scale(self, c):
+        c = frac(c)
+        if not c:
+            return self._of(self.order, {})
+        return self._of(self.order, {k: c * v for k, v in self.terms.items()})
+
+    def homogeneous_part(self, n: int):
+        return self._of(self.order, {k: c for k, c in self.terms.items() if self.degree(k) == n})
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self.order == other.order and self.terms == other.terms
+
+    def __repr__(self):
+        return f"{type(self).__name__}(order={self.order}, {self.terms!r})"
 
 
 # -- truncated exp and log --------------------------------------------------

@@ -351,6 +351,22 @@ MALFORMED = [
                  "definition 'zz' in algebra file, monomial 'z': not an exact rational", id="definition-not-rational"),
     pytest.param(["hc-project", "--poly", "omega"], _fixture("sl2.json", weyl=5), None,
                  "key 'weyl' in algebra file must be a list of 3x3 matrices", id="weyl-number"),
+    pytest.param(["validate"], _fixture("sl2.json", brackets=5), None,
+                 "the 'brackets' block of algebra file must hold a JSON object", id="brackets-number"),
+    pytest.param(["validate"], _fixture("sl2.json", brackets={"[0,1]": 5}), None,
+                 "bracket '[0,1]' in algebra file must hold a JSON object", id="bracket-value-number"),
+    pytest.param(["validate"], _fixture("sl2.json", basis=5), None,
+                 "key 'basis' in algebra file must be a list of names", id="basis-number"),
+    pytest.param(["validate"], _fixture("sl2.json", basis=[1, 2, 3]), None,
+                 "key 'basis' in algebra file must be a list of names", id="basis-not-names"),
+    pytest.param(["validate"], _fixture("sl2.json", sigma=5), None,
+                 "key 'sigma' in algebra file must be a list of vectors of length 3", id="sigma-number"),
+    pytest.param(["star-dk", "--p", "a", "--q", "b"], _fixture("sl2.json", definitions={"a": {"H^x": 1}, "b": {"H": 1}}),
+                 None, "definition 'a' in algebra file, monomial 'H^x': exponent 'x' is not a non-negative integer",
+                 id="monomial-exponent-not-integer"),
+    pytest.param(["star-dk", "--p", "a", "--q", "b"], _fixture("sl2.json", definitions={"a": {"H^-1": 1}, "b": {"H": 1}}),
+                 None, "definition 'a' in algebra file, monomial 'H^-1': exponent '-1' is not a non-negative integer",
+                 id="monomial-exponent-negative"),
 ]
 
 
@@ -366,3 +382,14 @@ def test_malformed_files_name_key_and_file(tmp_path, capsys, command, algebra, p
     err = capsys.readouterr().err
     assert code == 2
     assert message in err and "Traceback" not in err and '"' not in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["densities", alg("sl2.json"), "--order", "-2"], "density order must be even and >= 0"),
+    (["duflo-check", alg("sl2.json"), "--degree", "-1"], "degree must be >= 0"),
+])
+def test_negative_order_or_degree_is_rejected(capsys, argv, message):
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert message in captured.err and "Traceback" not in captured.err

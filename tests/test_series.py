@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from sympair.errors import OrderTooHigh
+from sympair.freelie import FreeAssocSeries, FreeLieSeries
 from sympair.poly import Poly
 from sympair.series import TraceSeries, density_series, log_density, log_sinhc
 
@@ -28,8 +29,34 @@ def test_exp_log_roundtrip():
 
 
 def test_density_order_validation():
-    with pytest.raises(OrderTooHigh):
-        density_series("J_half", 3)
+    for order in (3, -2):
+        with pytest.raises(OrderTooHigh):
+            density_series("J_half", order)
+
+
+#: each series type with keys of increasing degree: low, mid (degree d_mid) and high (degree d_high)
+SERIES_KEYS = [
+    pytest.param(FreeAssocSeries, [(0,), (1, 0), (1, 0, 1)], 2, 3, id="assoc"),
+    pytest.param(FreeLieSeries, [(0,), (0, 1), (0, 0, 1)], 2, 3, id="lie"),
+    pytest.param(TraceSeries, [(("p", 2),), (("p", 2), ("g", 2)), (("p", 2), ("k", 4))], 4, 6, id="trace"),
+]
+
+
+@pytest.mark.parametrize("cls, keys, d_mid, d_high", SERIES_KEYS)
+def test_series_linear_arithmetic(cls, keys, d_mid, d_high):
+    low, mid, high = keys
+    a = cls(d_high, {low: 1, mid: Fraction(1, 2), high: 3})
+    b = cls(d_mid, {low: -1, mid: Fraction(1, 2)})
+    # mixed orders: a sum or difference is known only through the smaller order
+    assert a + b == cls(d_mid, {mid: 1})
+    assert a - b == cls(d_mid, {low: 2})
+    assert b - a == cls(d_mid, {low: -2})
+    assert a.scale(0).is_zero() and a.scale(0) == cls(d_high)
+    assert a.homogeneous_part(d_high) == cls(d_high, {high: 3})
+    assert a.homogeneous_part(d_mid) == cls(d_high, {mid: Fraction(1, 2)})
+    # the order decides which terms a product keeps, so equality compares it
+    assert cls(d_mid, {low: 1}) == cls(d_mid, {low: 1})
+    assert cls(d_mid, {low: 1}) != cls(d_high, {low: 1})
 
 
 def test_log_sinhc_matches_power_series_log():
