@@ -35,6 +35,10 @@ class NotInvariant(SympairError):
     pass
 
 
+class UnknownSymbol(SympairError):
+    """A monomial key names a symbol outside the block it is read over."""
+
+
 class NilradicalUndecidable(SympairError):
     pass
 

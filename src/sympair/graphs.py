@@ -379,11 +379,10 @@ def weight_mc(g: ColoredGraph, samples: int, seed: int) -> WeightEstimate:
     total_sq = 0.0
     nonfinite = 0
     done = 0
-    n_uniform = 2 * g.n + max(0, g.m - 2) + (1 if theta_vertex is not None else 0)
     for chunk_id in range(n_chunks):
         count = min(_CHUNK, samples - done)
         rng = np.random.default_rng(streams[chunk_id])
-        ucols = iter(np.ascontiguousarray(rng.random((count, n_uniform)).T))
+        ucols = iter(np.ascontiguousarray(rng.random((count, dim)).T))
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             xs, ys, jac = _place_vertices(g, ucols, theta_vertex, fixed_aerial)
             entries = _matrix_entries(g, edges, col_index, xs, ys, theta_vertex)
@@ -566,6 +565,12 @@ def compile_operator(g: ColoredGraph, pair: SymmetricPair, arguments) -> BlockPo
     incoming = {v: [t for t, e in enumerate(edges) if e[1] == v] for v in range(g.n + g.m)}
     out_pairs = {v: [t for t, e in enumerate(edges) if e[0] == v] for v in range(g.n)}
 
+    def incoming_derivative(v, assign):
+        exps = [0] * dim
+        for t in incoming[v]:
+            exps[assign[t]] += 1
+        return exps
+
     total = Poly.zero(dim)
     for assign in itertools.product(*ranges):
         coeff_poly = Poly.const(dim, 1)
@@ -577,8 +582,7 @@ def compile_operator(g: ColoredGraph, pair: SymmetricPair, arguments) -> BlockPo
             # vertex symbol: (1/2) <xi, [e_a, e_b]>, then incoming derivatives
             vp = Poly(dim, {tuple(1 if t == i else 0 for t in range(dim)): Fraction(w[i], 2)
                             for i in range(dim) if w[i]})
-            for t in incoming[v]:
-                vp = vp.diff(assign[t])
+            vp = vp.diff_mono(incoming_derivative(v, assign))
             if vp.is_zero():
                 ok = False
                 break
@@ -586,9 +590,7 @@ def compile_operator(g: ColoredGraph, pair: SymmetricPair, arguments) -> BlockPo
         if not ok:
             continue
         for j in range(g.m):
-            fj = args[j].poly
-            for t in incoming[g.n + j]:
-                fj = fj.diff(assign[t])
+            fj = args[j].poly.diff_mono(incoming_derivative(g.n + j, assign))
             if fj.is_zero():
                 ok = False
                 break

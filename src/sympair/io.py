@@ -26,7 +26,7 @@ import time
 from fractions import Fraction
 
 from . import util
-from .errors import SympairError
+from .errors import SympairError, UnknownSymbol
 from .liealg import Character, LieAlgebraDef, SymmetricPair, build_symmetric_pair
 from .hc import IwasawaData
 from .poly import Poly
@@ -103,7 +103,7 @@ def parse_monomial(pair: SymmetricPair, key: str, space: str = "p"):
     """Monomial string like "H^2*(X+Y)^1" -> exponent tuple over a block.
 
     A malformed exponent raises SympairError.  An unknown symbol raises
-    ValueError: the key may be over another block.
+    UnknownSymbol: the key may be over another block.
     """
     names = {sym: t for t, sym in enumerate(block_names(pair, space))}
     exps = [0] * len(names)
@@ -123,7 +123,7 @@ def parse_monomial(pair: SymmetricPair, key: str, space: str = "p"):
         if sym.startswith("(") and sym.endswith(")"):
             sym = sym[1:-1]
         if sym not in names:
-            raise ValueError(f"unknown symbol {sym!r}; adapted names are {pair.adapted_names}")
+            raise UnknownSymbol(f"unknown symbol {sym!r}; adapted names are {pair.adapted_names}")
         exps[names[sym]] += power
     return tuple(exps)
 
@@ -140,7 +140,7 @@ def resolve_definition(pair: SymmetricPair, data: dict, name: str, space: str = 
         try:
             exps = parse_monomial(pair, key, space)
         except SympairError as e:
-            raise SympairError(f"{where}: {e}") from None
+            raise type(e)(f"{where}: {e}") from None
         terms[exps] = terms.get(exps, Fraction(0)) + c
     return BlockPolynomial(pair, space, Poly(len(pair.block_indices(space)), terms))
 
@@ -213,7 +213,7 @@ def pretty_in_definitions(pair: SymmetricPair, data: dict, f: BlockPolynomial) -
     for name in sorted(defs):
         try:
             d = resolve_definition(pair, data, name, f.space)
-        except ValueError:
+        except UnknownSymbol:  # a definition over another block
             continue
         if d.poly.is_zero() or d.degree() == 0:
             continue

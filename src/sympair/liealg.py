@@ -8,9 +8,10 @@ which every higher module of the package works.  The bracket table in that
 basis is the LieAlgebraDef `pair.adapted`, built by `LieAlgebraDef.rebased`,
 which is also how the PBW contexts and restricted adjoint actions get
 their structure constants.  `SymmetricPair.bracket_poly` is the one
-bracket of polynomial-coefficient vectors (`ad_poly` takes its columns),
-and `trace_word` the one numeric block trace of adjoint words, which
-`trace_alternation`, `trk_character` and `killing_k` call.
+bracket of polynomial-coefficient vectors (`TraceSeries.as_polynomial`
+iterates it along adjoint orbits), and `trace_word` the one numeric block
+trace of adjoint words, which `trace_alternation`, `trk_character` and
+`killing_k` call.
 """
 
 from __future__ import annotations
@@ -339,7 +340,7 @@ class SymmetricPair:
         """Bracket of vectors with polynomial coefficients.
 
         Sums over the nonzero structure constants of `adapted` only; every
-        polynomial bracket and adjoint matrix of the package is built here.
+        polynomial bracket of the package is built here.
         """
         nv = u[0].nvars
         out: list[dict] = [{} for _ in range(self.dim)]
@@ -354,13 +355,6 @@ class SymmetricPair:
                     for t, c in row[j]:
                         util.add_into(out[t], ab.terms, c)
         return [Poly(nv, terms) for terms in out]
-
-    def ad_poly(self, u: list[Poly]) -> list[list[Poly]]:
-        """Matrix of ad(u) for a polynomial-coefficient vector u: column j is [u, e_j]."""
-        nv = u[0].nvars
-        zero, one = Poly.zero(nv), Poly.const(nv, 1)
-        units = ([one if t == j else zero for t in range(self.dim)] for j in range(self.dim))
-        return util.mat_from_cols([self.bracket_poly(u, e) for e in units])
 
     def __repr__(self):
         return (

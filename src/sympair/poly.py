@@ -12,6 +12,7 @@ bound (`util.graded_product`).
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from fractions import Fraction
 
@@ -122,34 +123,41 @@ class Poly:
         return p
 
     def diff(self, i: int) -> "Poly":
+        return self.diff_mono(tuple(1 if t == i else 0 for t in range(self.nvars)))
+
+    def diff_mono(self, exps) -> "Poly":
+        """d^alpha in one pass: x^m -> m!/(m-alpha)! x^(m-alpha), zero unless m >= alpha."""
+        support = [(i, a) for i, a in enumerate(exps) if a]
+        if not support:
+            return self
         out: dict[tuple[int, ...], Fraction] = {}
         for m, c in self.terms.items():
-            if m[i]:
+            if all(m[i] >= a for i, a in support):
                 m2 = list(m)
-                m2[i] -= 1
-                out[tuple(m2)] = c * m[i]
+                for i, a in support:
+                    c *= math.perm(m[i], a)
+                    m2[i] -= a
+                out[tuple(m2)] = c
         p = Poly(self.nvars)
         p.terms = out
         return p
 
-    def diff_mono(self, exps) -> "Poly":
-        out = self
-        for i, k in enumerate(exps):
-            for _ in range(k):
-                if out.is_zero():
-                    return out
-                out = out.diff(i)
-        return out
+    def diff_by(self, op: "Poly") -> "Poly":
+        """The constant-coefficient operator with symbol `op`: x^alpha acts as d^alpha."""
+        out: dict[tuple[int, ...], Fraction] = {}
+        for alpha, c in op.terms.items():
+            util.add_into(out, self.diff_mono(alpha).terms, c)
+        p = Poly(self.nvars)
+        p.terms = out
+        return p
 
     def derivation(self, images: list["Poly"]) -> "Poly":
         """Image under the derivation sending variable i to images[i]."""
         out = Poly.zero(self.nvars)
-        for m, c in self.terms.items():
-            for pos in range(self.nvars):
-                if m[pos]:
-                    m2 = list(m)
-                    m2[pos] -= 1
-                    out = out + images[pos].mul(Poly.monomial(self.nvars, m2, c * m[pos]))
+        for i, image in enumerate(images):
+            d = self.diff(i)
+            if d and image:
+                out = out + image.mul(d)
         return out
 
     def degree(self) -> int:

@@ -154,13 +154,7 @@ def apply_series_operator(pair: SymmetricPair, series: TraceSeries, f: BlockPoly
     over f's block; the monomial x^alpha then acts as the derivative
     d^alpha on f.  Exact whenever the series truncation covers deg f.
     """
-    compiled = series.as_polynomial(pair, f.space)
-    out = Poly.zero(f.poly.nvars)
-    for m, c in compiled.terms.items():
-        d = f.poly.diff_mono(m)
-        if not d.is_zero():
-            out = out + d.scale(c)
-    return BlockPolynomial(pair, f.space, out)
+    return BlockPolynomial(pair, f.space, f.poly.diff_by(series.as_polynomial(pair, f.space)))
 
 
 # -- Cartan-Eilenberg complex -----------------------------------------------

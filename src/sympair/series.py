@@ -94,51 +94,38 @@ class TraceSeries(util.Series):
     def as_polynomial(self, pair: SymmetricPair, over: str) -> Poly:
         """Polynomial in the coordinates of X over the `over` block.
 
-        Every trace word is expanded on a symbolic X through exact
-        polynomial-matrix powers, then the term products are multiplied out.
+        tr_s((ad X)^k) is the sum over i in s of coordinate i of (ad X)^k e_i,
+        read off the orbit e_i, [X, e_i], [X, [X, e_i]], ... of each basis
+        vector in a block the series uses; one pass covers every power.
+        The term products are then multiplied out.
         """
         nv = len(pair.block_indices(over))
-        word_cache: dict[tuple[str, int], Poly] = {}
         sym = pair.symbolic_vector(over, nv)
-        admat = pair.ad_poly(sym)
-
-        def word_poly(space: str, power: int) -> Poly:
-            if (space, power) not in word_cache:
-                M = admat
-                for _ in range(power - 1):
-                    M = _poly_mat_mul(M, admat)
-                tr = Poly.zero(nv)
-                for i in pair.block_indices(space):
-                    tr = tr + M[i][i]
-                word_cache[(space, power)] = tr
-            return word_cache[(space, power)]
-
+        used = {word for key in self.terms for word in key}
+        top: dict[int, int] = {}
+        for space, power in used:
+            for i in pair.block_indices(space):
+                top[i] = max(top.get(i, 0), power)
+        diagonal: dict[int, list[Poly]] = {}  # i -> coordinate i of (ad X)^k e_i, k = 0, 1, ...
+        for i, k in top.items():
+            v = [Poly.const(nv, 1 if t == i else 0) for t in range(pair.dim)]
+            diagonal[i] = [v[i]]
+            for _ in range(k):
+                v = pair.bracket_poly(sym, v)
+                diagonal[i].append(v[i])
+        words = {(space, power): sum((diagonal[i][power] for i in pair.block_indices(space)), Poly.zero(nv))
+                 for space, power in used}
         out = Poly.zero(nv)
         for key, c in self.terms.items():
             term = Poly.const(nv, c)
-            for space, power in key:
-                term = term.mul(word_poly(space, power))
+            for word in key:
+                term = term.mul(words[word])
             out = out + term
         return out
 
 
 def _merge_keys(k1: tuple, k2: tuple) -> tuple:
     return tuple(sorted(k1 + k2))
-
-
-def _poly_mat_mul(A, B):
-    n = len(A)
-    nv = A[0][0].nvars
-    out = [[Poly.zero(nv) for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for t in range(n):
-            a = A[i][t]
-            if a.is_zero():
-                continue
-            for j in range(n):
-                if not B[t][j].is_zero():
-                    out[i][j] = out[i][j] + a.mul(B[t][j])
-    return out
 
 
 def log_density(kind: str, order: int) -> TraceSeries:

@@ -116,17 +116,14 @@ def star_cf(pair: SymmetricPair, f: BlockPolynomial, g: BlockPolynomial,
     if f.degree() >= 3 and g.degree() >= 3:
         warnings.warn("both degrees >= 3: product truncated at order 4", TruncationWarning)
     dp = pair.dim_p
-    sym = _bidiff_symbol(pair, lam)
+    on_g: dict[tuple[int, ...], Poly] = {}  # derivative on f -> symbol of the operator on g
+    for mono, c in _bidiff_symbol(pair, lam).terms.items():
+        on_g.setdefault(mono[:dp], Poly.zero(dp)).terms[mono[dp:]] = c
     out = Poly.zero(dp)
-    for mono, c in sym.terms.items():
-        alpha, beta_ = mono[:dp], mono[dp:]
+    for alpha, op in on_g.items():
         df = f.poly.diff_mono(alpha)
-        if df.is_zero():
-            continue
-        dg = g.poly.diff_mono(beta_)
-        if dg.is_zero():
-            continue
-        out = out + df.mul(dg).scale(c)
+        if df:
+            out = out + df.mul(g.poly.diff_by(op))
     return BlockPolynomial(pair, "p", out)
 
 

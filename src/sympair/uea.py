@@ -277,6 +277,20 @@ def project_mod_k_lambda(ctx: PBWContext, u: UEAElement, lam: Character) -> Bloc
 
 # -- transported star products ----------------------------------------------
 
+def _transport(ctx: PBWContext, series: TraceSeries, f: BlockPolynomial, g: BlockPolynomial,
+               quotient) -> BlockPolynomial:
+    """d_(series^-1) of quotient(beta(d_series f) . beta(d_series g)).
+
+    The series is compiled once over the block of f and g, its inverse once
+    over the block of the quotient.
+    """
+    pair = ctx.pair
+    op = series.as_polynomial(pair, f.space)
+    u, v = (beta(ctx, BlockPolynomial(pair, h.space, h.poly.diff_by(op))) for h in (f, g))
+    S = quotient(pbw_multiply(u, v))
+    return BlockPolynomial(pair, S.space, S.poly.diff_by(series.inverse().as_polynomial(pair, S.space)))
+
+
 def star_dk(pair: SymmetricPair, f: BlockPolynomial, g: BlockPolynomial,
             ctx: PBWContext | None = None) -> BlockPolynomial:
     """Duflo-Kontsevich product on S(g), transported from U(g).
@@ -287,10 +301,7 @@ def star_dk(pair: SymmetricPair, f: BlockPolynomial, g: BlockPolynomial,
     ctx = ctx or PBWContext(pair)
     f, g = f.to_g(), g.to_g()
     qh = density_series("q_half", 2 * ((f.degree() + g.degree() + 1) // 2))
-    u = beta(ctx, apply_series_operator(pair, qh, f))
-    v = beta(ctx, apply_series_operator(pair, qh, g))
-    prod = beta_inverse(ctx, pbw_multiply(u, v))
-    return apply_series_operator(pair, qh.inverse(), prod)
+    return _transport(ctx, qh, f, g, lambda w: beta_inverse(ctx, w))
 
 
 def rouviere_sharp(pair: SymmetricPair, P: BlockPolynomial, Q: BlockPolynomial,
@@ -307,10 +318,7 @@ def rouviere_sharp(pair: SymmetricPair, P: BlockPolynomial, Q: BlockPolynomial,
     require_invariant(pair, P, "P")
     require_invariant(pair, Q, "Q")
     Jh = density_series("J_half", 2 * ((P.degree() + Q.degree() + 1) // 2))
-    u = beta(ctx, apply_series_operator(pair, Jh, P).to_g())
-    v = beta(ctx, apply_series_operator(pair, Jh, Q).to_g())
-    S = project_mod_k_lambda(ctx, pbw_multiply(u, v), lam.scale(-1))
-    return apply_series_operator(pair, Jh.inverse(), S)
+    return _transport(ctx, Jh, P, Q, lambda w: project_mod_k_lambda(ctx, w, lam.scale(-1)))
 
 
 # -- Duflo relation on filtered subspaces -------------------------------------
@@ -347,7 +355,7 @@ def invariant_uea_subspace(pair: SymmetricPair, ctx: PBWContext, degree: int):
 
 def duflo_relation_check(pair: SymmetricPair, lam: Character, degree: int,
                          ctx: PBWContext | None = None) -> bool:
-    """Exact test of k^(-lam).U âˆ© U^k == U^k âˆ© U.k^(-lam + tr_k) at a degree."""
+    """Exact test of k^(-lam).U ∩ U^k == U^k ∩ U.k^(-lam + tr_k) at a degree."""
     if degree < 0:
         raise ValueError("degree must be >= 0")
     ctx = ctx or PBWContext(pair)

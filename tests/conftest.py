@@ -398,12 +398,11 @@ def weight_mc_dense(g, samples, seed):
     total = 0.0
     total_sq = 0.0
     done = 0
-    n_uniform = 2 * g.n + max(0, g.m - 2) + (1 if theta_vertex is not None else 0)
     for chunk_id in range(n_chunks):
         count = min(_CHUNK, samples - done)
         rng = np.random.default_rng(streams[chunk_id])
-        u = rng.random((count, n_uniform))
-        ucol = iter(range(n_uniform))
+        u = rng.random((count, dim))
+        ucol = iter(range(dim))
 
         xs = np.zeros((count, g.n + g.m))
         ys = np.zeros((count, g.n + g.m))

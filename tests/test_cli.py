@@ -367,6 +367,8 @@ MALFORMED = [
     pytest.param(["star-dk", "--p", "a", "--q", "b"], _fixture("sl2.json", definitions={"a": {"H^-1": 1}, "b": {"H": 1}}),
                  None, "definition 'a' in algebra file, monomial 'H^-1': exponent '-1' is not a non-negative integer",
                  id="monomial-exponent-negative"),
+    pytest.param(["star-dk", "--p", "a", "--q", "b"], _fixture("sl2.json", definitions={"a": {"Q^2": 1}, "b": {"H": 1}}),
+                 None, "definition 'a' in algebra file, monomial 'Q^2': unknown symbol 'Q'", id="monomial-unknown-symbol"),
 ]
 
 

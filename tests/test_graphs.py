@@ -428,7 +428,10 @@ def test_weight_kernel_matches_dense_reference():
     from conftest import weight_mc_dense
     files, top, dim5 = kernel_corpus()
     assert len(files) == 3 and len(top) == 21
-    for g in files + top + [dim5]:
+    # the m = 1 gauge (a point on the unit circle) and the m = 0 gauge (a point pinned at i)
+    m1 = ColoredGraph(2, 1, [(0, 1, "-"), (0, 2, "+"), (1, 2, "+"), (1, "inf", "-")])
+    m0 = ColoredGraph(2, 0, [(0, 1, "+"), (1, 0, "+")])
+    for g in files + top + [dim5, m1, m0]:
         for seed in (1, 77):
             est = weight_mc(g, 32768, seed)
             ref = weight_mc_dense(g, 32768, seed)

@@ -21,7 +21,7 @@ from sympair.starprod import (
     wheel_factor_A,
     wheel_factor_B,
 )
-from sympair.uea import PBWContext, beta, pbw_multiply, project_mod_k_lambda, rouviere_sharp
+from sympair.uea import PBWContext, beta, pbw_multiply, project_mod_k_lambda, rouviere_sharp, star_dk
 
 from conftest import coadjoint_orbit_point, ln_e_symbol_reference, random_block_poly, random_p_vector, sl_so_pair
 
@@ -293,8 +293,13 @@ def test_exp_coord_at_origin_beyond_order_eight(sl2_pair, omega):
     assert at == omega.poly
 
 
-def test_exp_coord_compiles_two_series(sl2_pair, omega, monkeypatch):
-    """J^(1/2) and its inverse are each compiled once per call."""
+@pytest.mark.parametrize("call", [
+    lambda pair, omega: exp_coord_operator(pair, omega, 5),
+    lambda pair, omega: rouviere_sharp(pair, omega, omega),
+    lambda pair, omega: star_dk(pair, omega, omega),
+], ids=["exp_coord_operator", "rouviere_sharp", "star_dk"])
+def test_exp_coord_compiles_two_series(sl2_pair, omega, monkeypatch, call):
+    """A density series and its inverse are each compiled once per call."""
     compiled = []
     original = TraceSeries.as_polynomial
 
@@ -303,7 +308,7 @@ def test_exp_coord_compiles_two_series(sl2_pair, omega, monkeypatch):
         return original(series, pair, over)
 
     monkeypatch.setattr(TraceSeries, "as_polynomial", counting)
-    exp_coord_operator(sl2_pair, omega, 5)
+    call(sl2_pair, omega)
     assert len(compiled) == 2 and compiled[0] != compiled[1]
 
 
