@@ -10,7 +10,9 @@ Both series types are `util.Series` graded by word length; that base
 class supplies their sums, scaling, homogeneous parts and equality.  A
 product buckets both factors by length and only multiplies buckets whose
 lengths add up to at most the order (`util.graded_product`), so no word
-beyond the order is formed; exp and log are built from that product.
+beyond the order is formed; exp and log sum the weighted powers of the
+series as each is formed (`util.power_sum`).  Both kernels run on integer
+numerators over a common denominator and return Fraction coefficients.
 Lie coordinates are peeled one degree at a time in place, by the
 degree-n expansion of each Lyndon bracketing.  The factorization
 e^X e^Y = e^P e^K is incremental: degree n of P or K only needs
@@ -51,22 +53,12 @@ class FreeAssocSeries(util.Series):
     def exp(self):
         if self.constant() != 0:
             raise ValueError("exp needs zero constant term")
-        return util.exp(self, FreeAssocSeries.unit(self.order), FreeAssocSeries.__mul__)
+        return FreeAssocSeries._of(self.order, util.exp(self.terms, (), len, self.order, operator.add))
 
     def log(self):
         if self.constant() != 1:
             raise ValueError("log needs constant term 1")
-        return util.log(self, FreeAssocSeries.unit(self.order), FreeAssocSeries.__mul__)
-
-    def substitute_letter(self, i: int, series: "FreeAssocSeries"):
-        """Replace letter i by an associative series (e.g. zero or 2*letter)."""
-        out = FreeAssocSeries(self.order)
-        for w, c in self.terms.items():
-            term = FreeAssocSeries.unit(self.order, c)
-            for a in w:
-                term = term * (series if a == i else FreeAssocSeries.letter(self.order, a))
-            out = out + term
-        return out
+        return FreeAssocSeries._of(self.order, util.log(self.terms, (), len, self.order, operator.add))
 
 
 # -- Lyndon machinery -------------------------------------------------------

@@ -18,8 +18,6 @@ import itertools
 import math
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import (
     CapExceeded,
     CoincidentPoints,
@@ -359,6 +357,8 @@ def weight_mc(g: ColoredGraph, samples: int, seed: int) -> WeightEstimate:
     integrand is not finite (coincident points) are counted in `nonfinite`
     and left out of the mean and the standard error.
     """
+    import numpy as np
+
     if samples < 1:
         raise SympairError(f"samples must be >= 1, got {samples}")
     if g.palette != "two_color":
@@ -416,6 +416,8 @@ def _place_vertices(g: ColoredGraph, ucols, theta_vertex, fixed_aerial):
     the order of `_gauge_plan`.  Pinned coordinates stay Python floats and
     broadcast against the sampled arrays.
     """
+    import numpy as np
+
     xs = [0.0] * (g.n + g.m)
     ys = [0.0] * (g.n + g.m)
     jac = 1.0  # becomes an array at the first sampled factor, then updates in place
@@ -502,6 +504,8 @@ def _laplace(entries, dim: int, mask: int, memo: dict):
 
 def _lu_det(entries, dim: int, count: int):
     """Batched LU determinant of the dense matrix, for dim > _LAPLACE_MAX_DIM."""
+    import numpy as np
+
     M = np.zeros((count, dim, dim))
     for (row, col), vals in entries.items():
         M[:, row, col] = vals

@@ -6,7 +6,9 @@ and arithmetic simple.  Rings have up to a few dozen variables (sl(4)/so(4)
 has dimension 15 and dim p = 9, and the exponential-coordinate symbols use
 three copies of p) and degrees stay small, so dense exponents cost little.
 A product truncated by total degree never forms a monomial above the
-bound (`util.graded_product`).
+bound (`util.graded_product`); it and `poly_exp` (`util.exp`) multiply
+integer numerators over a common denominator and return Fractions.
+Sums, substitution and derivatives stay on Fraction.
 """
 
 from __future__ import annotations
@@ -237,7 +239,9 @@ def poly_exp(a: Poly, max_degree: int) -> Poly:
     """exp of a polynomial with zero constant term, truncated by total degree."""
     if a.constant() != 0:
         raise ValueError("poly_exp needs a zero constant term")
-    return util.exp(a, Poly.const(a.nvars, 1), lambda u, v: u.mul(v, max_degree)).truncate(max_degree)
+    p = Poly(a.nvars)
+    p.terms = util.exp(a.terms, (0,) * a.nvars, sum, max_degree, _mono_mul)
+    return p
 
 
 def monomials_of_degree(nvars: int, d: int):

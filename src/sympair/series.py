@@ -74,12 +74,12 @@ class TraceSeries(util.Series):
     def exp(self) -> "TraceSeries":
         if self.terms.get((), Fraction(0)) != 0:
             raise ValueError("exp needs zero constant term")
-        return util.exp(self, TraceSeries.constant(self.order, 1), TraceSeries.__mul__)
+        return TraceSeries._of(self.order, util.exp(self.terms, (), self.degree, self.order, _merge_keys))
 
     def log(self) -> "TraceSeries":
         if self.terms.get((), Fraction(0)) != 1:
             raise ValueError("log needs constant term 1")
-        return util.log(self, TraceSeries.constant(self.order, 1), TraceSeries.__mul__)
+        return TraceSeries._of(self.order, util.log(self.terms, (), self.degree, self.order, _merge_keys))
 
     def inverse(self) -> "TraceSeries":
         """Multiplicative inverse of a series with constant term 1."""

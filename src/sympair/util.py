@@ -5,10 +5,17 @@ of `Series`, the graded truncated product, exponential and logarithm.
 Matrices are lists of lists of Fraction; vectors are tuples of Fraction.
 Sizes in this package stay small (dimension <= ~40), so plain Gaussian
 elimination over Fraction is both exact and fast enough.
+
+The two series kernels, `graded_product` and `power_sum` (behind `exp`
+and `log`), take and return {key: Fraction} dicts but compute on integer
+numerators over one common denominator: a Fraction multiply-add costs
+two gcds and an allocation, an integer one neither.  Each output
+coefficient is divided once.  `add_into` stays on Fraction.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 Vec = tuple[Fraction, ...]
@@ -260,6 +267,39 @@ def add_into(out: dict, terms: dict, c=None) -> dict:
     return out
 
 
+def _graded_numerators(terms: dict, degree) -> tuple[dict, int]:
+    """`by_degree` of `terms` with integer coefficients over their common denominator d: (groups, d).
+
+    One pass instead of a numerator dict handed to `by_degree`: most
+    products of the package have a one-term factor, where that pass costs
+    as much as the multiplication.
+    """
+    d = math.lcm(*[c.denominator for c in terms.values()])
+    out: dict = {}
+    for key, c in terms.items():
+        n = c.numerator if d == 1 else c.numerator * (d // c.denominator)
+        g = degree(key)
+        if g in out:
+            out[g].append((key, n))
+        else:
+            out[g] = [(key, n)]
+    return out, d
+
+
+def _graded_ints(lefts: dict, rights: dict, order, combine) -> dict:
+    """The truncated product of two `by_degree` groupings of {key: int};
+    keys whose sum cancels stay, at 0."""
+    out: dict = {}
+    get = out.get
+    for d1, terms in lefts.items():
+        kept = [t for d2, ts in rights.items() if order is None or d1 + d2 <= order for t in ts]
+        for k1, c1 in terms:
+            for k2, c2 in kept:
+                k = combine(k1, k2)
+                out[k] = get(k, 0) + c1 * c2
+    return out
+
+
 def graded_product(left: dict, right: dict, degree, order, combine) -> dict:
     """The truncated product of two {key: coeff} dicts, zero coefficients dropped.
 
@@ -267,17 +307,20 @@ def graded_product(left: dict, right: dict, degree, order, combine) -> dict:
     degree is degree(k1) + degree(k2).  Terms are bucketed by degree and
     only bucket pairs whose degrees add up to at most `order` (None: no
     bound) are visited, so no key is built that the truncation drops.
+    Each factor is scaled to integers by its common denominator, the
+    products are summed as integers, and every key is divided once.
     """
-    rights = by_degree(right, degree)
-    out: dict = {}
-    for d1, terms in by_degree(left, degree).items():
-        kept = [t for d2, ts in rights.items() if order is None or d1 + d2 <= order for t in ts]
-        for k1, c1 in terms:
-            for k2, c2 in kept:
-                k = combine(k1, k2)
-                s = out.get(k)
-                out[k] = c1 * c2 if s is None else s + c1 * c2
-    return {k: c for k, c in out.items() if c}
+    lefts, dl = _graded_numerators(left, degree)
+    rights, dr = _graded_numerators(right, degree)
+    return _fractions(_graded_ints(lefts, rights, order, combine), dl * dr)
+
+
+def _fractions(numerators: dict, d: int) -> dict:
+    """{key: n / d} for the nonzero n; d == 1, the usual case over integer
+    structure constants, takes Fraction's cheaper one-argument form."""
+    if d == 1:
+        return {k: Fraction(n) for k, n in numerators.items() if n}
+    return {k: Fraction(n, d) for k, n in numerators.items() if n}
 
 
 # -- truncated series -------------------------------------------------------
@@ -344,31 +387,51 @@ class Series:
 
 
 # -- truncated exp and log --------------------------------------------------
-#
-# Elements need +, -, scale(c) and is_zero(); `mul` must truncate, so that
-# the powers of an element without constant term eventually vanish.
 
-def exp(x, one, mul):
-    """sum_k x^k / k! for x without constant term."""
-    out = term = one
-    k = 1
-    while True:
-        term = mul(term, x).scale(Fraction(1, k))
-        if term.is_zero():
-            return out
-        out = out + term
-        k += 1
+def power_sum(u: dict, weight, unit, degree, order: int, combine) -> dict:
+    """sum_k weight(k) u^k truncated at `order`, for u without terms of degree 0.
+
+    u^0 is {unit: 1} and u^k is the graded product u^(k-1) u.  The powers
+    are integer dicts over d^k, d the common denominator of u, and each
+    is added into the sum as soon as it is formed: the sum is an integer
+    dict over L d^K, where k <= K = order // (lowest degree in u) and L is
+    the common denominator of the weights (Fractions).  A key whose
+    partial sum cancels is dropped by `add_into`.
+    """
+    if order < 0:
+        return {}
+    low = min(map(degree, u), default=order + 1)
+    if low < 1:
+        raise ValueError("power_sum needs terms of positive degree")
+    top = order // low
+    weights = [weight(k) for k in range(top + 1)]
+    L = math.lcm(*[w.denominator for w in weights])
+    rights, d = _graded_numerators(u, degree)
+    total: dict = {}
+    power = {unit: 1}
+    for k, w in enumerate(weights):
+        if k:
+            power = {key: n for key, n in _graded_ints(by_degree(power, degree), rights, order, combine).items() if n}
+            if not power:
+                break
+        if w:
+            add_into(total, power, w.numerator * (L // w.denominator) * d ** (top - k))
+    return _fractions(total, L * d ** top)
 
 
-def log(x, one, mul):
-    """sum_k (-1)^(k+1) u^k / k with u = x - one, for x with constant term 1."""
-    u = x - one
-    out = one.scale(0)
-    power = one
-    k = 1
-    while True:
-        power = mul(power, u)
-        if power.is_zero():
-            return out
-        out = out + power.scale(Fraction((-1) ** (k + 1), k))
-        k += 1
+def _exp_weight(k: int) -> Fraction:
+    return Fraction(1, math.factorial(k))
+
+
+def _log_weight(k: int) -> Fraction:
+    return Fraction((-1) ** (k + 1), k) if k else Fraction(0)
+
+
+def exp(x: dict, unit, degree, order: int, combine) -> dict:
+    """sum_k x^k / k! for x without constant term (`power_sum`)."""
+    return power_sum(x, _exp_weight, unit, degree, order, combine)
+
+
+def log(x: dict, unit, degree, order: int, combine) -> dict:
+    """sum_k (-1)^(k+1) u^k / k with u = x - 1, for x with constant term 1 (`power_sum`)."""
+    return power_sum({k: c for k, c in x.items() if k != unit}, _log_weight, unit, degree, order, combine)

@@ -202,6 +202,61 @@ def random_p_vector(pair, rng, bound=3):
 
 # -- reference oracles: independent routes the library is checked against ----
 
+def graded_product_reference(left: dict, right: dict, degree, order, combine) -> dict:
+    """`util.graded_product` as one Fraction multiply-add per pair of terms."""
+    rights = util.by_degree(right, degree)
+    out: dict = {}
+    for d1, terms in util.by_degree(left, degree).items():
+        kept = [t for d2, ts in rights.items() if order is None or d1 + d2 <= order for t in ts]
+        for k1, c1 in terms:
+            for k2, c2 in kept:
+                k = combine(k1, k2)
+                s = out.get(k)
+                out[k] = c1 * c2 if s is None else s + c1 * c2
+    return {k: c for k, c in out.items() if c}
+
+
+# Truncated exp and log by callbacks: elements need +, -, scale(c) and
+# is_zero(); `mul` must truncate, so that the powers of an element without
+# constant term eventually vanish.
+
+def exp_reference(x, one, mul):
+    """sum_k x^k / k! for x without constant term."""
+    out = term = one
+    k = 1
+    while True:
+        term = mul(term, x).scale(Fraction(1, k))
+        if term.is_zero():
+            return out
+        out = out + term
+        k += 1
+
+
+def log_reference(x, one, mul):
+    """sum_k (-1)^(k+1) u^k / k with u = x - one, for x with constant term 1."""
+    u = x - one
+    out = one.scale(0)
+    power = one
+    k = 1
+    while True:
+        power = mul(power, u)
+        if power.is_zero():
+            return out
+        out = out + power.scale(Fraction((-1) ** (k + 1), k))
+        k += 1
+
+
+def substitute_letter(series: FreeAssocSeries, i: int, image: FreeAssocSeries) -> FreeAssocSeries:
+    """Replace letter i of an associative series by `image` (e.g. zero or 2*letter)."""
+    out = FreeAssocSeries(series.order)
+    for w, c in series.terms.items():
+        term = FreeAssocSeries.unit(series.order, c)
+        for a in w:
+            term = term * (image if a == i else FreeAssocSeries.letter(series.order, a))
+        out = out + term
+    return out
+
+
 def straighten_random(ctx, word, rng):
     """Straighten by resolving a random inversion at each step (no memo)."""
     invs = [i for i in range(len(word) - 1) if word[i] > word[i + 1]]

@@ -1,7 +1,11 @@
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -474,3 +478,12 @@ def test_weight_counts_nonfinite_samples(monkeypatch):
     assert est.nonfinite == 1
     assert math.isfinite(est.value) and math.isfinite(est.std_error)
     assert abs(est.value - 0.5) < 5 * est.std_error
+
+
+def test_import_does_not_load_numpy():
+    """numpy loads with the first Monte-Carlo call, not with `import sympair`."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = "import sys, sympair; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -1,0 +1,162 @@
+"""The exact series kernels against the Fraction loops they replace.
+
+`util.graded_product`, `util.exp` and `util.log` work on integer
+numerators over a common denominator.  They must return the coefficients
+of `graded_product_reference`, `exp_reference` and `log_reference`
+(conftest), in the same key order, on the three key types of the package:
+words (free associative series), trace keys (`TraceSeries`) and monomials
+(`Poly`).
+"""
+
+import operator
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sympair import util
+from sympair.poly import _mono_mul
+from sympair.series import TraceSeries, _merge_keys
+
+from conftest import exp_reference, graded_product_reference, log_reference
+
+PROPERTY = settings(max_examples=80, deadline=None, derandomize=True, database=None)
+
+#: name -> (key strategy, degree, combine, unit)
+KINDS = {
+    "words": (st.lists(st.integers(0, 1), max_size=4).map(tuple), len, operator.add, ()),
+    "trace": (st.lists(st.tuples(st.sampled_from("pkg"), st.integers(1, 4)), max_size=3).map(lambda k: tuple(sorted(k))),
+              TraceSeries.degree, _merge_keys, ()),
+    "monomials": (st.tuples(st.integers(0, 3), st.integers(0, 3)), sum, _mono_mul, (0, 0)),
+}
+
+#: small coefficients make cancellations likely; coprime and large denominators stress the scaling
+COEFFS = st.one_of(
+    st.sampled_from([Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-1, 2), Fraction(2)]),
+    st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6).filter(bool), st.sampled_from([3, 7, 11, 13, 101, 2 ** 31 - 1])),
+    st.builds(Fraction, st.integers(-10 ** 18, 10 ** 18).filter(bool), st.integers(1, 10 ** 15)),
+)
+
+ORDERS = st.integers(0, 6)
+
+
+class Element:
+    """A {key: Fraction} dict with the operations the reference loops use."""
+
+    def __init__(self, terms: dict):
+        self.terms = terms
+
+    def __add__(self, other):
+        return Element(util.add_into(dict(self.terms), other.terms))
+
+    def __sub__(self, other):
+        return self + other.scale(-1)
+
+    def scale(self, c):
+        return Element({k: c * v for k, v in self.terms.items()} if c else {})
+
+    def is_zero(self):
+        return not self.terms
+
+
+def terms(kind, positive=False):
+    keys, degree, _, _ = KINDS[kind]
+    if positive:
+        keys = keys.filter(lambda k: degree(k) > 0)
+    return st.dictionaries(keys, COEFFS, max_size=5)
+
+
+def reference_exp_log(kind, order):
+    """(exp, log) by the reference loops, on dicts."""
+    _, degree, combine, unit = KINDS[kind]
+    one = Element({unit: Fraction(1)})
+
+    def mul(a, b):
+        return Element(graded_product_reference(a.terms, b.terms, degree, order, combine))
+
+    return (lambda x: exp_reference(Element(x), one, mul).terms,
+            lambda x: log_reference(Element(x), one, mul).terms)
+
+
+def same(out: dict, expected: dict) -> bool:
+    """Equal coefficients in equal key order, every one a nonzero Fraction."""
+    return list(out.items()) == list(expected.items()) and all(type(c) is Fraction and c for c in out.values())
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@PROPERTY
+@given(data=st.data())
+def test_graded_product_matches_reference(kind, data):
+    _, degree, combine, _ = KINDS[kind]
+    left, right = data.draw(terms(kind)), data.draw(terms(kind))
+    order = data.draw(st.none() | ORDERS)
+    expected = graded_product_reference(left, right, degree, order, combine)
+    assert same(util.graded_product(left, right, degree, order, combine), expected)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@PROPERTY
+@given(data=st.data())
+def test_exp_matches_reference(kind, data):
+    _, degree, combine, unit = KINDS[kind]
+    x, order = data.draw(terms(kind, positive=True)), data.draw(ORDERS)
+    exp, _ = reference_exp_log(kind, order)
+    assert same(util.exp(x, unit, degree, order, combine), exp(x))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@PROPERTY
+@given(data=st.data())
+def test_log_matches_reference(kind, data):
+    _, degree, combine, unit = KINDS[kind]
+    u, order = data.draw(terms(kind, positive=True)), data.draw(ORDERS)
+    x = {unit: Fraction(1), **u} if data.draw(st.booleans()) else {**u, unit: Fraction(1)}
+    _, log = reference_exp_log(kind, order)
+    assert same(util.log(x, unit, degree, order, combine), log(x))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_empty_factors_and_order_zero(kind):
+    _, degree, combine, unit = KINDS[kind]
+    x = {unit: Fraction(3, 7)}
+    for order in (None, 0, 3):
+        assert util.graded_product({}, x, degree, order, combine) == {}
+        assert util.graded_product(x, {}, degree, order, combine) == {}
+    assert util.graded_product(x, x, degree, 0, combine) == {unit: Fraction(9, 49)}
+    assert util.exp({}, unit, degree, 4, combine) == {unit: 1}
+    assert util.log({unit: Fraction(1)}, unit, degree, 4, combine) == {}
+
+
+def test_cancelled_keys_are_dropped():
+    # (x + y)(x - y) = x^2 - y^2: the two xy products cancel
+    left = {(1, 0): Fraction(1, 3), (0, 1): Fraction(1, 5)}
+    right = {(1, 0): Fraction(1, 3), (0, 1): Fraction(-1, 5)}
+    assert util.graded_product(left, right, sum, None, _mono_mul) == {(2, 0): Fraction(1, 9), (0, 2): Fraction(-1, 25)}
+    # log(exp(u)) = u: every power of u above the first cancels
+    for kind, u in (("words", {(0,): Fraction(2, 3), (1, 0): Fraction(-5, 7)}),
+                    ("trace", {(("p", 2),): Fraction(1, 12), (("g", 4),): Fraction(-1, 2 ** 31 - 1)}),
+                    ("monomials", {(1, 0): Fraction(1, 3), (0, 2): Fraction(-7, 10 ** 12 + 39)})):
+        _, degree, combine, unit = KINDS[kind]
+        e = util.exp(u, unit, degree, 6, combine)
+        assert same(util.log(e, unit, degree, 6, combine), u)
+
+
+@pytest.mark.parametrize("u", [
+    # x^3 cancels in the partial sum through u^2 and comes back with u^3
+    {(1, 0): Fraction(1), (2, 0): Fraction(1), (3, 0): Fraction(-1)},
+    # x^2 y cancels inside u^2, which then multiplies into u^3
+    {(1, 0): Fraction(1), (0, 1): Fraction(-1), (2, 0): Fraction(1), (1, 1): Fraction(1)},
+], ids=["in-sum", "in-power"])
+def test_key_order_after_cancellation(u):
+    """A cancelled key leaves the sum and re-enters at its end, as in the reference loops."""
+    _, degree, combine, unit = KINDS["monomials"]
+    exp, log = reference_exp_log("monomials", 6)
+    assert same(util.exp(u, unit, degree, 6, combine), exp(u))
+    x = {unit: Fraction(1), **u}
+    assert same(util.log(x, unit, degree, 6, combine), log(x))
+
+
+def test_power_sum_needs_positive_degrees():
+    with pytest.raises(ValueError):
+        util.exp({(("p", 0),): Fraction(1)}, (), TraceSeries.degree, 4, _merge_keys)
