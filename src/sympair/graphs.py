@@ -241,71 +241,80 @@ def enumerate_graphs(n: int, m: int, out_degrees, palette: str = "two_color",
 
 
 # -- angle functions ----------------------------------------------------------
+#
+# An edge's angle is a signed sum of arg w over the factors w = p - q and
+# p - conj(q), joined by p + conj(q) and p + q in the four-color palette.
+# The factors come in halves that share their real part a = xp -+ xq; the
+# imaginary parts are b1 = yp - yq and b2 = yp + yq, so a half needs the
+# two reciprocals u = 1/(a^2 + b1^2) and v = 1/(a^2 + b2^2), and v = u
+# exactly when an endpoint is on the real axis (then b1 = +-b2).
 
-#: (eps_x, eps_y) encoding of the four arg factors: w = (xp + eps_x xq) + i (yp + eps_y yq)
-_ARG_FACTORS = {
-    "p-q": (-1.0, -1.0),
-    "p-qbar": (-1.0, 1.0),
-    "p+qbar": (1.0, -1.0),
-    "p+q": (1.0, 1.0),
-}
+
+def _on_axis(y) -> bool:
+    """Whether a height is a pinned ground height (a scalar zero)."""
+    return isinstance(y, float) and y == 0.0
 
 
-def _arg_terms(color: str, palette: str):
-    if palette == "two_color":
-        if color == "+":
-            return [(1.0, "p-q"), (1.0, "p-qbar")]
-        if color == "-":
-            return [(1.0, "p-q"), (-1.0, "p-qbar")]
-        raise ValueError(color)
-    e1 = 1.0 if color[0] == "+" else -1.0
-    e2 = 1.0 if color[1] == "+" else -1.0
-    return [(1.0, "p-q"), (e1, "p-qbar"), (e2, "p+qbar"), (e1 * e2, "p+q")]
+def _reciprocals(a, b1, b2, on_axis: bool):
+    """u = 1/(a^2 + b1^2) and v = 1/(a^2 + b2^2), with v = u on the axis."""
+    aa = a * a
+    u = 1.0 / (aa + b1 * b1)
+    return u, (u if on_axis else 1.0 / (aa + b2 * b2))
+
+
+def _half_terms(a, b1, b2, u, v, color: str):
+    """(P, Q, R) of d[arg(a + i b1) +- arg(a + i b2)], the sign being the color's.
+
+    From d arg(w) = (a db - b da)/|w|^2: P = u b1 +- v b2, Q = a (u +- v)
+    and R = a (+-v - u), so with a = xp + e xq the half's one-form is
+    -P dxp + Q dyp - e P dxq + R dyq.  This is the one coefficient routine
+    of `angle` and the Monte-Carlo kernel; inputs are numpy arrays or floats.
+    """
+    if color[0] == "+":
+        return u * b1 + v * b2, a * (u + v), a * (v - u)
+    return u * b1 - v * b2, a * (u - v), -a * (u + v)
 
 
 def angle(p: complex, q: complex, color: str, palette: str = "two_color"):
     """Angle value and analytic one-form coefficients for one colored edge.
 
     Returns (value, coeffs) with coeffs = [d/dRe p, d/dIm p, d/dRe q, d/dIm q].
-    The value is a sum of atan2 branches (well defined modulo 2 pi); the
-    coefficients are the Monte-Carlo kernel's, `_angle_coeffs_arrays`.
+    The value is a sum of atan2 branches (well defined modulo 2 pi).  The
+    coefficients are summed over the halves by `_half_terms`, as in the
+    Monte-Carlo kernel; in the four-color palette the half p + conj(q),
+    p + q carries the color's second sign.
     """
     if p == q:
         raise CoincidentPoints("p == q")
-    value = 0.0
+    if palette == "two_color" and color not in TWO_COLOR:
+        raise ValueError(color)
     xp, yp, xq, yq = p.real, p.imag, q.real, q.imag
-    for sign, key in _arg_terms(color, palette):
-        ex, ey = _ARG_FACTORS[key]
-        a = xp + ex * xq
-        b = yp + ey * yq
-        if a * a + b * b == 0.0:
-            raise CoincidentPoints(f"factor {key} degenerates")
-        value += sign * math.atan2(b, a)
-    return value, _angle_coeffs_arrays(xp, yp, xq, yq, color, palette)
-
-
-def _angle_coeffs_arrays(xp, yp, xq, yq, color, palette):
-    """One-form coefficients from d arg(w) = (x dy - y dx)/|w|^2, term by term.
-
-    Inputs are numpy arrays or floats.
-    """
-    c = [0.0, 0.0, 0.0, 0.0]
-    for sign, key in _arg_terms(color, palette):
-        ex, ey = _ARG_FACTORS[key]
-        a = xp + ex * xq
-        b = yp + ey * yq
-        s = sign / (a * a + b * b)
-        sa, sb = s * a, s * b
-        c[0] = c[0] - sb
-        c[1] = c[1] + sa
-        c[2] = c[2] - ex * sb
-        c[3] = c[3] + ey * sa
-    return c
+    b1, b2 = yp - yq, yp + yq
+    e1 = 1.0 if color[0] == "+" else -1.0
+    halves = [(-1.0, 1.0, ("p-q", "p-qbar"))]
+    if palette != "two_color":
+        halves.append((1.0, 1.0 if color[1] == "+" else -1.0, ("p+qbar", "p+q")))
+    value = 0.0
+    coeffs = [0.0, 0.0, 0.0, 0.0]
+    for e, weight, keys in halves:
+        a = xp + e * xq
+        for key, b in zip(keys, (b1, b2)):
+            if a * a + b * b == 0.0:
+                raise CoincidentPoints(f"factor {key} degenerates")
+        value += weight * (math.atan2(b1, a) + e1 * math.atan2(b2, a))
+        P, Q, R = _half_terms(a, b1, b2, *_reciprocals(a, b1, b2, _on_axis(yp) or _on_axis(yq)), color)
+        for t, term in enumerate((-P, Q, -e * P, R)):
+            coeffs[t] += weight * term
+    return value, coeffs
 
 
 # -- Monte-Carlo weights -------------------------------------------------------
 
 _CHUNK = 1 << 15
+#: a chunk's uniforms are drawn and integrated in blocks of this many
+#: samples, whose temporaries stay in cache; successive draws from the
+#: chunk's generator give exactly the chunk's stream
+_BLOCK = 1 << 12
 #: largest top-form dimension (2n edges) for graphs of at most WEIGHT_CAP
 #: aerial vertices of out-degree 2; the Laplace kernel covers these dimensions
 _LAPLACE_MAX_DIM = 2 * WEIGHT_CAP
@@ -355,12 +364,15 @@ def weight_mc(g: ColoredGraph, samples: int, seed: int) -> WeightEstimate:
     determinant of the edge-form coefficients against the free coordinates,
     times the Jacobian of the map from the unit cube.  Samples whose
     integrand is not finite (coincident points) are counted in `nonfinite`
-    and left out of the mean and the standard error.
+    and left out of the mean and the standard error.  Chunk t of `_CHUNK`
+    samples draws from the t-th stream spawned from `seed`, block by block.
     """
     import numpy as np
 
     if samples < 1:
         raise SympairError(f"samples must be >= 1, got {samples}")
+    if seed < 0:
+        raise SympairError(f"seed must be >= 0, got {seed}")
     if g.palette != "two_color":
         raise UnsupportedPalette("weights are integrated for the two-color palette")
     if g.n > WEIGHT_CAP:
@@ -378,27 +390,29 @@ def weight_mc(g: ColoredGraph, samples: int, seed: int) -> WeightEstimate:
     total = 0.0
     total_sq = 0.0
     nonfinite = 0
-    done = 0
-    for chunk_id in range(n_chunks):
-        count = min(_CHUNK, samples - done)
-        rng = np.random.default_rng(streams[chunk_id])
-        ucols = iter(np.ascontiguousarray(rng.random((count, dim)).T))
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            xs, ys, jac = _place_vertices(g, ucols, theta_vertex, fixed_aerial)
-            entries = _matrix_entries(g, edges, col_index, xs, ys, theta_vertex)
-            if dim <= _LAPLACE_MAX_DIM:
-                dets = _laplace(entries, dim, 0, {})
-            else:
-                dets = _lu_det(entries, dim, count)
-            vals = np.zeros(count) if dets is None else dets * jac
-        finite = np.isfinite(vals)
-        bad = count - int(np.count_nonzero(finite))
-        if bad:
-            nonfinite += bad
-            vals = vals[finite]
-        total += float(vals.sum())
-        total_sq += float((vals * vals).sum())
-        done += count
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for chunk_id in range(n_chunks):
+            rng = np.random.default_rng(streams[chunk_id])
+            chunk = min(_CHUNK, samples - chunk_id * _CHUNK)
+            for start in range(0, chunk, _BLOCK):
+                count = min(_BLOCK, chunk - start)
+                ucols = iter(np.ascontiguousarray(rng.random((count, dim)).T))
+                xs, ys, jac = _place_vertices(g, ucols, theta_vertex, fixed_aerial)
+                entries = _matrix_entries(g, edges, col_index, xs, ys, theta_vertex)
+                if dim <= _LAPLACE_MAX_DIM:
+                    dets = _laplace(entries, dim, 0, {})
+                else:
+                    dets = _lu_det(entries, dim, count)
+                if dets is None:
+                    continue  # structurally zero: every sample adds 0
+                vals = dets * jac
+                finite = np.isfinite(vals)
+                bad = count - int(np.count_nonzero(finite))
+                if bad:
+                    nonfinite += bad
+                    vals = vals[finite]
+                total += float(vals.sum())
+                total_sq += float((vals * vals).sum())
 
     norm = _ORIENT / (2.0 * math.pi) ** len(edges)
     used = samples - nonfinite
@@ -410,11 +424,12 @@ def weight_mc(g: ColoredGraph, samples: int, seed: int) -> WeightEstimate:
 
 
 def _place_vertices(g: ColoredGraph, ucols, theta_vertex, fixed_aerial):
-    """Vertex coordinates and Jacobian for one chunk of uniforms.
+    """Vertex coordinates and Jacobian for one block of uniforms.
 
-    `ucols` yields one contiguous column of uniforms per free coordinate, in
-    the order of `_gauge_plan`.  Pinned coordinates stay Python floats and
-    broadcast against the sampled arrays.
+    `ucols` yields one contiguous column of the block's uniforms per free
+    coordinate, in the order of `_gauge_plan`.  Pinned coordinates stay
+    Python floats (which `_on_axis` relies on) and broadcast against the
+    sampled arrays.
     """
     import numpy as np
 
@@ -451,12 +466,26 @@ def _matrix_entries(g: ColoredGraph, edges, col_index, xs, ys, theta_vertex):
 
     Row t holds the one-form of edge t against the free coordinates; only
     the coordinates of its two endpoints can be nonzero, so a row has at
-    most four entries.  On the unit circle of the m == 1 gauge the theta
-    derivative is -sin(theta) d/dx + cos(theta) d/dy.
+    most four entries.  Edges on the same endpoint pair share the
+    reciprocals of `_reciprocals`.  On the unit circle of the m == 1 gauge
+    the theta derivative is -sin(theta) d/dx + cos(theta) d/dy.
     """
     entries = {}
+    recips = {}
     for row, (src, dst, color) in enumerate(edges):
-        cf = _angle_coeffs_arrays(xs[src], ys[src], xs[dst], ys[dst], color, "two_color")
+        yp, yq = ys[src], ys[dst]
+        a = xs[src] - xs[dst]
+        if _on_axis(yq):
+            b1 = b2 = yp
+        elif _on_axis(yp):
+            b1, b2 = -yq, yq
+        else:
+            b1, b2 = yp - yq, yp + yq
+        pair = (min(src, dst), max(src, dst))
+        if pair not in recips:
+            recips[pair] = _reciprocals(a, b1, b2, _on_axis(yp) or _on_axis(yq))
+        P, Q, R = _half_terms(a, b1, b2, *recips[pair], color)
+        cf = (-P, Q, P, R)
         for endpoint, v in ((0, src), (2, dst)):
             if v == theta_vertex:
                 entries[(row, col_index[("theta", v)])] = -cf[endpoint] * ys[v] + cf[endpoint + 1] * xs[v]

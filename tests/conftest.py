@@ -417,11 +417,15 @@ def coadjoint_orbit_point(pair, K, f, max_power=12):
 
 
 def _angle_coeffs_dense(xp, yp, xq, yq, color):
-    """Vectorized two-color one-form coefficients, term by term."""
-    from sympair.graphs import _ARG_FACTORS, _arg_terms
+    """Vectorized two-color one-form coefficients, term by term.
+
+    The angle is arg(p - q) + arg(p - conj q) for the solid color and
+    arg(p - q) - arg(p - conj q) for the dashed one; each factor
+    w = (xp + ex xq) + i (yp + ey yq) adds sign * (Re w dIm w - Im w dRe w)/|w|^2.
+    """
+    second = {"+": 1.0, "-": -1.0}[color]
     c = [np.zeros_like(xp) for _ in range(4)]
-    for sign, key in _arg_terms(color, "two_color"):
-        ex, ey = _ARG_FACTORS[key]
+    for sign, ex, ey in ((1.0, -1.0, -1.0), (second, -1.0, 1.0)):
         a = xp + ex * xq
         b = yp + ey * yq
         r2 = a * a + b * b

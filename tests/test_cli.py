@@ -312,6 +312,15 @@ def test_graph_weight_rejects_malformed_files(tmp_path, capsys):
         assert message in err and "Traceback" not in err
 
 
+def test_graph_weight_rejects_negative_seed(tmp_path, capsys):
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps({"n": 1, "m": 2, "edges": [[0, 1, "+"], [0, 2, "+"]]}))
+    code = run(["graph-weight", "--graph", str(path), "--samples", "1000", "--seed", "-1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "seed must be >= 0, got -1" in err and "Traceback" not in err
+
+
 def _fixture(name, **changes):
     with open(alg(name)) as fh:
         data = json.load(fh)

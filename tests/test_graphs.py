@@ -445,6 +445,42 @@ def test_weight_kernel_matches_dense_reference():
     assert weight_mc(dim5, 32768, 1).std_error > 0  # not structurally zero
 
 
+@pytest.mark.parametrize("samples", [1, 4095, 4097, 32769, 70000])
+def test_weight_blocks_match_dense_reference_across_boundaries(samples):
+    # sample counts that end inside a block, just past one, and inside a
+    # second and a third chunk; the dense reference draws each chunk at once
+    from conftest import weight_mc_dense
+    _, top, dim5 = kernel_corpus()
+    m1 = ColoredGraph(2, 1, [(0, 1, "-"), (0, 2, "+"), (1, 2, "+"), (1, "inf", "-")])
+    m0 = ColoredGraph(2, 0, [(0, 1, "+"), (1, 0, "+")])
+    for g in (top[0], dim5, m1, m0):
+        est = weight_mc(g, samples, 5)
+        ref = weight_mc_dense(g, samples, 5)
+        assert est.nonfinite == 0
+        assert abs(est.value - ref.value) <= 1e-9 + 1e-9 * abs(ref.value), (g, est, ref)
+        assert abs(est.std_error - ref.std_error) <= 1e-9 + 1e-9 * abs(ref.std_error), (g, est, ref)
+
+
+def test_weight_allocation_peak_stays_small():
+    # one chunk is integrated block by block, so no chunk-sized temporaries live at once
+    import tracemalloc
+    g = ColoredGraph(2, 2, [(0, 1, "+"), (0, 2, "+"), (1, 2, "+"), (1, 3, "+")])
+    weight_mc(g, 10, 1)  # loads numpy outside the traced call
+    tracemalloc.start()
+    try:
+        weight_mc(g, 32768, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3_000_000
+
+
+def test_weight_rejects_negative_seed():
+    g = ColoredGraph(1, 2, [(0, 1, "+"), (0, 2, "+")])
+    with pytest.raises(SympairError, match="seed"):
+        weight_mc(g, 10, -1)
+
+
 def test_weight_leaves_no_cyclic_garbage():
     import gc
     g = ColoredGraph(2, 2, [(0, 1, "+"), (0, 2, "+"), (1, 2, "+"), (1, 3, "+")])
@@ -466,10 +502,13 @@ def test_weight_counts_nonfinite_samples(monkeypatch):
 
         def __init__(self, stream):
             self.rng = real_rng(stream)
+            self.first = True
 
         def random(self, shape):
             u = self.rng.random(shape)
-            u[0] = (0.5, 0.0)  # x = tan(0) = 0, y = 0
+            if self.first:
+                u[0] = (0.5, 0.0)  # x = tan(0) = 0, y = 0
+                self.first = False
             return u
 
     monkeypatch.setattr(np.random, "default_rng", OneCoincident)
