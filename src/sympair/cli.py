@@ -12,7 +12,7 @@ import sys
 from fractions import Fraction
 
 from . import io as sio
-from . import util
+from . import starprod, util
 from .errors import SympairError
 from .freelie import bch as bch_series
 from .freelie import bracket_of_word, z_sym
@@ -167,8 +167,9 @@ def _dispatch(args, report) -> int:
         print(f"k-component H(X,Y) through order {args.order}:")
         _print_lie_series(series, report)
         print("scalar log: order-2 term vanishes identically;")
-        print("order-4 term = 1/240 * (tr_p - tr_k)(ad[X,Y])^2")
-        report.add("scalar_order4_coefficient", Fraction(1, 240))
+        coeff = starprod.LN_E_ORDER4_COEFF
+        print(f"order-4 term = {coeff} * (tr_p - tr_k)(ad[X,Y])^2")
+        report.add("scalar_order4_coefficient", coeff)
         return 0
 
     if cmd in ("star-dk", "star-rou", "star-cf"):

@@ -34,7 +34,6 @@ INF = "inf"
 TWO_COLOR = ("+", "-")
 FOUR_COLOR = ("++", "+-", "-+", "--")
 ENUM_CAP = 3
-WEIGHT_CAP = 2
 
 
 class ColoredGraph:
@@ -250,11 +249,6 @@ def enumerate_graphs(n: int, m: int, out_degrees, palette: str = "two_color",
 # exactly when an endpoint is on the real axis (then b1 = +-b2).
 
 
-def _on_axis(y) -> bool:
-    """Whether a height is a pinned ground height (a scalar zero)."""
-    return isinstance(y, float) and y == 0.0
-
-
 def _reciprocals(a, b1, b2, on_axis: bool):
     """u = 1/(a^2 + b1^2) and v = 1/(a^2 + b2^2), with v = u on the axis."""
     aa = a * a
@@ -302,7 +296,7 @@ def angle(p: complex, q: complex, color: str, palette: str = "two_color"):
             if a * a + b * b == 0.0:
                 raise CoincidentPoints(f"factor {key} degenerates")
         value += weight * (math.atan2(b1, a) + e1 * math.atan2(b2, a))
-        P, Q, R = _half_terms(a, b1, b2, *_reciprocals(a, b1, b2, _on_axis(yp) or _on_axis(yq)), color)
+        P, Q, R = _half_terms(a, b1, b2, *_reciprocals(a, b1, b2, False), color)
         for t, term in enumerate((-P, Q, -e * P, R)):
             coeffs[t] += weight * term
     return value, coeffs
@@ -315,57 +309,66 @@ _CHUNK = 1 << 15
 #: samples, whose temporaries stay in cache; successive draws from the
 #: chunk's generator give exactly the chunk's stream
 _BLOCK = 1 << 12
-#: largest top-form dimension (2n edges) for graphs of at most WEIGHT_CAP
-#: aerial vertices of out-degree 2; the Laplace kernel covers these dimensions
-_LAPLACE_MAX_DIM = 2 * WEIGHT_CAP
+#: largest dimension whose determinant is a Laplace expansion; above it a
+#: batched LU.  Laplace is the faster of the two through dimension 14
+#: (2.5-4x at 5-10, 1.7-2x at 12-14, even at 16), but its memo keeps one
+#: block-sized minor (32 KB) per subset of columns it reaches: at most
+#: 8 MB at dimension 8, up to 128 MB at 12, where measured peaks already
+#: ran twice the LU's
+_LAPLACE_MAX_DIM = 8
 #: global orientation: fixed so that the solid-solid wedge has weight +1/2.
 _ORIENT = 1.0
 
+#: gauge kinds of a vertex: pinned at a fixed (x, y), or owning columns of
+#: the integrand (a point on the unit circle owns its angle, a free aerial
+#: point its x and y, a ground point past ground 1 its gap to the previous)
+_PINNED, _THETA, _FREE, _GROUND = "pinned", "theta", "free", "ground"
+
 
 def _gauge_plan(g: ColoredGraph):
-    """Free-coordinate layout after gauge fixing.
+    """Where each vertex sits after gauge fixing, one entry per vertex.
 
-    Returns (columns, theta_vertex, fixed_aerial) where columns is a list of
-    ('ax', v) / ('ay', v) / ('theta', v) / ('ground', j) in canonical order.
+    Entry v is (kind, where): `where` is the fixed (x, y) of a `_PINNED`
+    vertex, else the first integrand column the vertex owns (`_FREE`
+    owns two).  Columns are numbered in vertex order.  Ground points 0
+    and 1 are pinned at 0 and 1 for m >= 2; for m == 1 the ground point
+    sits at 0 and aerial point 0 on the unit circle; for m == 0 aerial
+    point 0 is pinned at i.
     """
     n, m = g.n, g.m
     dim = 2 * n + m - 2
     if dim <= 0:
         raise GaugeUnderdetermined(f"configuration dimension {dim}")
-    columns = []
-    theta_vertex = None
-    fixed_aerial = None
-    if m >= 2:
-        free_aerial = range(n)
-    elif m == 1:
-        if n == 0:
-            raise GaugeUnderdetermined("no moduli")
-        theta_vertex = 0
-        columns.append(("theta", 0))
-        free_aerial = range(1, n)
-    else:
-        fixed_aerial = 0
-        free_aerial = range(1, n)
-    for v in free_aerial:
-        columns.append(("ax", v))
-        columns.append(("ay", v))
-    for j in range(2, m):
-        columns.append(("ground", j))
-    assert len(columns) == dim
-    return columns, theta_vertex, fixed_aerial
+    plan = []
+    column = 0
+    for v in range(n + m):
+        if v == 0 and m == 0:
+            plan.append((_PINNED, (0.0, 1.0)))
+        elif v == 0 and m == 1:
+            plan.append((_THETA, column))
+            column += 1
+        elif v < n:
+            plan.append((_FREE, column))
+            column += 2
+        elif v < n + 2:
+            plan.append((_PINNED, (float(v - n), 0.0)))
+        else:
+            plan.append((_GROUND, column))
+            column += 1
+    return plan
 
 
 def weight_mc(g: ColoredGraph, samples: int, seed: int) -> WeightEstimate:
     """Monte-Carlo estimate of the weight of a colored graph.
 
-    Gauge: ground points 0 and 1 pinned for m >= 2; for m == 1 the ground
-    point sits at 0 and the first aerial point on the unit circle; for
-    m == 0 the first aerial point is pinned at i.  The integrand is the
-    determinant of the edge-form coefficients against the free coordinates,
-    times the Jacobian of the map from the unit cube.  Samples whose
-    integrand is not finite (coincident points) are counted in `nonfinite`
-    and left out of the mean and the standard error.  Chunk t of `_CHUNK`
-    samples draws from the t-th stream spawned from `seed`, block by block.
+    The gauge is that of `_gauge_plan`.  The integrand is the determinant
+    of the edge-form coefficients against the free coordinates, times the
+    Jacobian of the map from the unit cube.  Samples whose integrand is
+    not finite (coincident points) are counted in `nonfinite` and left out
+    of the mean and the standard error.  Chunk t of `_CHUNK` samples draws
+    from the t-th stream spawned from `seed`, block by block; the variance
+    merges each block's centered sum of squares about its own mean, so a
+    near-constant integrand has no rounding floor.
     """
     import numpy as np
 
@@ -375,20 +378,17 @@ def weight_mc(g: ColoredGraph, samples: int, seed: int) -> WeightEstimate:
         raise SympairError(f"seed must be >= 0, got {seed}")
     if g.palette != "two_color":
         raise UnsupportedPalette("weights are integrated for the two-color palette")
-    if g.n > WEIGHT_CAP:
-        raise CapExceeded(f"integration capped at n <= {WEIGHT_CAP}")
     edges = g.finite_edges
-    columns, theta_vertex, fixed_aerial = _gauge_plan(g)
-    dim = len(columns)
+    plan = _gauge_plan(g)
+    dim = 2 * g.n + g.m - 2
     if len(edges) != dim:
         return WeightEstimate(0.0, 0.0, samples, seed)  # not a top form
-    col_index = {c: t for t, c in enumerate(columns)}
 
     ss = np.random.SeedSequence(seed)
     n_chunks = (samples + _CHUNK - 1) // _CHUNK
     streams = ss.spawn(n_chunks)
     total = 0.0
-    total_sq = 0.0
+    blocks = []  # (count, mean, centered sum of squares) of each block's finite samples
     nonfinite = 0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for chunk_id in range(n_chunks):
@@ -396,104 +396,104 @@ def weight_mc(g: ColoredGraph, samples: int, seed: int) -> WeightEstimate:
             chunk = min(_CHUNK, samples - chunk_id * _CHUNK)
             for start in range(0, chunk, _BLOCK):
                 count = min(_BLOCK, chunk - start)
-                ucols = iter(np.ascontiguousarray(rng.random((count, dim)).T))
-                xs, ys, jac = _place_vertices(g, ucols, theta_vertex, fixed_aerial)
-                entries = _matrix_entries(g, edges, col_index, xs, ys, theta_vertex)
+                xs, ys, jac = _place_vertices(plan, np.ascontiguousarray(rng.random((count, dim)).T))
+                entries = _matrix_entries(g.n, plan, edges, xs, ys)
                 if dim <= _LAPLACE_MAX_DIM:
                     dets = _laplace(entries, dim, 0, {})
                 else:
                     dets = _lu_det(entries, dim, count)
                 if dets is None:
-                    continue  # structurally zero: every sample adds 0
+                    blocks.append((count, 0.0, 0.0))  # structurally zero: every sample is 0
+                    continue
                 vals = dets * jac
                 finite = np.isfinite(vals)
-                bad = count - int(np.count_nonzero(finite))
-                if bad:
-                    nonfinite += bad
+                kept = int(np.count_nonzero(finite))
+                if kept < count:
+                    nonfinite += count - kept
                     vals = vals[finite]
-                total += float(vals.sum())
-                total_sq += float((vals * vals).sum())
+                if kept:
+                    block_sum = float(vals.sum())
+                    total += block_sum
+                    dev = vals - block_sum / kept
+                    blocks.append((kept, block_sum / kept, float(dev @ dev)))
 
     norm = _ORIENT / (2.0 * math.pi) ** len(edges)
     used = samples - nonfinite
     if not used:
         return WeightEstimate(math.nan, math.nan, samples, seed, nonfinite)
     mean = total / used
-    var = max(total_sq / used - mean * mean, 0.0)
+    var = sum(m2 + k * (block_mean - mean) ** 2 for k, block_mean, m2 in blocks) / used
     return WeightEstimate(norm * mean, abs(norm) * math.sqrt(var / used), samples, seed, nonfinite)
 
 
-def _place_vertices(g: ColoredGraph, ucols, theta_vertex, fixed_aerial):
+def _place_vertices(plan, u):
     """Vertex coordinates and Jacobian for one block of uniforms.
 
-    `ucols` yields one contiguous column of the block's uniforms per free
-    coordinate, in the order of `_gauge_plan`.  Pinned coordinates stay
-    Python floats (which `_on_axis` relies on) and broadcast against the
-    sampled arrays.
+    `u` holds one contiguous row of the block's uniforms per integrand
+    column of `plan`.  Pinned coordinates stay Python floats and
+    broadcast against the sampled arrays.
     """
     import numpy as np
 
-    xs = [0.0] * (g.n + g.m)
-    ys = [0.0] * (g.n + g.m)
+    xs, ys = [], []
     jac = 1.0  # becomes an array at the first sampled factor, then updates in place
-    if theta_vertex is not None:
-        theta = math.pi * next(ucols)
-        xs[0] = np.cos(theta)
-        ys[0] = np.sin(theta)
-        jac = math.pi
-    if fixed_aerial is not None:
-        ys[0] = 1.0
-    start = 0 if (theta_vertex is None and fixed_aerial is None) else 1
-    for v in range(start, g.n):
-        ux = next(ucols)
-        uy = next(ucols)
-        x = np.tan(math.pi * (ux - 0.5))
-        xs[v] = x
-        ys[v] = uy / (1.0 - uy)
-        jac *= math.pi * (1.0 + x * x)
-        jac *= 1.0 / (1.0 - uy) ** 2
-    if g.m >= 2:
-        xs[g.n + 1] = 1.0
-    for j in range(2, g.m):
-        us = next(ucols)
-        xs[g.n + j] = xs[g.n + j - 1] + us / (1.0 - us)
-        jac *= 1.0 / (1.0 - us) ** 2
+    for kind, where in plan:
+        if kind == _PINNED:
+            x, y = where
+        elif kind == _THETA:
+            theta = math.pi * u[where]
+            x, y = np.cos(theta), np.sin(theta)
+            jac *= math.pi
+        elif kind == _FREE:
+            uy = u[where + 1]
+            x = np.tan(math.pi * (u[where] - 0.5))
+            y = uy / (1.0 - uy)
+            jac *= math.pi * (1.0 + x * x)
+            jac *= 1.0 / (1.0 - uy) ** 2
+        else:
+            us = u[where]
+            x, y = xs[-1] + us / (1.0 - us), 0.0
+            jac *= 1.0 / (1.0 - us) ** 2
+        xs.append(x)
+        ys.append(y)
     return xs, ys, jac
 
 
-def _matrix_entries(g: ColoredGraph, edges, col_index, xs, ys, theta_vertex):
+def _matrix_entries(n: int, plan, edges, xs, ys):
     """Structurally nonzero entries {(row, column): values} of the integrand matrix.
 
     Row t holds the one-form of edge t against the free coordinates; only
     the coordinates of its two endpoints can be nonzero, so a row has at
-    most four entries.  Edges on the same endpoint pair share the
-    reciprocals of `_reciprocals`.  On the unit circle of the m == 1 gauge
-    the theta derivative is -sin(theta) d/dx + cos(theta) d/dy.
+    most four entries.  Ground vertices (v >= n) are the only ones on the
+    real axis.  Edges on the same endpoint pair share the reciprocals of
+    `_reciprocals`.  On the unit circle of the m == 1 gauge the theta
+    derivative is -sin(theta) d/dx + cos(theta) d/dy.
     """
     entries = {}
     recips = {}
     for row, (src, dst, color) in enumerate(edges):
         yp, yq = ys[src], ys[dst]
         a = xs[src] - xs[dst]
-        if _on_axis(yq):
+        if dst >= n:
             b1 = b2 = yp
-        elif _on_axis(yp):
+        elif src >= n:
             b1, b2 = -yq, yq
         else:
             b1, b2 = yp - yq, yp + yq
         pair = (min(src, dst), max(src, dst))
         if pair not in recips:
-            recips[pair] = _reciprocals(a, b1, b2, _on_axis(yp) or _on_axis(yq))
+            recips[pair] = _reciprocals(a, b1, b2, pair[1] >= n)
         P, Q, R = _half_terms(a, b1, b2, *recips[pair], color)
         cf = (-P, Q, P, R)
         for endpoint, v in ((0, src), (2, dst)):
-            if v == theta_vertex:
-                entries[(row, col_index[("theta", v)])] = -cf[endpoint] * ys[v] + cf[endpoint + 1] * xs[v]
-            elif ("ax", v) in col_index:
-                entries[(row, col_index[("ax", v)])] = cf[endpoint]
-                entries[(row, col_index[("ay", v)])] = cf[endpoint + 1]
-            elif ("ground", v - g.n) in col_index:
-                entries[(row, col_index[("ground", v - g.n)])] = cf[endpoint]
+            kind, column = plan[v]
+            if kind == _THETA:
+                entries[(row, column)] = -cf[endpoint] * ys[v] + cf[endpoint + 1] * xs[v]
+            elif kind == _FREE:
+                entries[(row, column)] = cf[endpoint]
+                entries[(row, column + 1)] = cf[endpoint + 1]
+            elif kind == _GROUND:
+                entries[(row, column)] = cf[endpoint]
     return entries
 
 
@@ -547,25 +547,12 @@ def mirror_orientation_sign(g: ColoredGraph) -> int:
     The reflection flips every edge one-form (factor (-1)^#E), reverses the
     orientation of each aerial plane (factor (-1)^n), and the mirrored edge
     list is re-sorted canonically, which permutes the rows of the
-    coefficient determinant (factor sign of that permutation).
+    coefficient determinant (factor (-1)^inversions of the mirrored keys).
     """
     re = g._mirror_vertex
-    imgs = [(re(s), re(d), c) for s, d, c in g.finite_edges]
-    order = sorted(range(len(imgs)), key=lambda t: _edge_key(imgs[t]))
-    sign = 1
-    seen = [False] * len(order)
-    for start in range(len(order)):
-        if seen[start]:
-            continue
-        length = 0
-        t = start
-        while not seen[t]:
-            seen[t] = True
-            t = order[t]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign * (-1) ** (len(imgs) + g.n)
+    keys = [_edge_key((re(s), re(d), c)) for s, d, c in g.finite_edges]
+    inversions = sum(a > b for a, b in itertools.combinations(keys, 2))
+    return (-1) ** (inversions + len(keys) + g.n)
 
 
 # -- operator compilation ------------------------------------------------------
@@ -587,47 +574,30 @@ def compile_operator(g: ColoredGraph, pair: SymmetricPair, arguments) -> BlockPo
     for v in range(g.n):
         if g.out_degree(v) != 2:
             raise ColorArityMismatch("linear bivector needs aerial out-degree 2")
-    args = [a.to_g() for a in arguments]
+    args = [a.to_g().poly for a in arguments]
 
     dim = pair.dim
-    edges = list(g.edges)
-    ranges = []
-    for src, dst, color in edges:
-        ranges.append(list(pair.block_indices("p" if color == "+" else "k")))
-
-    incoming = {v: [t for t, e in enumerate(edges) if e[1] == v] for v in range(g.n + g.m)}
-    out_pairs = {v: [t for t, e in enumerate(edges) if e[0] == v] for v in range(g.n)}
-
-    def incoming_derivative(v, assign):
-        exps = [0] * dim
-        for t in incoming[v]:
-            exps[assign[t]] += 1
-        return exps
-
+    edges = g.edges
+    ranges = [pair.block_indices("p" if color == "+" else "k") for _, _, color in edges]
     total = Poly.zero(dim)
     for assign in itertools.product(*ranges):
-        coeff_poly = Poly.const(dim, 1)
-        ok = True
-        for v in range(g.n):
-            e1, e2 = out_pairs[v]
-            a, b = assign[e1], assign[e2]
-            w = pair.adapted.bracket_basis(a, b)
-            # vertex symbol: (1/2) <xi, [e_a, e_b]>, then incoming derivatives
-            vp = Poly(dim, {tuple(1 if t == i else 0 for t in range(dim)): Fraction(w[i], 2)
-                            for i in range(dim) if w[i]})
-            vp = vp.diff_mono(incoming_derivative(v, assign))
-            if vp.is_zero():
-                ok = False
+        term = Poly.const(dim, 1)
+        for v in range(g.n + g.m):
+            if v < g.n:
+                # edges sort by source, so aerial vertex v owns rows 2v and 2v + 1;
+                # its symbol is (1/2) <xi, [e_a, e_b]>
+                w = pair.adapted.bracket_basis(assign[2 * v], assign[2 * v + 1])
+                factor = Poly.linear([Fraction(c, 2) for c in w])
+            else:
+                factor = args[v - g.n]
+            exps = [0] * dim
+            for (_, dst, _), i in zip(edges, assign):
+                if dst == v:
+                    exps[i] += 1
+            factor = factor.diff_mono(exps)
+            if factor.is_zero():
                 break
-            coeff_poly = coeff_poly.mul(vp)
-        if not ok:
-            continue
-        for j in range(g.m):
-            fj = args[j].poly.diff_mono(incoming_derivative(g.n + j, assign))
-            if fj.is_zero():
-                ok = False
-                break
-            coeff_poly = coeff_poly.mul(fj)
-        if ok:
-            total = total + coeff_poly
+            term = term.mul(factor)
+        else:
+            total = total + term
     return BlockPolynomial(pair, "g", total).restrict_to_p()

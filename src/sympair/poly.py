@@ -60,11 +60,6 @@ class Poly:
         n = len(coeffs)
         return cls(n, {tuple(1 if j == t else 0 for j in range(n)): c for t, c in enumerate(coeffs) if c})
 
-    def copy(self) -> "Poly":
-        p = Poly(self.nvars)
-        p.terms = dict(self.terms)
-        return p
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -77,9 +72,6 @@ class Poly:
         if isinstance(other, (int, Fraction)):
             return self == Poly.const(self.nvars, other)
         return NotImplemented
-
-    def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
 
     def __add__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):

@@ -291,27 +291,26 @@ def _transport(ctx: PBWContext, series: TraceSeries, f: BlockPolynomial, g: Bloc
     return BlockPolynomial(pair, S.space, S.poly.diff_by(series.inverse().as_polynomial(pair, S.space)))
 
 
-def star_dk(pair: SymmetricPair, f: BlockPolynomial, g: BlockPolynomial,
-            ctx: PBWContext | None = None) -> BlockPolynomial:
+def star_dk(pair: SymmetricPair, f: BlockPolynomial, g: BlockPolynomial) -> BlockPolynomial:
     """Duflo-Kontsevich product on S(g), transported from U(g).
 
     beta(d_{q^(1/2)}(f * g)) = beta(d_{q^(1/2)} f) . beta(d_{q^(1/2)} g),
     solved for f * g through the full (unquotiented) inverse of beta.
     """
-    ctx = ctx or PBWContext(pair)
+    ctx = PBWContext(pair)
     f, g = f.to_g(), g.to_g()
     qh = density_series("q_half", 2 * ((f.degree() + g.degree() + 1) // 2))
     return _transport(ctx, qh, f, g, lambda w: beta_inverse(ctx, w))
 
 
 def rouviere_sharp(pair: SymmetricPair, P: BlockPolynomial, Q: BlockPolynomial,
-                   lam: Character | None = None, ctx: PBWContext | None = None) -> BlockPolynomial:
+                   lam: Character | None = None) -> BlockPolynomial:
     """Rouviere product on S(p)^k at character lambda.
 
     beta(d_{J^(1/2)} R) = beta(d_{J^(1/2)} P) . beta(d_{J^(1/2)} Q)
     modulo U(g).k^(-lambda), then R = d_{J^(-1/2)} of the projection.
     """
-    ctx = ctx or PBWContext(pair)
+    ctx = PBWContext(pair)
     lam = lam or pair.zero_character()
     if P.space != "p" or Q.space != "p":
         raise ValueError("rouviere_sharp needs p-polynomials")
@@ -353,12 +352,11 @@ def invariant_uea_subspace(pair: SymmetricPair, ctx: PBWContext, degree: int):
     return util.nullspace(rows, len(words)), words, index
 
 
-def duflo_relation_check(pair: SymmetricPair, lam: Character, degree: int,
-                         ctx: PBWContext | None = None) -> bool:
+def duflo_relation_check(pair: SymmetricPair, lam: Character, degree: int) -> bool:
     """Exact test of k^(-lam).U ∩ U^k == U^k ∩ U.k^(-lam + tr_k) at a degree."""
     if degree < 0:
         raise ValueError("degree must be >= 0")
-    ctx = ctx or PBWContext(pair)
+    ctx = PBWContext(pair)
     inv_basis, words, index = invariant_uea_subspace(pair, ctx, degree)
     trk = pair.trk_character()
     lam_left = lam.scale(-1)

@@ -441,91 +441,79 @@ def weight_mc_dense(g, samples, seed):
 
     Draws the same uniforms as the library and assembles every matrix entry
     in a strided array; the determinant comes from `np.linalg.det` (closed
-    forms for dim 1 and 2).  Non-finite samples are not filtered.
+    forms for dim 1 and 2) and the variance from all samples at once.
+    Non-finite samples are not filtered.  The gauge is written out here:
+    for m == 1 aerial point 0 sits on the unit circle (column 0 is its
+    angle), for m == 0 it is pinned at i, ground points 0 and 1 sit at 0
+    and 1; the columns are the angle, then (x, y) of each free aerial
+    point, then the gap of each further ground point to the previous one.
     """
-    from sympair.graphs import _CHUNK, _ORIENT, WeightEstimate, _gauge_plan
+    from sympair.graphs import _CHUNK, _ORIENT, WeightEstimate
     edges = g.finite_edges
-    columns, theta_vertex, fixed_aerial = _gauge_plan(g)
-    dim = len(columns)
+    dim = 2 * g.n + g.m - 2
     if len(edges) != dim:
         return WeightEstimate(0.0, 0.0, samples, seed)
-    col_index = {c: t for t, c in enumerate(columns)}
+    first_free = 0 if g.m >= 2 else 1
+    offset = 1 if g.m == 1 else 0
+    xcol = {v: offset + 2 * (v - first_free) for v in range(first_free, g.n)}
+    gcol = {j: offset + 2 * (g.n - first_free) + j - 2 for j in range(2, g.m)}
 
     ss = np.random.SeedSequence(seed)
     n_chunks = (samples + _CHUNK - 1) // _CHUNK
     streams = ss.spawn(n_chunks)
-    total = 0.0
-    total_sq = 0.0
+    chunks = []
     done = 0
     for chunk_id in range(n_chunks):
         count = min(_CHUNK, samples - done)
         rng = np.random.default_rng(streams[chunk_id])
         u = rng.random((count, dim))
-        ucol = iter(range(dim))
 
         xs = np.zeros((count, g.n + g.m))
         ys = np.zeros((count, g.n + g.m))
         jac = np.ones(count)
 
-        if theta_vertex is not None:
-            theta = math.pi * u[:, next(ucol)]
+        if g.m == 1:
+            theta = math.pi * u[:, 0]
             xs[:, 0] = np.cos(theta)
             ys[:, 0] = np.sin(theta)
             jac *= math.pi
             sin_t, cos_t = np.sin(theta), np.cos(theta)
-        if fixed_aerial is not None:
-            xs[:, 0] = 0.0
+        if g.m == 0:
             ys[:, 0] = 1.0
-        start = 0 if (theta_vertex is None and fixed_aerial is None) else 1
-        for v in range(start, g.n):
-            ux = u[:, next(ucol)]
-            uy = u[:, next(ucol)]
+        for v, c in xcol.items():
+            ux, uy = u[:, c], u[:, c + 1]
             x = np.tan(math.pi * (ux - 0.5))
-            y = uy / (1.0 - uy)
             xs[:, v] = x
-            ys[:, v] = y
+            ys[:, v] = uy / (1.0 - uy)
             jac *= math.pi * (1.0 + x * x)
             jac *= 1.0 / (1.0 - uy) ** 2
-        if g.m >= 1:
-            xs[:, g.n] = 0.0
         if g.m >= 2:
             xs[:, g.n + 1] = 1.0
-        prev = xs[:, g.n + 1] if g.m >= 2 else None
-        for j in range(2, g.m):
-            us = u[:, next(ucol)]
-            step = us / (1.0 - us)
-            xs[:, g.n + j] = prev + step
+        for j, c in gcol.items():
+            us = u[:, c]
+            xs[:, g.n + j] = xs[:, g.n + j - 1] + us / (1.0 - us)
             jac *= 1.0 / (1.0 - us) ** 2
-            prev = xs[:, g.n + j]
 
         M = np.zeros((count, dim, dim))
         for row, (src, dst, color) in enumerate(edges):
             cf = _angle_coeffs_dense(xs[:, src], ys[:, src], xs[:, dst], ys[:, dst], color)
             for endpoint, v in ((0, src), (2, dst)):
-                if v < g.n:
-                    if v == theta_vertex:
-                        M[:, row, col_index[("theta", v)]] += -cf[endpoint] * sin_t + cf[endpoint + 1] * cos_t
-                    elif v == fixed_aerial:
-                        pass
-                    else:
-                        M[:, row, col_index[("ax", v)]] += cf[endpoint]
-                        M[:, row, col_index[("ay", v)]] += cf[endpoint + 1]
-                else:
-                    j = v - g.n
-                    if j >= 2:
-                        M[:, row, col_index[("ground", j)]] += cf[endpoint]
+                if v == 0 and g.m == 1:
+                    M[:, row, 0] += -cf[endpoint] * sin_t + cf[endpoint + 1] * cos_t
+                elif v in xcol:
+                    M[:, row, xcol[v]] += cf[endpoint]
+                    M[:, row, xcol[v] + 1] += cf[endpoint + 1]
+                elif v - g.n in gcol:
+                    M[:, row, gcol[v - g.n]] += cf[endpoint]
         if dim == 1:
             dets = M[:, 0, 0]
         elif dim == 2:
             dets = M[:, 0, 0] * M[:, 1, 1] - M[:, 0, 1] * M[:, 1, 0]
         else:
             dets = np.linalg.det(M)
-        vals = dets * jac
-        total += float(vals.sum())
-        total_sq += float((vals * vals).sum())
+        chunks.append(dets * jac)
         done += count
 
+    vals = np.concatenate(chunks)
     norm = _ORIENT / (2.0 * math.pi) ** len(edges)
-    mean = total / samples
-    var = max(total_sq / samples - mean * mean, 0.0)
-    return WeightEstimate(norm * mean, abs(norm) * math.sqrt(var / samples), samples, seed)
+    return WeightEstimate(norm * vals.mean(), abs(norm) * math.sqrt(vals.var() / samples), samples, seed)

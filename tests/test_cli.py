@@ -199,6 +199,18 @@ def test_e_series(capsys):
     assert "1/2 * [X,Y]" in out and "1/240" in out
 
 
+def test_e_series_reads_the_order4_constant(monkeypatch, tmp_path, capsys):
+    # the printed and reported coefficient follow starprod.LN_E_ORDER4_COEFF
+    from fractions import Fraction
+    from sympair import starprod
+    monkeypatch.setattr(starprod, "LN_E_ORDER4_COEFF", Fraction(-1, 240))
+    report_path = tmp_path / "e.json"
+    assert run(["e-series", "--order", "4", "--json", str(report_path)]) == 0
+    assert "order-4 term = -1/240 * (tr_p - tr_k)(ad[X,Y])^2" in capsys.readouterr().out
+    labels = {r["label"]: r["value"] for r in json.loads(report_path.read_text())["results"]}
+    assert labels["scalar_order4_coefficient"] == "-1/240"
+
+
 def test_json_report_exact_values(tmp_path):
     report_path = tmp_path / "r.json"
     run(["validate", alg("sl2.json"), "--json", str(report_path)])

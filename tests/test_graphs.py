@@ -220,14 +220,20 @@ def test_weight_gauge_m1():
     assert est.std_error < 0.05  # integrates without blowing up
 
 
+def test_weight_constant_integrand_has_no_variance_floor():
+    # the m = 1 graph with one solid edge integrates a constant: the error is
+    # rounding of the centered block sums, not sqrt(eps) of a one-pass variance
+    g = ColoredGraph(1, 1, [(0, 1, "+"), (0, INF, "-")])
+    est = weight_mc(g, 32768, 5)
+    assert est.std_error < 1e-15
+
+
 def test_weight_gauge_underdetermined():
     with pytest.raises(GaugeUnderdetermined):
         weight_mc(ColoredGraph(0, 2, []), 1000, 1)
 
 
-def test_weight_caps_and_palette():
-    with pytest.raises(CapExceeded):
-        weight_mc(ColoredGraph(3, 2, [(0, 1, "+"), (0, 2, "-"), (1, 3, "+"), (1, 0, "-"), (2, 3, "+"), (2, 4, "+")]), 10, 1)
+def test_weight_rejects_four_color_palette():
     with pytest.raises(UnsupportedPalette):
         weight_mc(ColoredGraph(1, 1, [(0, 1, "++"), (0, INF, "--")], palette="four_color"), 10, 1)
 
@@ -254,6 +260,9 @@ def mirror_corpus():
         ColoredGraph(2, 2, [(0, 2, "+"), (0, 3, "+"), (1, 2, "+"), (1, 3, "+")]),
         ColoredGraph(2, 1, [(0, 1, "-"), (0, 2, "+"), (1, 2, "+"), (1, INF, "-")]),
         ColoredGraph(2, 2, [(0, 1, "-"), (0, 2, "+"), (1, 2, "+"), (1, 3, "+")]),
+        ColoredGraph(3, 2, [(0, 3, "+"), (0, 4, "+"), (1, 0, "+"), (1, 3, "+"), (2, 1, "+"), (2, 4, "+")]),
+        ColoredGraph(3, 2, [(0, 3, "+"), (0, 4, "+"), (1, 3, "+"), (1, 4, "+"), (2, 3, "+"), (2, 4, "+")]),
+        ColoredGraph(3, 1, [(0, 1, "+"), (0, 3, "+"), (1, 2, "+"), (1, INF, "-"), (2, 3, "+"), (2, 0, "-")]),
     ]
 
 
@@ -423,26 +432,33 @@ def kernel_corpus():
     folder = os.path.join(os.path.dirname(__file__), "..", "algebras", "graphs")
     files = [load_graph_file(os.path.join(folder, f)) for f in sorted(os.listdir(folder))]
     top = [g for g in enumerate_graphs(2, 2, [2, 2]) if len(g.finite_edges) == 4]
-    # dim 5 (n = 2, m = 3, one dashed ground-sourced edge): the LU path
+    # dim 5 (n = 2, m = 3, one dashed ground-sourced edge): more ground than the pinned two
     dim5 = ColoredGraph(2, 3, [(0, 2, "+"), (0, 3, "+"), (1, 3, "+"), (1, 4, "+"), (4, 0, "-")])
     return files, top, dim5
 
 
 def test_weight_kernel_matches_dense_reference():
     from conftest import weight_mc_dense
+    from sympair.graphs import _LAPLACE_MAX_DIM
     files, top, dim5 = kernel_corpus()
     assert len(files) == 3 and len(top) == 21
     # the m = 1 gauge (a point on the unit circle) and the m = 0 gauge (a point pinned at i)
     m1 = ColoredGraph(2, 1, [(0, 1, "-"), (0, 2, "+"), (1, 2, "+"), (1, "inf", "-")])
     m0 = ColoredGraph(2, 0, [(0, 1, "+"), (1, 0, "+")])
-    for g in files + top + [dim5, m1, m0]:
+    # three aerial points (dim 6), and dim 9 above the Laplace threshold: the LU path
+    n3 = ColoredGraph(3, 2, [(0, 1, "+"), (0, 2, "-"), (1, 3, "+"), (1, 0, "-"), (2, 3, "+"), (2, 4, "+")])
+    lu = ColoredGraph(4, 3, [(0, 4, "+"), (0, 5, "+"), (1, 5, "+"), (1, 6, "+"), (2, 0, "+"), (2, 1, "+"),
+                             (3, 2, "+"), (3, 4, "+"), (6, 3, "-")])
+    assert len(lu.finite_edges) > _LAPLACE_MAX_DIM
+    for g in files + top + [dim5, m1, m0, n3, lu]:
         for seed in (1, 77):
             est = weight_mc(g, 32768, seed)
             ref = weight_mc_dense(g, 32768, seed)
             assert est.nonfinite == 0
             assert abs(est.value - ref.value) <= 1e-9 + 1e-9 * abs(ref.value), (g, est, ref)
             assert abs(est.std_error - ref.std_error) <= 1e-9 + 1e-9 * abs(ref.std_error), (g, est, ref)
-    assert weight_mc(dim5, 32768, 1).std_error > 0  # not structurally zero
+    for g in (dim5, lu):
+        assert weight_mc(g, 32768, 1).std_error > 0  # not structurally zero
 
 
 @pytest.mark.parametrize("samples", [1, 4095, 4097, 32769, 70000])
