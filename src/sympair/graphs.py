@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from fractions import Fraction
+from operator import add, mul, sub, truediv
 
 from .errors import (
     CapExceeded,
@@ -243,30 +245,42 @@ def enumerate_graphs(n: int, m: int, out_degrees, palette: str = "two_color",
 #
 # An edge's angle is a signed sum of arg w over the factors w = p - q and
 # p - conj(q), joined by p + conj(q) and p + q in the four-color palette.
-# The factors come in halves that share their real part a = xp -+ xq; the
-# imaginary parts are b1 = yp - yq and b2 = yp + yq, so a half needs the
-# two reciprocals u = 1/(a^2 + b1^2) and v = 1/(a^2 + b2^2), and v = u
-# exactly when an endpoint is on the real axis (then b1 = +-b2).
+# A half (the second is the first at -conj(q)) has a = xp - xq, b1 = yp - yq,
+# b2 = yp + yq, u = 1/(a^2 + b1^2) and v = 1/(a^2 + b2^2); by d arg(w) =
+# (a db - b da)/|w|^2 its one-form in color c (c' the other) is
+#     -P_c dxp + A_c dyp + P_c dxq - A_c' dyq,  P+- = u b1 +- v b2,  A+- = a (u +- v).
+# As dphi_-(p, q) = dphi_+(q, p), edge q -> p of color c has the form of
+# p -> q of color c', so four arrays serve every edge on a pair.  With q on
+# the real axis, b1 = b2 = yp, u = v and every edge has color + from p to q:
+# P+ = 2 u yp and A+ = 2 a u, whose halves `_ON_AXIS` keeps.
+
+_OTHER = {"+": "-", "-": "+"}
+#: p on the unit circle at (xp, yp): -yp d/dxp + xp d/dyp of color c is T_c = P_c yp + A_c xp
+_CIRCLE = {
+    "T+": (add, "yP+", "xA+"), "yP+": (mul, "P+", "yp"), "xA+": (mul, "A+", "xp"),
+    "T-": (add, "yP-", "xA-"), "yP-": (mul, "P-", "yp"), "xA-": (mul, "A-", "xp"),
+}
+#: how each array of an endpoint pair p < q is built: name -> (operator,
+#: left, right), down to the leaves "xp", "yp", "xq", "yq" and "one"
+_OFF_AXIS = {
+    "a": (sub, "xp", "xq"), "aa": (mul, "a", "a"), "b1": (sub, "yp", "yq"), "b2": (add, "yp", "yq"),
+    "b1b1": (mul, "b1", "b1"), "r1": (add, "aa", "b1b1"), "u": (truediv, "one", "r1"), "ub1": (mul, "u", "b1"),
+    "b2b2": (mul, "b2", "b2"), "r2": (add, "aa", "b2b2"), "v": (truediv, "one", "r2"), "vb2": (mul, "v", "b2"),
+    "P+": (add, "ub1", "vb2"), "P-": (sub, "ub1", "vb2"), "u+v": (add, "u", "v"), "A+": (mul, "a", "u+v"),
+    "u-v": (sub, "u", "v"), "A-": (mul, "a", "u-v"), **_CIRCLE,
+}
+_ON_AXIS = {
+    "a": (sub, "xp", "xq"), "aa": (mul, "a", "a"), "b1b1": (mul, "yp", "yp"), "r1": (add, "aa", "b1b1"),
+    "u": (truediv, "one", "r1"), "P+": (mul, "u", "yp"), "A+": (mul, "a", "u"), **_CIRCLE,
+}
 
 
-def _reciprocals(a, b1, b2, on_axis: bool):
-    """u = 1/(a^2 + b1^2) and v = 1/(a^2 + b2^2), with v = u on the axis."""
-    aa = a * a
-    u = 1.0 / (aa + b1 * b1)
-    return u, (u if on_axis else 1.0 / (aa + b2 * b2))
-
-
-def _half_terms(a, b1, b2, u, v, color: str):
-    """(P, Q, R) of d[arg(a + i b1) +- arg(a + i b2)], the sign being the color's.
-
-    From d arg(w) = (a db - b da)/|w|^2: P = u b1 +- v b2, Q = a (u +- v)
-    and R = a (+-v - u), so with a = xp + e xq the half's one-form is
-    -P dxp + Q dyp - e P dxq + R dyq.  This is the one coefficient routine
-    of `angle` and the Monte-Carlo kernel; inputs are numpy arrays or floats.
-    """
-    if color[0] == "+":
-        return u * b1 + v * b2, a * (u + v), a * (v - u)
-    return u * b1 - v * b2, a * (u - v), -a * (u + v)
+def _pair_value(known, recipes, name, emit):
+    """Array `name` of one endpoint pair, built on first use by emit(operator, left, right)."""
+    if name not in known:
+        f, left, right = recipes[name]
+        known[name] = emit(f, _pair_value(known, recipes, left, emit), _pair_value(known, recipes, right, emit))
+    return known[name]
 
 
 def angle(p: complex, q: complex, color: str, palette: str = "two_color"):
@@ -274,9 +288,10 @@ def angle(p: complex, q: complex, color: str, palette: str = "two_color"):
 
     Returns (value, coeffs) with coeffs = [d/dRe p, d/dIm p, d/dRe q, d/dIm q].
     The value is a sum of atan2 branches (well defined modulo 2 pi).  The
-    coefficients are summed over the halves by `_half_terms`, as in the
-    Monte-Carlo kernel; in the four-color palette the half p + conj(q),
-    p + q carries the color's second sign.
+    coefficients of each half are the pair arrays of `_OFF_AXIS`, evaluated
+    here on floats and by the Monte-Carlo program on blocks of samples; in
+    the four-color palette the half p + conj(q), p + q (the first half at
+    -conj(q)) carries the color's second sign.
     """
     if p == q:
         raise CoincidentPoints("p == q")
@@ -285,19 +300,21 @@ def angle(p: complex, q: complex, color: str, palette: str = "two_color"):
     xp, yp, xq, yq = p.real, p.imag, q.real, q.imag
     b1, b2 = yp - yq, yp + yq
     e1 = 1.0 if color[0] == "+" else -1.0
-    halves = [(-1.0, 1.0, ("p-q", "p-qbar"))]
+    halves = [(1.0, 1.0, ("p-q", "p-qbar"))]
     if palette != "two_color":
-        halves.append((1.0, 1.0 if color[1] == "+" else -1.0, ("p+qbar", "p+q")))
+        halves.append((1.0 if color[1] == "+" else -1.0, -1.0, ("p+qbar", "p+q")))
     value = 0.0
     coeffs = [0.0, 0.0, 0.0, 0.0]
-    for e, weight, keys in halves:
-        a = xp + e * xq
+    for weight, e, keys in halves:
+        a = xp - e * xq
         for key, b in zip(keys, (b1, b2)):
             if a * a + b * b == 0.0:
                 raise CoincidentPoints(f"factor {key} degenerates")
         value += weight * (math.atan2(b1, a) + e1 * math.atan2(b2, a))
-        P, Q, R = _half_terms(a, b1, b2, *_reciprocals(a, b1, b2, False), color)
-        for t, term in enumerate((-P, Q, -e * P, R)):
+        known = {"xp": xp, "yp": yp, "xq": e * xq, "yq": yq, "one": 1.0}
+        P, A, A_other = (_pair_value(known, _OFF_AXIS, name, lambda f, x, y: f(x, y))
+                         for name in ("P" + color[0], "A" + color[0], "A" + _OTHER[color[0]]))
+        for t, term in enumerate((-P, A, e * P, -A_other)):
             coeffs[t] += weight * term
     return value, coeffs
 
@@ -310,11 +327,9 @@ _CHUNK = 1 << 15
 #: chunk's generator give exactly the chunk's stream
 _BLOCK = 1 << 12
 #: largest dimension whose determinant is a Laplace expansion; above it a
-#: batched LU.  Laplace is the faster of the two through dimension 14
-#: (2.5-4x at 5-10, 1.7-2x at 12-14, even at 16), but its memo keeps one
-#: block-sized minor (32 KB) per subset of columns it reaches: at most
-#: 8 MB at dimension 8, up to 128 MB at 12, where measured peaks already
-#: ran twice the LU's
+#: batched LU.  Per 32768 samples the Laplace program took 2.5-4.7 ms at
+#: dimensions 4-8 and 8.8 ms at 9 (LU: 35 ms), its reused buffers peaking
+#: under 2 MB through 12; 8 stays until a benchmark measures dimensions > 4
 _LAPLACE_MAX_DIM = 8
 #: global orientation: fixed so that the solid-solid wedge has weight +1/2.
 _ORIENT = 1.0
@@ -363,15 +378,23 @@ def weight_mc(g: ColoredGraph, samples: int, seed: int) -> WeightEstimate:
 
     The gauge is that of `_gauge_plan`.  The integrand is the determinant
     of the edge-form coefficients against the free coordinates, times the
-    Jacobian of the map from the unit cube.  Samples whose integrand is
-    not finite (coincident points) are counted in `nonfinite` and left out
-    of the mean and the standard error.  Chunk t of `_CHUNK` samples draws
-    from the t-th stream spawned from `seed`, block by block; the variance
+    Jacobian of the map from the unit cube.  Each call compiles it into a
+    straight-line numpy program on a few reused block buffers: the arrays
+    of each endpoint pair's table (`_integrand_entries`), then the Laplace
+    expansion (`_laplace_program`) or, above `_LAPLACE_MAX_DIM`, a batched
+    LU.  Entry and cofactor signs and the factor 2 of rows on the real
+    axis move, exactly, into the normalization.  Non-finite samples
+    (coincident points) are counted in `nonfinite` and left out of the
+    mean and the standard error.  Chunk t of `_CHUNK` samples draws from
+    the t-th stream spawned from `seed`, block by block; the variance
     merges each block's centered sum of squares about its own mean, so a
     near-constant integrand has no rounding floor.
     """
     import numpy as np
 
+    for name, value in (("samples", samples), ("seed", seed)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise SympairError(f"{name} must be an integer, got {value!r}")
     if samples < 1:
         raise SympairError(f"samples must be >= 1, got {samples}")
     if seed < 0:
@@ -384,27 +407,47 @@ def weight_mc(g: ColoredGraph, samples: int, seed: int) -> WeightEstimate:
     if len(edges) != dim:
         return WeightEstimate(0.0, 0.0, samples, seed)  # not a top form
 
-    ss = np.random.SeedSequence(seed)
-    n_chunks = (samples + _CHUNK - 1) // _CHUNK
-    streams = ss.spawn(n_chunks)
+    nin = 2 * (g.n + g.m) + 1  # values of a block's inputs: its xs, its ys and the constant 1.0
+    steps = [None] * nin  # steps[i] = (operator, left, right) computes value i
+    def emit(f, left, right):
+        steps.append((f, left, right))
+        return len(steps) - 1
+    entries, scales = _integrand_entries(g.n, plan, edges, nin)
+    norm = _ORIENT / (2.0 * math.pi) ** len(edges)
+    size = min(_BLOCK, samples)
+    if dim <= _LAPLACE_MAX_DIM:
+        det = _laplace_program(entries, dim, 0, {}, emit)
+        if det is None:
+            return WeightEstimate(0.0, 0.0, samples, seed)  # structurally zero: every sample is 0
+        keep, fill = [det[0]], None
+        norm *= det[1] * math.prod(scales)
+    else:
+        keep = [_pair_value(*entry[1:], emit) for entry in entries.values()]
+        fill = [(entry[0] * scales[row], row, col) for (row, col), entry in entries.items()]
+        dense = np.zeros((size, dim, dim))
+    program, keep_regs, nbuf = _registers(np, steps, nin, keep)
+    buffers = [np.empty(size) for _ in range(nbuf)]
+
+    streams = np.random.SeedSequence(seed).spawn((samples + _CHUNK - 1) // _CHUNK)
     total = 0.0
     blocks = []  # (count, mean, centered sum of squares) of each block's finite samples
     nonfinite = 0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for chunk_id in range(n_chunks):
-            rng = np.random.default_rng(streams[chunk_id])
+        for chunk_id, stream in enumerate(streams):
+            rng = np.random.default_rng(stream)
             chunk = min(_CHUNK, samples - chunk_id * _CHUNK)
             for start in range(0, chunk, _BLOCK):
                 count = min(_BLOCK, chunk - start)
                 xs, ys, jac = _place_vertices(plan, np.ascontiguousarray(rng.random((count, dim)).T))
-                entries = _matrix_entries(g.n, plan, edges, xs, ys)
-                if dim <= _LAPLACE_MAX_DIM:
-                    dets = _laplace(entries, dim, 0, {})
+                regs = xs + ys + [1.0] + (buffers if count == size else [b[:count] for b in buffers])
+                for f, left, right, out in program:
+                    f(regs[left], regs[right], out=regs[out])
+                if fill is None:
+                    dets = regs[keep_regs[0]]
                 else:
-                    dets = _lu_det(entries, dim, count)
-                if dets is None:
-                    blocks.append((count, 0.0, 0.0))  # structurally zero: every sample is 0
-                    continue
+                    for reg, (factor, row, col) in zip(keep_regs, fill):
+                        np.multiply(regs[reg], factor, out=dense[:count, row, col])
+                    dets = np.linalg.det(dense[:count])
                 vals = dets * jac
                 finite = np.isfinite(vals)
                 kept = int(np.count_nonzero(finite))
@@ -417,13 +460,13 @@ def weight_mc(g: ColoredGraph, samples: int, seed: int) -> WeightEstimate:
                     dev = vals - block_sum / kept
                     blocks.append((kept, block_sum / kept, float(dev @ dev)))
 
-    norm = _ORIENT / (2.0 * math.pi) ** len(edges)
     used = samples - nonfinite
     if not used:
         return WeightEstimate(math.nan, math.nan, samples, seed, nonfinite)
     mean = total / used
     var = sum(m2 + k * (block_mean - mean) ** 2 for k, block_mean, m2 in blocks) / used
-    return WeightEstimate(norm * mean, abs(norm) * math.sqrt(var / used), samples, seed, nonfinite)
+    # + 0.0: a zero mean reads +0.0 whatever sign went into the normalization
+    return WeightEstimate(norm * mean + 0.0, abs(norm) * math.sqrt(var / used), samples, seed, nonfinite)
 
 
 def _place_vertices(plan, u):
@@ -459,86 +502,83 @@ def _place_vertices(plan, u):
     return xs, ys, jac
 
 
-def _matrix_entries(n: int, plan, edges, xs, ys):
-    """Structurally nonzero entries {(row, column): values} of the integrand matrix.
+def _integrand_entries(n: int, plan, edges, nin: int):
+    """Structurally nonzero entries {(row, column): (sign, known, recipes, name)} and row scales.
 
-    Row t holds the one-form of edge t against the free coordinates; only
-    the coordinates of its two endpoints can be nonzero, so a row has at
-    most four entries.  Ground vertices (v >= n) are the only ones on the
-    real axis.  Edges on the same endpoint pair share the reciprocals of
-    `_reciprocals`.  On the unit circle of the m == 1 gauge the theta
-    derivative is -sin(theta) d/dx + cos(theta) d/dy.
+    Row t, the one-form of edge t, is nonzero only at the coordinates of its
+    endpoints p < q: scales[t] * sign * the pair's array `name` (`_pair_value`)
+    from `_ON_AXIS` with scale 2 when q is a ground point, else `_OFF_AXIS`.
+    The leaves are block inputs: x of vertex v is value v, y value nin // 2 + v,
+    1.0 value nin - 1.  The point on the unit circle (m == 1) is vertex 0, a p.
     """
-    entries = {}
-    recips = {}
+    tables, entries, scales = {}, {}, []
     for row, (src, dst, color) in enumerate(edges):
-        yp, yq = ys[src], ys[dst]
-        a = xs[src] - xs[dst]
-        if dst >= n:
-            b1 = b2 = yp
-        elif src >= n:
-            b1, b2 = -yq, yq
-        else:
-            b1, b2 = yp - yq, yp + yq
-        pair = (min(src, dst), max(src, dst))
-        if pair not in recips:
-            recips[pair] = _reciprocals(a, b1, b2, pair[1] >= n)
-        P, Q, R = _half_terms(a, b1, b2, *recips[pair], color)
-        cf = (-P, Q, P, R)
-        for endpoint, v in ((0, src), (2, dst)):
+        p, q = min(src, dst), max(src, dst)
+        recipes = _ON_AXIS if q >= n else _OFF_AXIS
+        known = tables.setdefault((p, q), {"xp": p, "yp": nin // 2 + p, "xq": q, "yq": nin // 2 + q, "one": nin - 1})
+        c = color if src == p else _OTHER[color]
+        form = ((-1, "P" + c), (1, "A" + c), (1, "P" + c), (-1, "A" + _OTHER[c]))  # dxp, dyp, dxq, dyq
+        for v, (sx, x_name), (sy, y_name) in ((p, *form[:2]), (q, *form[2:])):
             kind, column = plan[v]
-            if kind == _THETA:
-                entries[(row, column)] = -cf[endpoint] * ys[v] + cf[endpoint + 1] * xs[v]
-            elif kind == _FREE:
-                entries[(row, column)] = cf[endpoint]
-                entries[(row, column + 1)] = cf[endpoint + 1]
-            elif kind == _GROUND:
-                entries[(row, column)] = cf[endpoint]
-    return entries
+            if kind != _PINNED:  # on the unit circle, the angle derivative T_c
+                entries[row, column] = (1, known, recipes, "T" + c) if kind == _THETA else (sx, known, recipes, x_name)
+            if kind == _FREE:
+                entries[row, column + 1] = (sy, known, recipes, y_name)
+        scales.append(2.0 if q >= n else 1.0)
+    return entries, scales
 
 
-def _laplace(entries, dim: int, mask: int, memo: dict):
-    """Determinant of the minor on rows popcount(mask).. and the columns not in `mask`.
+def _laplace_program(entries, dim: int, mask: int, memo: dict, emit):
+    """(value, sign) with sign * value the minor on rows popcount(mask).. and the columns not in `mask`.
 
-    Laplace expansion along the minor's first row, over its structurally
-    nonzero entries only; each minor is computed once per `memo` (keyed by
-    the mask of used columns).  None stands for a structurally zero minor.
+    Laplace expansion along the first row over its structurally nonzero
+    entries, emitted once per `memo` (keyed by the mask); the cofactor and
+    entry signs pick add or subtract.  None is a structurally zero minor,
+    (None, 1) the empty minor 1.
     """
     row = mask.bit_count()
     if row == dim:
-        return 1.0
-    if mask in memo:
-        return memo[mask]
-    det = None
-    position = 0  # rank of `col` among the minor's columns: the cofactor sign
-    for col in range(dim):
-        bit = 1 << col
-        if mask & bit:
-            continue
-        vals = entries.get((row, col))
-        if vals is not None:
-            minor = _laplace(entries, dim, mask | bit, memo)
-            if minor is not None:
-                term = vals * minor
+        return None, 1
+    if mask not in memo:
+        det = sign = None
+        position = 0  # rank of `col` among the minor's columns: the cofactor sign
+        for col in range(dim):
+            bit = 1 << col
+            if mask & bit:
+                continue
+            entry = entries.get((row, col))
+            minor = entry and _laplace_program(entries, dim, mask | bit, memo, emit)
+            if minor:
+                value = _pair_value(*entry[1:], emit)
+                if minor[0] is not None:
+                    value = emit(mul, value, minor[0])
+                s = entry[0] * minor[1] * (-1) ** position
                 if det is None:
-                    det = -term if position % 2 else term
-                elif position % 2:
-                    det -= term
+                    det, sign = value, s
                 else:
-                    det += term
-        position += 1
-    memo[mask] = det
-    return det
+                    det = emit(add if s == sign else sub, det, value)
+            position += 1
+        memo[mask] = None if det is None else (det, sign)
+    return memo[mask]
 
 
-def _lu_det(entries, dim: int, count: int):
-    """Batched LU determinant of the dense matrix, for dim > _LAPLACE_MAX_DIM."""
-    import numpy as np
+def _registers(np, steps: list, nin: int, keep: list):
+    """The program (ufunc, left, right, out) of `steps`, the registers of `keep`, the number of buffers.
 
-    M = np.zeros((count, dim, dim))
-    for (row, col), vals in entries.items():
-        M[:, row, col] = vals
-    return np.linalg.det(M)
+    Values below `nin` are a block's inputs, kept as registers; each step
+    writes a block buffer, free again after its value's last use.
+    """
+    ufuncs = {add: np.add, sub: np.subtract, mul: np.multiply, truediv: np.divide}
+    last = {}
+    for i in range(nin, len(steps)):
+        last[steps[i][1]] = last[steps[i][2]] = i
+    last.update(dict.fromkeys(keep, len(steps)))
+    reg, free, fresh, program = list(range(len(steps))), [], itertools.count(nin), []
+    for i, (f, left, right) in enumerate(steps[nin:], nin):
+        free += [reg[v] for v in {left, right} if v >= nin and last[v] == i]
+        reg[i] = free.pop() if free else next(fresh)
+        program.append((ufuncs[f], reg[left], reg[right], reg[i]))
+    return program, [reg[v] for v in keep], next(fresh) - nin
 
 
 def mirror_orientation_sign(g: ColoredGraph) -> int:

@@ -517,3 +517,135 @@ def weight_mc_dense(g, samples, seed):
     vals = np.concatenate(chunks)
     norm = _ORIENT / (2.0 * math.pi) ** len(edges)
     return WeightEstimate(norm * vals.mean(), abs(norm) * math.sqrt(vals.var() / samples), samples, seed)
+
+
+# -- the block kernel of the dictionary-and-recursion integrator ---------------
+#
+# `weight_mc_blocks_reference` is the Monte-Carlo integrator as it stood
+# before the integrand became a compiled program: per block it builds a
+# dict of matrix entries from each edge's own (P, Q, R) and expands the
+# determinant by a recursion over column masks.  It shares the gauge,
+# the vertex placement and the sample streams with `weight_mc`, so the
+# two agree exactly (`==`), not just to rounding.
+
+def _reciprocals_reference(a, b1, b2, on_axis):
+    aa = a * a
+    u = 1.0 / (aa + b1 * b1)
+    return u, (u if on_axis else 1.0 / (aa + b2 * b2))
+
+
+def _half_terms_reference(a, b1, b2, u, v, color):
+    """(P, Q, R) of d[arg(a + i b1) +- arg(a + i b2)], the sign being the color's."""
+    if color[0] == "+":
+        return u * b1 + v * b2, a * (u + v), a * (v - u)
+    return u * b1 - v * b2, a * (u - v), -a * (u + v)
+
+
+def _matrix_entries_reference(n, plan, edges, xs, ys):
+    """{(row, column): values} of the integrand matrix, edge by edge."""
+    from sympair.graphs import _FREE, _GROUND, _THETA
+    entries = {}
+    recips = {}
+    for row, (src, dst, color) in enumerate(edges):
+        yp, yq = ys[src], ys[dst]
+        a = xs[src] - xs[dst]
+        if dst >= n:
+            b1 = b2 = yp
+        elif src >= n:
+            b1, b2 = -yq, yq
+        else:
+            b1, b2 = yp - yq, yp + yq
+        pair = (min(src, dst), max(src, dst))
+        if pair not in recips:
+            recips[pair] = _reciprocals_reference(a, b1, b2, pair[1] >= n)
+        P, Q, R = _half_terms_reference(a, b1, b2, *recips[pair], color)
+        cf = (-P, Q, P, R)
+        for endpoint, v in ((0, src), (2, dst)):
+            kind, column = plan[v]
+            if kind == _THETA:
+                entries[(row, column)] = -cf[endpoint] * ys[v] + cf[endpoint + 1] * xs[v]
+            elif kind == _FREE:
+                entries[(row, column)] = cf[endpoint]
+                entries[(row, column + 1)] = cf[endpoint + 1]
+            elif kind == _GROUND:
+                entries[(row, column)] = cf[endpoint]
+    return entries
+
+
+def _laplace_reference(entries, dim, mask, memo):
+    """Determinant of the minor on rows popcount(mask).. and the columns not in `mask`."""
+    row = mask.bit_count()
+    if row == dim:
+        return 1.0
+    if mask in memo:
+        return memo[mask]
+    det = None
+    position = 0
+    for col in range(dim):
+        bit = 1 << col
+        if mask & bit:
+            continue
+        vals = entries.get((row, col))
+        if vals is not None:
+            minor = _laplace_reference(entries, dim, mask | bit, memo)
+            if minor is not None:
+                term = vals * minor
+                if det is None:
+                    det = -term if position % 2 else term
+                elif position % 2:
+                    det -= term
+                else:
+                    det += term
+        position += 1
+    memo[mask] = det
+    return det
+
+
+def weight_mc_blocks_reference(g, samples, seed):
+    """`weight_mc` with the per-block dict of entries and the recursive Laplace expansion."""
+    from sympair.graphs import _BLOCK, _CHUNK, _LAPLACE_MAX_DIM, _ORIENT, WeightEstimate, _gauge_plan, _place_vertices
+    edges = g.finite_edges
+    plan = _gauge_plan(g)
+    dim = 2 * g.n + g.m - 2
+    if len(edges) != dim:
+        return WeightEstimate(0.0, 0.0, samples, seed)
+    streams = np.random.SeedSequence(seed).spawn((samples + _CHUNK - 1) // _CHUNK)
+    total = 0.0
+    blocks = []
+    nonfinite = 0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for chunk_id, stream in enumerate(streams):
+            rng = np.random.default_rng(stream)
+            chunk = min(_CHUNK, samples - chunk_id * _CHUNK)
+            for start in range(0, chunk, _BLOCK):
+                count = min(_BLOCK, chunk - start)
+                xs, ys, jac = _place_vertices(plan, np.ascontiguousarray(rng.random((count, dim)).T))
+                entries = _matrix_entries_reference(g.n, plan, edges, xs, ys)
+                if dim <= _LAPLACE_MAX_DIM:
+                    dets = _laplace_reference(entries, dim, 0, {})
+                else:
+                    M = np.zeros((count, dim, dim))
+                    for (row, col), vals in entries.items():
+                        M[:, row, col] = vals
+                    dets = np.linalg.det(M)
+                if dets is None:
+                    blocks.append((count, 0.0, 0.0))
+                    continue
+                vals = dets * jac
+                finite = np.isfinite(vals)
+                kept = int(np.count_nonzero(finite))
+                if kept < count:
+                    nonfinite += count - kept
+                    vals = vals[finite]
+                if kept:
+                    block_sum = float(vals.sum())
+                    total += block_sum
+                    dev = vals - block_sum / kept
+                    blocks.append((kept, block_sum / kept, float(dev @ dev)))
+    norm = _ORIENT / (2.0 * math.pi) ** len(edges)
+    used = samples - nonfinite
+    if not used:
+        return WeightEstimate(math.nan, math.nan, samples, seed, nonfinite)
+    mean = total / used
+    var = sum(m2 + k * (block_mean - mean) ** 2 for k, block_mean, m2 in blocks) / used
+    return WeightEstimate(norm * mean, abs(norm) * math.sqrt(var / used), samples, seed, nonfinite)

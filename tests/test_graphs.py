@@ -437,28 +437,73 @@ def kernel_corpus():
     return files, top, dim5
 
 
+def gauge_corpus():
+    """The m = 1 gauge (a point on the unit circle), the m = 0 gauge (a point
+    pinned at i), three aerial points (dim 6), and dim 9 above the Laplace
+    threshold: the LU path."""
+    m1 = ColoredGraph(2, 1, [(0, 1, "-"), (0, 2, "+"), (1, 2, "+"), (1, "inf", "-")])
+    m0 = ColoredGraph(2, 0, [(0, 1, "+"), (1, 0, "+")])
+    n3 = ColoredGraph(3, 2, [(0, 1, "+"), (0, 2, "-"), (1, 3, "+"), (1, 0, "-"), (2, 3, "+"), (2, 4, "+")])
+    lu = ColoredGraph(4, 3, [(0, 4, "+"), (0, 5, "+"), (1, 5, "+"), (1, 6, "+"), (2, 0, "+"), (2, 1, "+"),
+                             (3, 2, "+"), (3, 4, "+"), (6, 3, "-")])
+    return [m1, m0, n3, lu]
+
+
+def shared_pair_corpus():
+    """Graphs with several rows on one endpoint pair, in both orientations
+    and both colors, in every gauge; two rows with the same one-form (an
+    edge and its reversed, recolored twin) make a zero weight."""
+    return [
+        # m = 0: the pinned point on a shared pair; three rows on one pair
+        ColoredGraph(3, 0, [(0, 1, "+"), (1, 0, "+"), (1, 2, "+"), (2, 1, "+")]),
+        ColoredGraph(3, 0, [(0, 1, "+"), (0, 1, "-"), (1, 2, "+"), (2, 0, "-")]),
+        ColoredGraph(3, 0, [(0, 2, "-"), (1, 2, "+"), (1, 2, "-"), (2, 1, "+")]),
+        # m = 1: the point on the unit circle on a shared pair, off and on the axis
+        ColoredGraph(2, 1, [(0, 1, "+"), (1, 0, "+"), (1, 2, "+")]),
+        ColoredGraph(2, 1, [(0, 1, "+"), (0, 1, "-"), (1, 2, "+")]),
+        ColoredGraph(2, 1, [(0, 1, "-"), (1, 0, "-"), (0, 2, "+")]),
+        ColoredGraph(2, 1, [(0, 2, "+"), (2, 0, "-"), (1, 0, "+")]),
+        # m = 2 and m = 3 (a ground gap column), with edges leaving ground points
+        ColoredGraph(2, 2, [(0, 1, "+"), (1, 0, "+"), (0, 3, "+"), (2, 1, "-")]),
+        ColoredGraph(2, 3, [(0, 1, "+"), (0, 1, "-"), (1, 4, "+"), (4, 1, "-"), (0, 3, "+")]),
+        ColoredGraph(2, 3, [(0, 1, "+"), (1, 0, "+"), (4, 0, "-"), (0, 2, "+"), (1, 3, "+")]),
+        # dim 9: the LU path
+        ColoredGraph(4, 3, [(0, 1, "+"), (1, 0, "+"), (0, 4, "+"), (1, 5, "+"), (2, 3, "+"), (2, 3, "-"),
+                            (3, 4, "+"), (3, 5, "+"), (6, 2, "-")]),
+    ]
+
+
 def test_weight_kernel_matches_dense_reference():
     from conftest import weight_mc_dense
     from sympair.graphs import _LAPLACE_MAX_DIM
     files, top, dim5 = kernel_corpus()
     assert len(files) == 3 and len(top) == 21
-    # the m = 1 gauge (a point on the unit circle) and the m = 0 gauge (a point pinned at i)
-    m1 = ColoredGraph(2, 1, [(0, 1, "-"), (0, 2, "+"), (1, 2, "+"), (1, "inf", "-")])
-    m0 = ColoredGraph(2, 0, [(0, 1, "+"), (1, 0, "+")])
-    # three aerial points (dim 6), and dim 9 above the Laplace threshold: the LU path
-    n3 = ColoredGraph(3, 2, [(0, 1, "+"), (0, 2, "-"), (1, 3, "+"), (1, 0, "-"), (2, 3, "+"), (2, 4, "+")])
-    lu = ColoredGraph(4, 3, [(0, 4, "+"), (0, 5, "+"), (1, 5, "+"), (1, 6, "+"), (2, 0, "+"), (2, 1, "+"),
-                             (3, 2, "+"), (3, 4, "+"), (6, 3, "-")])
-    assert len(lu.finite_edges) > _LAPLACE_MAX_DIM
-    for g in files + top + [dim5, m1, m0, n3, lu]:
+    m1, m0, n3, lu = gauge_corpus()
+    shared = shared_pair_corpus()
+    assert len(lu.finite_edges) > _LAPLACE_MAX_DIM and len(shared[-1].finite_edges) > _LAPLACE_MAX_DIM
+    for g in files + top + [dim5, m1, m0, n3, lu] + shared:
         for seed in (1, 77):
             est = weight_mc(g, 32768, seed)
             ref = weight_mc_dense(g, 32768, seed)
             assert est.nonfinite == 0
             assert abs(est.value - ref.value) <= 1e-9 + 1e-9 * abs(ref.value), (g, est, ref)
             assert abs(est.std_error - ref.std_error) <= 1e-9 + 1e-9 * abs(ref.std_error), (g, est, ref)
-    for g in (dim5, lu):
+    for g in (dim5, lu, shared[-1]):
         assert weight_mc(g, 32768, 1).std_error > 0  # not structurally zero
+
+
+@pytest.mark.parametrize("samples", [1, 4095, 4097, 32769, 70000])
+def test_weight_program_equals_block_kernel(samples):
+    # the compiled program rewrites the entry-by-entry kernel only by sign
+    # flips, factors 2 and negated differences, all exact in IEEE arithmetic,
+    # so the estimates agree bit for bit, not just to rounding
+    from conftest import weight_mc_blocks_reference
+    files, top, dim5 = kernel_corpus()
+    for g in files + top + [dim5] + gauge_corpus() + shared_pair_corpus():
+        for seed in (1, 77):
+            est = weight_mc(g, samples, seed)
+            ref = weight_mc_blocks_reference(g, samples, seed)
+            assert (est.value, est.std_error, est.nonfinite) == (ref.value, ref.std_error, ref.nonfinite), (g, seed)
 
 
 @pytest.mark.parametrize("samples", [1, 4095, 4097, 32769, 70000])
@@ -495,6 +540,23 @@ def test_weight_rejects_negative_seed():
     g = ColoredGraph(1, 2, [(0, 1, "+"), (0, 2, "+")])
     with pytest.raises(SympairError, match="seed"):
         weight_mc(g, 10, -1)
+
+
+@pytest.mark.parametrize("samples, seed, name", [
+    (1000.0, 1, "samples"), (True, 1, "samples"), ("10", 1, "samples"),
+    (10, 1.5, "seed"), (10, True, "seed"), (10, None, "seed"),
+])
+def test_weight_rejects_non_integer_arguments(samples, seed, name):
+    g = ColoredGraph(1, 2, [(0, 1, "+"), (0, 2, "+")])
+    with pytest.raises(SympairError, match=name):
+        weight_mc(g, samples, seed)
+
+
+def test_weight_accepts_numpy_integers():
+    import numpy as np
+    g = ColoredGraph(1, 2, [(0, 1, "+"), (0, 2, "+")])
+    est, ref = weight_mc(g, np.int64(100), np.uint32(7)), weight_mc(g, 100, 7)
+    assert (est.value, est.std_error) == (ref.value, ref.std_error)
 
 
 def test_weight_leaves_no_cyclic_garbage():
