@@ -172,21 +172,22 @@ def zero_weight_predicate(g: ColoredGraph):
 
     Since the dashed form satisfies dphi_-(p,q) = dphi_+(q,p), converting
     every dashed edge to a reversed solid one preserves the integrand up to
-    sign.  Two rules follow: a converted double edge gives two identical
-    rows (exact zero), and a vertex whose only incident edges are one solid
-    and one dashed out-edge to distinct targets isolates a two-form in one
-    aerial point, which integrates to zero.  The predicate is conservative:
-    a vertex with further incident edges is NOT flagged (such graphs can
+    sign.  Two rules follow: a converted double edge (two edges with the
+    same one-form, `_one_form`) gives two identical rows, so the integrand
+    vanishes at every point and `weight_mc` returns exactly 0 +- 0 without
+    sampling; and a vertex whose only incident edges are one solid and one
+    dashed out-edge to distinct targets isolates a two-form in one aerial
+    point, which integrates to zero although the integrand does not vanish,
+    so `weight_mc` still samples it.  The predicate is conservative: a
+    vertex with further incident edges is NOT flagged (such graphs can
     carry nonzero weight, e.g. the two-spoke cycle on two aerial points).
     """
     dim = 2 * g.n + g.m - 2
     if len(g.finite_edges) != dim:
         return ZeroWeight("dimension_mismatch")
     if g.palette == "two_color":
-        finite = set(g.finite_edges)
-        for src, dst, color in finite:
-            if color == "-" and dst != INF and (dst, src, "+") in finite:
-                return ZeroWeight("double_edge_same_color")
+        if len({_one_form(e) for e in g.finite_edges}) < dim:
+            return ZeroWeight("double_edge_same_color")
         for v in range(g.n):
             if any(e[1] == v for e in g.finite_edges):
                 continue  # incoming edges break the isolation argument
@@ -255,6 +256,15 @@ def enumerate_graphs(n: int, m: int, out_degrees, palette: str = "two_color",
 # P+ = 2 u yp and A+ = 2 a u, whose halves `_ON_AXIS` keeps.
 
 _OTHER = {"+": "-", "-": "+"}
+
+
+def _one_form(edge):
+    """Canonical one-form (p, q, c) of a finite two-color edge: p < q, and c
+    is the edge's color, flipped when the edge runs q -> p."""
+    src, dst, color = edge
+    return (src, dst, color) if src < dst else (dst, src, _OTHER[color])
+
+
 #: p on the unit circle at (xp, yp): -yp d/dxp + xp d/dyp of color c is T_c = P_c yp + A_c xp
 _CIRCLE = {
     "T+": (add, "yP+", "xA+"), "yP+": (mul, "P+", "yp"), "xA+": (mul, "A+", "xp"),
@@ -378,7 +388,11 @@ def weight_mc(g: ColoredGraph, samples: int, seed: int) -> WeightEstimate:
 
     The gauge is that of `_gauge_plan`.  The integrand is the determinant
     of the edge-form coefficients against the free coordinates, times the
-    Jacobian of the map from the unit cube.  Each call compiles it into a
+    Jacobian of the map from the unit cube.  It vanishes at every point,
+    and the estimate is exactly 0 +- 0 with nothing drawn, when two edges
+    have the same one-form (`_one_form`: two equal rows) or when no edge
+    touches some vertex (the form is pulled back from a configuration
+    space of lower dimension).  Otherwise each call compiles it into a
     straight-line numpy program on a few reused block buffers: the arrays
     of each endpoint pair's table (`_integrand_entries`), then the Laplace
     expansion (`_laplace_program`) or, above `_LAPLACE_MAX_DIM`, a batched
@@ -386,9 +400,9 @@ def weight_mc(g: ColoredGraph, samples: int, seed: int) -> WeightEstimate:
     axis move, exactly, into the normalization.  Non-finite samples
     (coincident points) are counted in `nonfinite` and left out of the
     mean and the standard error.  Chunk t of `_CHUNK` samples draws from
-    the t-th stream spawned from `seed`, block by block; the variance
-    merges each block's centered sum of squares about its own mean, so a
-    near-constant integrand has no rounding floor.
+    the t-th stream spawned from `seed`, built as the chunk starts, block
+    by block; the variance merges each block's centered sum of squares
+    about its own mean, so a near-constant integrand has no rounding floor.
     """
     import numpy as np
 
@@ -406,6 +420,9 @@ def weight_mc(g: ColoredGraph, samples: int, seed: int) -> WeightEstimate:
     dim = 2 * g.n + g.m - 2
     if len(edges) != dim:
         return WeightEstimate(0.0, 0.0, samples, seed)  # not a top form
+    forms = {_one_form(e) for e in edges}
+    if len(forms) < dim or len({v for p, q, _ in forms for v in (p, q)}) < g.n + g.m:
+        return WeightEstimate(0.0, 0.0, samples, seed)  # two equal rows, or a vertex no edge touches
 
     nin = 2 * (g.n + g.m) + 1  # values of a block's inputs: its xs, its ys and the constant 1.0
     steps = [None] * nin  # steps[i] = (operator, left, right) computes value i
@@ -428,13 +445,13 @@ def weight_mc(g: ColoredGraph, samples: int, seed: int) -> WeightEstimate:
     program, keep_regs, nbuf = _registers(np, steps, nin, keep)
     buffers = [np.empty(size) for _ in range(nbuf)]
 
-    streams = np.random.SeedSequence(seed).spawn((samples + _CHUNK - 1) // _CHUNK)
     total = 0.0
     blocks = []  # (count, mean, centered sum of squares) of each block's finite samples
     nonfinite = 0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for chunk_id, stream in enumerate(streams):
-            rng = np.random.default_rng(stream)
+        for chunk_id in range((samples + _CHUNK - 1) // _CHUNK):
+            # the chunk_id-th child of SeedSequence(seed).spawn, built when its chunk starts
+            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(chunk_id,)))
             chunk = min(_CHUNK, samples - chunk_id * _CHUNK)
             for start in range(0, chunk, _BLOCK):
                 count = min(_BLOCK, chunk - start)
@@ -512,11 +529,10 @@ def _integrand_entries(n: int, plan, edges, nin: int):
     1.0 value nin - 1.  The point on the unit circle (m == 1) is vertex 0, a p.
     """
     tables, entries, scales = {}, {}, []
-    for row, (src, dst, color) in enumerate(edges):
-        p, q = min(src, dst), max(src, dst)
+    for row, edge in enumerate(edges):
+        p, q, c = _one_form(edge)
         recipes = _ON_AXIS if q >= n else _OFF_AXIS
         known = tables.setdefault((p, q), {"xp": p, "yp": nin // 2 + p, "xq": q, "yq": nin // 2 + q, "one": nin - 1})
-        c = color if src == p else _OTHER[color]
         form = ((-1, "P" + c), (1, "A" + c), (1, "P" + c), (-1, "A" + _OTHER[c]))  # dxp, dyp, dxq, dyq
         for v, (sx, x_name), (sy, y_name) in ((p, *form[:2]), (q, *form[2:])):
             kind, column = plan[v]
@@ -565,19 +581,25 @@ def _laplace_program(entries, dim: int, mask: int, memo: dict, emit):
 def _registers(np, steps: list, nin: int, keep: list):
     """The program (ufunc, left, right, out) of `steps`, the registers of `keep`, the number of buffers.
 
-    Values below `nin` are a block's inputs, kept as registers; each step
-    writes a block buffer, free again after its value's last use.
+    Values below `nin` are a block's inputs, kept as registers.  One pass
+    backwards over the steps allocates the block buffers: a value takes a
+    free buffer at its last read (the first met going backwards) and gives
+    it back at the step that computes it; a value of `keep` holds its
+    buffer to the end.
     """
     ufuncs = {add: np.add, sub: np.subtract, mul: np.multiply, truediv: np.divide}
-    last = {}
-    for i in range(nin, len(steps)):
-        last[steps[i][1]] = last[steps[i][2]] = i
-    last.update(dict.fromkeys(keep, len(steps)))
-    reg, free, fresh, program = list(range(len(steps))), [], itertools.count(nin), []
-    for i, (f, left, right) in enumerate(steps[nin:], nin):
-        free += [reg[v] for v in {left, right} if v >= nin and last[v] == i]
-        reg[i] = free.pop() if free else next(fresh)
+    fresh = itertools.count(nin)
+    reg = {v: v for v in range(nin)}
+    reg.update((v, next(fresh)) for v in dict.fromkeys(keep))
+    free, program = [], []
+    for i in range(len(steps) - 1, nin - 1, -1):
+        f, left, right = steps[i]
+        free.append(reg[i])
+        for v in (left, right):
+            if v not in reg:
+                reg[v] = free.pop() if free else next(fresh)
         program.append((ufuncs[f], reg[left], reg[right], reg[i]))
+    program.reverse()
     return program, [reg[v] for v in keep], next(fresh) - nin
 
 

@@ -391,8 +391,8 @@ def test_converted_double_edge_is_exact_zero():
     g = ColoredGraph(2, 2, [(0, 1, "+"), (1, 0, "-"), (0, 2, "+"), (1, 3, "+")])
     assert zero_weight_predicate(g).reason == "double_edge_same_color"
     est = weight_mc(g, 20000, 5)
-    # two identical determinant rows: zero up to float roundoff
-    assert abs(est.value) < 1e-12 and est.std_error < 1e-12
+    # two identical determinant rows: the integrator returns 0 +- 0 without sampling
+    assert (est.value, est.std_error) == (0.0, 0.0)
 
 
 def test_predicate_sound_on_full_enumeration():
@@ -492,18 +492,86 @@ def test_weight_kernel_matches_dense_reference():
         assert weight_mc(g, 32768, 1).std_error > 0  # not structurally zero
 
 
+def pointwise_zero_rules(g):
+    """The rules by which a top form's integrand vanishes at every point.
+
+    "double_edge": two edges with the same one-form, dphi_-(p, q) being
+    dphi_+(q, p); "untouched_vertex": a vertex that no finite edge touches,
+    so the form is pulled back from a space of lower dimension.
+    """
+    edges = g.finite_edges
+    forms = {(s, d, c) if s < d else (d, s, {"+": "-", "-": "+"}[c]) for s, d, c in edges}
+    touched = {v for e in edges for v in e[:2]}
+    return {rule for rule, holds in (("double_edge", len(forms) < len(edges)),
+                                     ("untouched_vertex", len(touched) < g.n + g.m)) if holds}
+
+
 @pytest.mark.parametrize("samples", [1, 4095, 4097, 32769, 70000])
 def test_weight_program_equals_block_kernel(samples):
     # the compiled program rewrites the entry-by-entry kernel only by sign
     # flips, factors 2 and negated differences, all exact in IEEE arithmetic,
-    # so the estimates agree bit for bit, not just to rounding
+    # so the estimates agree bit for bit, not just to rounding; a graph whose
+    # integrand vanishes pointwise is 0 +- 0 exactly, where the kernel reads rounding
     from conftest import weight_mc_blocks_reference
     files, top, dim5 = kernel_corpus()
-    for g in files + top + [dim5] + gauge_corpus() + shared_pair_corpus():
-        for seed in (1, 77):
-            est = weight_mc(g, samples, seed)
+    for corpus in (files, top, [dim5], gauge_corpus(), shared_pair_corpus()):
+        assert any(not pointwise_zero_rules(g) for g in corpus)  # some graphs still run the program
+        for g in corpus:
+            for seed in (1, 77):
+                est = weight_mc(g, samples, seed)
+                ref = weight_mc_blocks_reference(g, samples, seed)
+                if pointwise_zero_rules(g):
+                    assert (est.value, est.std_error, est.nonfinite) == (0.0, 0.0, 0), (g, seed)
+                    assert abs(ref.value) < 1e-12 and ref.std_error < 1e-12, (g, seed, ref)
+                else:
+                    assert (est.value, est.std_error, est.nonfinite) == (ref.value, ref.std_error, ref.nonfinite), \
+                        (g, seed)
+
+
+def assert_exact_zero_is_sound(graphs, samples=4097, seed=11):
+    """`weight_mc` returns exact 0 +- 0 for every graph a rule flags, and every
+    exact zero it returns reads zero, to rounding, through the entry-by-entry
+    block kernel."""
+    from conftest import weight_mc_blocks_reference
+    for g in graphs:
+        est = weight_mc(g, samples, seed)
+        if (est.value, est.std_error, est.nonfinite) == (0.0, 0.0, 0):
             ref = weight_mc_blocks_reference(g, samples, seed)
-            assert (est.value, est.std_error, est.nonfinite) == (ref.value, ref.std_error, ref.nonfinite), (g, seed)
+            assert abs(ref.value) < 1e-12 and ref.std_error < 1e-12, (g, ref)
+        else:
+            assert not pointwise_zero_rules(g), (g, est)
+
+
+@pytest.mark.parametrize("n, m, ground, total, double, untouched, flagged", [
+    (2, 2, None, 21, 9, 11, 13),
+    (2, 3, [0, 0, 1], 100, 63, 63, 77),
+    (3, 2, None, 590, 326, 316, 421),
+])
+def test_pointwise_zero_rules_are_sound_on_enumerations(n, m, ground, total, double, untouched, flagged):
+    top = [g for g in enumerate_graphs(n, m, [2] * n, ground_out_degrees=ground)
+           if len(g.finite_edges) == 2 * n + m - 2]
+    rules = [pointwise_zero_rules(g) for g in top]
+    assert len(top) == total
+    assert sum("double_edge" in r for r in rules) == double
+    assert sum("untouched_vertex" in r for r in rules) == untouched
+    assert sum(bool(r) for r in rules) == flagged
+    assert_exact_zero_is_sound(top)
+
+
+def test_pointwise_zero_rules_in_pinned_gauges():
+    # m = 0 (aerial point 0 pinned at i) and m = 1 (it sits on the unit
+    # circle): one graph per rule in each, the untouched vertex being pinned
+    graphs = {
+        ("double_edge", 0): ColoredGraph(2, 0, [(0, 1, "+"), (1, 0, "-")]),
+        ("untouched_vertex", 0): ColoredGraph(4, 0, [(1, 2, "+"), (1, 2, "-"), (1, 3, "+"), (3, 1, "+"),
+                                                     (2, 3, "+"), (3, 2, "+")]),
+        ("double_edge", 1): ColoredGraph(2, 1, [(0, 1, "+"), (1, 0, "-"), (1, 2, "+")]),
+        ("untouched_vertex", 1): ColoredGraph(3, 1, [(0, 1, "+"), (1, 0, "+"), (0, 2, "+"), (1, 2, "+"),
+                                                     (2, 1, "+")]),
+    }
+    for (rule, m), g in graphs.items():
+        assert g.m == m and pointwise_zero_rules(g) == {rule}, g
+    assert_exact_zero_is_sound(graphs.values())
 
 
 @pytest.mark.parametrize("samples", [1, 4095, 4097, 32769, 70000])
