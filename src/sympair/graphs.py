@@ -336,11 +336,6 @@ _CHUNK = 1 << 15
 #: samples, whose temporaries stay in cache; successive draws from the
 #: chunk's generator give exactly the chunk's stream
 _BLOCK = 1 << 12
-#: largest dimension whose determinant is a Laplace expansion; above it a
-#: batched LU.  Per 32768 samples the Laplace program took 2.5-4.7 ms at
-#: dimensions 4-8 and 8.8 ms at 9 (LU: 35 ms), its reused buffers peaking
-#: under 2 MB through 12; 8 stays until a benchmark measures dimensions > 4
-_LAPLACE_MAX_DIM = 8
 #: global orientation: fixed so that the solid-solid wedge has weight +1/2.
 _ORIENT = 1.0
 
@@ -395,14 +390,16 @@ def weight_mc(g: ColoredGraph, samples: int, seed: int) -> WeightEstimate:
     space of lower dimension).  Otherwise each call compiles it into a
     straight-line numpy program on a few reused block buffers: the arrays
     of each endpoint pair's table (`_integrand_entries`), then the Laplace
-    expansion (`_laplace_program`) or, above `_LAPLACE_MAX_DIM`, a batched
-    LU.  Entry and cofactor signs and the factor 2 of rows on the real
-    axis move, exactly, into the normalization.  Non-finite samples
-    (coincident points) are counted in `nonfinite` and left out of the
-    mean and the standard error.  Chunk t of `_CHUNK` samples draws from
-    the t-th stream spawned from `seed`, built as the chunk starts, block
-    by block; the variance merges each block's centered sum of squares
-    about its own mean, so a near-constant integrand has no rounding floor.
+    expansion of the determinant (`_laplace_program`) at every dimension;
+    the program's length, and the cost of a call, follow the number of
+    memoized minors rather than the dimension.  Entry and cofactor signs
+    and the factor 2 of rows on the real axis move, exactly, into the
+    normalization.  Non-finite samples (coincident points) are counted in
+    `nonfinite` and left out of the mean and the standard error.  Chunk t
+    of `_CHUNK` samples draws from the t-th stream spawned from `seed`,
+    built as the chunk starts, block by block; the variance merges each
+    block's centered sum of squares about its own mean, so a near-constant
+    integrand has no rounding floor.
     """
     import numpy as np
 
@@ -430,19 +427,13 @@ def weight_mc(g: ColoredGraph, samples: int, seed: int) -> WeightEstimate:
         steps.append((f, left, right))
         return len(steps) - 1
     entries, scales = _integrand_entries(g.n, plan, edges, nin)
+    det = _laplace_program(entries, dim, 0, {}, emit)
+    if det is None:
+        return WeightEstimate(0.0, 0.0, samples, seed)  # structurally zero: every sample is 0
     norm = _ORIENT / (2.0 * math.pi) ** len(edges)
+    norm *= det[1] * math.prod(scales)
+    program, det_reg, nbuf = _registers(np, steps, nin, det[0])
     size = min(_BLOCK, samples)
-    if dim <= _LAPLACE_MAX_DIM:
-        det = _laplace_program(entries, dim, 0, {}, emit)
-        if det is None:
-            return WeightEstimate(0.0, 0.0, samples, seed)  # structurally zero: every sample is 0
-        keep, fill = [det[0]], None
-        norm *= det[1] * math.prod(scales)
-    else:
-        keep = [_pair_value(*entry[1:], emit) for entry in entries.values()]
-        fill = [(entry[0] * scales[row], row, col) for (row, col), entry in entries.items()]
-        dense = np.zeros((size, dim, dim))
-    program, keep_regs, nbuf = _registers(np, steps, nin, keep)
     buffers = [np.empty(size) for _ in range(nbuf)]
 
     total = 0.0
@@ -459,13 +450,7 @@ def weight_mc(g: ColoredGraph, samples: int, seed: int) -> WeightEstimate:
                 regs = xs + ys + [1.0] + (buffers if count == size else [b[:count] for b in buffers])
                 for f, left, right, out in program:
                     f(regs[left], regs[right], out=regs[out])
-                if fill is None:
-                    dets = regs[keep_regs[0]]
-                else:
-                    for reg, (factor, row, col) in zip(keep_regs, fill):
-                        np.multiply(regs[reg], factor, out=dense[:count, row, col])
-                    dets = np.linalg.det(dense[:count])
-                vals = dets * jac
+                vals = regs[det_reg] * jac
                 finite = np.isfinite(vals)
                 kept = int(np.count_nonzero(finite))
                 if kept < count:
@@ -578,19 +563,18 @@ def _laplace_program(entries, dim: int, mask: int, memo: dict, emit):
     return memo[mask]
 
 
-def _registers(np, steps: list, nin: int, keep: list):
-    """The program (ufunc, left, right, out) of `steps`, the registers of `keep`, the number of buffers.
+def _registers(np, steps: list, nin: int, keep: int):
+    """The program (ufunc, left, right, out) of `steps`, the register of value `keep`, the number of buffers.
 
     Values below `nin` are a block's inputs, kept as registers.  One pass
     backwards over the steps allocates the block buffers: a value takes a
     free buffer at its last read (the first met going backwards) and gives
-    it back at the step that computes it; a value of `keep` holds its
-    buffer to the end.
+    it back at the step that computes it; `keep` holds its buffer to the end.
     """
     ufuncs = {add: np.add, sub: np.subtract, mul: np.multiply, truediv: np.divide}
     fresh = itertools.count(nin)
     reg = {v: v for v in range(nin)}
-    reg.update((v, next(fresh)) for v in dict.fromkeys(keep))
+    reg[keep] = next(fresh)
     free, program = [], []
     for i in range(len(steps) - 1, nin - 1, -1):
         f, left, right = steps[i]
@@ -600,7 +584,7 @@ def _registers(np, steps: list, nin: int, keep: list):
                 reg[v] = free.pop() if free else next(fresh)
         program.append((ufuncs[f], reg[left], reg[right], reg[i]))
     program.reverse()
-    return program, [reg[v] for v in keep], next(fresh) - nin
+    return program, reg[keep], next(fresh) - nin
 
 
 def mirror_orientation_sign(g: ColoredGraph) -> int:

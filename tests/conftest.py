@@ -603,7 +603,7 @@ def _laplace_reference(entries, dim, mask, memo):
 
 def weight_mc_blocks_reference(g, samples, seed):
     """`weight_mc` with the per-block dict of entries and the recursive Laplace expansion."""
-    from sympair.graphs import _BLOCK, _CHUNK, _LAPLACE_MAX_DIM, _ORIENT, WeightEstimate, _gauge_plan, _place_vertices
+    from sympair.graphs import _BLOCK, _CHUNK, _ORIENT, WeightEstimate, _gauge_plan, _place_vertices
     edges = g.finite_edges
     plan = _gauge_plan(g)
     dim = 2 * g.n + g.m - 2
@@ -621,13 +621,7 @@ def weight_mc_blocks_reference(g, samples, seed):
                 count = min(_BLOCK, chunk - start)
                 xs, ys, jac = _place_vertices(plan, np.ascontiguousarray(rng.random((count, dim)).T))
                 entries = _matrix_entries_reference(g.n, plan, edges, xs, ys)
-                if dim <= _LAPLACE_MAX_DIM:
-                    dets = _laplace_reference(entries, dim, 0, {})
-                else:
-                    M = np.zeros((count, dim, dim))
-                    for (row, col), vals in entries.items():
-                        M[:, row, col] = vals
-                    dets = np.linalg.det(M)
+                dets = _laplace_reference(entries, dim, 0, {})
                 if dets is None:
                     blocks.append((count, 0.0, 0.0))
                     continue

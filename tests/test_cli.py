@@ -318,6 +318,11 @@ def test_graph_weight_rejects_malformed_files(tmp_path, capsys):
         ({"n": 1, "m": 2}, "missing key 'edges' in graph file"),
         ({"n": "1", "m": 2, "edges": []}, "vertex counts"),
     ]
+    # JSON non-integer vertices would be truncated or coerced to a vertex by int()
+    good = [[0, 1, "+"], [0, 3, "+"], [1, 2, "+"], [1, 3, "+"]]
+    for bad in ([0.7, 2, "+"], [0, 2.9, "+"], [True, 2, "+"], ["0", 2, "+"], [0, None, "+"], [0, "Inf", "+"]):
+        cases.append(({"n": 2, "m": 2, "edges": good[:3] + [bad]},
+                      f"graph edge {json.dumps(bad)}: the source must be a JSON integer"))
     for data, message in cases:
         code, err = _graph_weight_file(tmp_path, capsys, data)
         assert code == 2

@@ -439,14 +439,14 @@ def kernel_corpus():
 
 def gauge_corpus():
     """The m = 1 gauge (a point on the unit circle), the m = 0 gauge (a point
-    pinned at i), three aerial points (dim 6), and dim 9 above the Laplace
-    threshold: the LU path."""
+    pinned at i), three aerial points (dim 6), and four aerial points over
+    three ground points (dim 9)."""
     m1 = ColoredGraph(2, 1, [(0, 1, "-"), (0, 2, "+"), (1, 2, "+"), (1, "inf", "-")])
     m0 = ColoredGraph(2, 0, [(0, 1, "+"), (1, 0, "+")])
     n3 = ColoredGraph(3, 2, [(0, 1, "+"), (0, 2, "-"), (1, 3, "+"), (1, 0, "-"), (2, 3, "+"), (2, 4, "+")])
-    lu = ColoredGraph(4, 3, [(0, 4, "+"), (0, 5, "+"), (1, 5, "+"), (1, 6, "+"), (2, 0, "+"), (2, 1, "+"),
-                             (3, 2, "+"), (3, 4, "+"), (6, 3, "-")])
-    return [m1, m0, n3, lu]
+    dim9 = ColoredGraph(4, 3, [(0, 4, "+"), (0, 5, "+"), (1, 5, "+"), (1, 6, "+"), (2, 0, "+"), (2, 1, "+"),
+                               (3, 2, "+"), (3, 4, "+"), (6, 3, "-")])
+    return [m1, m0, n3, dim9]
 
 
 def shared_pair_corpus():
@@ -467,7 +467,7 @@ def shared_pair_corpus():
         ColoredGraph(2, 2, [(0, 1, "+"), (1, 0, "+"), (0, 3, "+"), (2, 1, "-")]),
         ColoredGraph(2, 3, [(0, 1, "+"), (0, 1, "-"), (1, 4, "+"), (4, 1, "-"), (0, 3, "+")]),
         ColoredGraph(2, 3, [(0, 1, "+"), (1, 0, "+"), (4, 0, "-"), (0, 2, "+"), (1, 3, "+")]),
-        # dim 9: the LU path
+        # dim 9: four aerial points, a shared pair in both colors
         ColoredGraph(4, 3, [(0, 1, "+"), (1, 0, "+"), (0, 4, "+"), (1, 5, "+"), (2, 3, "+"), (2, 3, "-"),
                             (3, 4, "+"), (3, 5, "+"), (6, 2, "-")]),
     ]
@@ -475,20 +475,30 @@ def shared_pair_corpus():
 
 def test_weight_kernel_matches_dense_reference():
     from conftest import weight_mc_dense
-    from sympair.graphs import _LAPLACE_MAX_DIM
     files, top, dim5 = kernel_corpus()
     assert len(files) == 3 and len(top) == 21
-    m1, m0, n3, lu = gauge_corpus()
+    m1, m0, n3, dim9 = gauge_corpus()
     shared = shared_pair_corpus()
-    assert len(lu.finite_edges) > _LAPLACE_MAX_DIM and len(shared[-1].finite_edges) > _LAPLACE_MAX_DIM
-    for g in files + top + [dim5, m1, m0, n3, lu] + shared:
+    # dim 12 (five aerial points, two ground gap columns) and dim 16 (eight aerial points)
+    dim12 = ColoredGraph(5, 4, [(0, 6, "+"), (0, 7, "+"), (1, 0, "-"), (1, 5, "+"), (2, 1, "-"), (2, 8, "+"),
+                                (3, 1, "-"), (3, 6, "+"), (4, 5, "+"), (4, 6, "+"), (7, 4, "-"), (8, 0, "-")])
+    dim16 = ColoredGraph(8, 2, [(0, 4, "+"), (0, 9, "+"), (1, 8, "+"), (1, 9, "+"), (2, 1, "+"), (2, 5, "+"),
+                                (3, 1, "+"), (3, 8, "+"), (4, 0, "+"), (4, 6, "+"), (5, 0, "-"), (5, 8, "+"),
+                                (6, 5, "-"), (6, 9, "+"), (7, 1, "+"), (7, 2, "+")])
+    assert [len(g.finite_edges) for g in (dim9, shared[-1], dim12, dim16)] == [9, 9, 12, 16]
+    assert not any(pointwise_zero_rules(g) for g in (dim9, shared[-1], dim12, dim16))
+    for g in files + top + [dim5, m1, m0, n3, dim9] + shared + [dim12, dim16]:
         for seed in (1, 77):
             est = weight_mc(g, 32768, seed)
             ref = weight_mc_dense(g, 32768, seed)
             assert est.nonfinite == 0
             assert abs(est.value - ref.value) <= 1e-9 + 1e-9 * abs(ref.value), (g, est, ref)
             assert abs(est.std_error - ref.std_error) <= 1e-9 + 1e-9 * abs(ref.std_error), (g, est, ref)
-    for g in (dim5, lu, shared[-1]):
+            if g in (dim12, dim16):
+                # (2 pi)^-#E shrinks these weights below the absolute 1e-9, so
+                # compare them on the scale of their own error bar as well
+                assert abs(est.value - ref.value) <= 1e-9 * ref.std_error, (g, est, ref)
+    for g in (dim5, dim9, shared[-1], dim12, dim16):
         assert weight_mc(g, 32768, 1).std_error > 0  # not structurally zero
 
 
@@ -591,17 +601,20 @@ def test_weight_blocks_match_dense_reference_across_boundaries(samples):
 
 
 def test_weight_allocation_peak_stays_small():
-    # one chunk is integrated block by block, so no chunk-sized temporaries live at once
+    # one chunk is integrated block by block, so no chunk-sized temporaries
+    # live at once; dim 9 runs the same program, on more block buffers
     import tracemalloc
-    g = ColoredGraph(2, 2, [(0, 1, "+"), (0, 2, "+"), (1, 2, "+"), (1, 3, "+")])
-    weight_mc(g, 10, 1)  # loads numpy outside the traced call
-    tracemalloc.start()
-    try:
-        weight_mc(g, 32768, 1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 3_000_000
+    dim4 = ColoredGraph(2, 2, [(0, 1, "+"), (0, 2, "+"), (1, 2, "+"), (1, 3, "+")])
+    dim9 = gauge_corpus()[-1]
+    for g in (dim4, dim9):
+        weight_mc(g, 10, 1)  # loads numpy outside the traced call
+        tracemalloc.start()
+        try:
+            weight_mc(g, 32768, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3_000_000, (g, peak)
 
 
 def test_weight_rejects_negative_seed():
