@@ -63,19 +63,11 @@ class CoincidentPoints(SympairError):
     pass
 
 
-class CapExceeded(SympairError):
-    pass
-
-
 class GaugeUnderdetermined(SympairError):
     pass
 
 
 class ColorArityMismatch(SympairError):
-    pass
-
-
-class UnsupportedPalette(SympairError):
     pass
 
 

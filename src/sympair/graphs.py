@@ -2,9 +2,8 @@
 
 Aerial vertices are 0..n-1, ground vertices n..n+m-1 (ground positions are
 ordered on the real axis), and "inf" marks an edge without target.  Edge
-colors are "+" and "-" in the two-color palette (solid derives tangent
-directions, dashed the normal ones) or two-character strings "++", "+-",
-"-+", "--" in the four-color palette of the quadrant.
+colors are "+" (solid, derives tangent directions) and "-" (dashed, the
+normal ones).
 
 Weights are integrals of products of angle one-forms over the compactified
 configuration space of the upper half-plane, normalized by (2 pi)^#E; they
@@ -20,35 +19,32 @@ import numbers
 from fractions import Fraction
 from operator import add, mul, sub, truediv
 
-from .errors import (
-    CapExceeded,
-    CoincidentPoints,
-    ColorArityMismatch,
-    GaugeUnderdetermined,
-    SympairError,
-    UnsupportedPalette,
-)
+from .errors import CoincidentPoints, ColorArityMismatch, GaugeUnderdetermined, SympairError
 from .liealg import SymmetricPair
 from .poly import Poly
 from .polyops import BlockPolynomial
 
 INF = "inf"
 TWO_COLOR = ("+", "-")
-FOUR_COLOR = ("++", "+-", "-+", "--")
-ENUM_CAP = 3
+
+
+def _is_integer(v) -> bool:
+    """An integer (numpy integers included) that is not a bool."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
 class ColoredGraph:
-    def __init__(self, n: int, m: int, edges, palette: str = "two_color"):
+    def __init__(self, n: int, m: int, edges):
         self.n = n
         self.m = m
-        self.palette = palette
-        colors = TWO_COLOR if palette == "two_color" else FOUR_COLOR
         norm = []
         vertices = range(n + m)
-        for src, dst, color in edges:
-            if color not in colors:
-                raise ValueError(f"color {color!r} not in palette {palette}")
+        for edge in edges:
+            src, dst, color = edge
+            if color not in TWO_COLOR:
+                raise ValueError(f"edge {edge!r}: color {color!r} is neither '+' nor '-'")
+            if not (_is_integer(src) and (dst == INF or _is_integer(dst))):
+                raise ValueError(f"edge {edge!r}: the source must be an integer and the target an integer or {INF!r}")
             src, dst = int(src), dst if dst == INF else int(dst)
             if src not in vertices:
                 raise ValueError(f"edge source {src} is not a vertex 0..{n + m - 1}")
@@ -62,7 +58,7 @@ class ColoredGraph:
             raise ValueError("double edge with identical source, target, color")
         self.edges = tuple(norm)
         for src, dst, color in self.edges:
-            why = _color_violation(n, m, palette, src, dst, color)
+            why = _color_violation(n, m, src, dst, color)
             if why:
                 raise ValueError(why)
 
@@ -73,16 +69,13 @@ class ColoredGraph:
     def out_degree(self, v: int) -> int:
         return sum(1 for e in self.edges if e[0] == v)
 
-    def out_edges(self, v: int):
-        return tuple(e for e in self.edges if e[0] == v)
-
     def relabel_aerial(self, perm) -> "ColoredGraph":
         """Apply a permutation of the aerial labels (ground labels are fixed)."""
         def re(v):
             if v == INF or v >= self.n:
                 return v
             return perm[v]
-        return ColoredGraph(self.n, self.m, [(re(s), re(d), c) for s, d, c in self.edges], self.palette)
+        return ColoredGraph(self.n, self.m, [(re(s), re(d), c) for s, d, c in self.edges])
 
     def canonical(self) -> "ColoredGraph":
         """Lexicographically minimal edge encoding over aerial relabelings."""
@@ -101,16 +94,16 @@ class ColoredGraph:
     def mirror(self) -> "ColoredGraph":
         """Reflection through the vertical axis: ground order reversed."""
         re = self._mirror_vertex
-        return ColoredGraph(self.n, self.m, [(re(s), re(d), c) for s, d, c in self.edges], self.palette)
+        return ColoredGraph(self.n, self.m, [(re(s), re(d), c) for s, d, c in self.edges])
 
     def __eq__(self, other):
         return (
             isinstance(other, ColoredGraph)
-            and (self.n, self.m, self.palette, self.edges) == (other.n, other.m, other.palette, other.edges)
+            and (self.n, self.m, self.edges) == (other.n, other.m, other.edges)
         )
 
     def __hash__(self):
-        return hash((self.n, self.m, self.palette, self.edges))
+        return hash((self.n, self.m, self.edges))
 
     def __repr__(self):
         return f"ColoredGraph(n={self.n}, m={self.m}, edges={list(self.edges)})"
@@ -121,18 +114,17 @@ def _edge_key(e):
     return (src, (1, 0) if dst == INF else (0, dst), color)
 
 
-def _color_violation(n: int, m: int, palette: str, src, dst, color: str) -> str | None:
+def _color_violation(n: int, m: int, src, dst, color: str) -> str | None:
     """Why an edge's color is inadmissible, or None.
 
     Edges leaving a ground vertex carry the dashed color, edges into one
-    the solid color, and edges to infinity the (fully) dashed color.  In
-    both palettes the first character is the color in the plane.
+    the solid color, and edges to infinity the dashed color.
     """
-    if n <= src < n + m and not color.startswith("-"):
+    if n <= src < n + m and color != "-":
         return "edges leaving the real axis must carry the dashed color"
-    if dst != INF and n <= dst < n + m and not color.startswith("+"):
+    if dst != INF and n <= dst < n + m and color != "+":
         return "edges into ground vertices must carry the solid color"
-    if dst == INF and color != ("-" if palette == "two_color" else "--"):
+    if dst == INF and color != "-":
         return "edges to infinity carry the dashed color"
     return None
 
@@ -167,87 +159,86 @@ class ZeroWeight:
 UNKNOWN = "unknown"
 
 
+def _pointwise_zero(g: ColoredGraph) -> str | None:
+    """Why the weight of `g` is zero because its integrand is zero at every point, or None.
+
+    "dimension_mismatch": the finite edges are not 2n + m - 2 in number, so
+    the form is not a top form; "double_edge_same_color": two edges have
+    the same one-form (`_one_form`), so the determinant has two equal rows;
+    "untouched_vertex": some vertex, pinned or not, is touched by no finite
+    edge, so the form is pulled back from a configuration space of lower
+    dimension (a top form without edges is the weight 1 of a point).
+    """
+    edges = g.finite_edges
+    if len(edges) != 2 * g.n + g.m - 2:
+        return "dimension_mismatch"
+    forms = {_one_form(e) for e in edges}
+    if len(forms) < len(edges):
+        return "double_edge_same_color"
+    if edges and len({v for p, q, _ in forms for v in (p, q)}) < g.n + g.m:
+        return "untouched_vertex"
+    return None
+
+
 def zero_weight_predicate(g: ColoredGraph):
     """Cheap sufficient conditions for a vanishing weight, else `UNKNOWN`.
 
-    Since the dashed form satisfies dphi_-(p,q) = dphi_+(q,p), converting
-    every dashed edge to a reversed solid one preserves the integrand up to
-    sign.  Two rules follow: a converted double edge (two edges with the
-    same one-form, `_one_form`) gives two identical rows, so the integrand
+    First the reasons of `_pointwise_zero`, under which the integrand
     vanishes at every point and `weight_mc` returns exactly 0 +- 0 without
-    sampling; and a vertex whose only incident edges are one solid and one
-    dashed out-edge to distinct targets isolates a two-form in one aerial
-    point, which integrates to zero although the integrand does not vanish,
-    so `weight_mc` still samples it.  The predicate is conservative: a
-    vertex with further incident edges is NOT flagged (such graphs can
-    carry nonzero weight, e.g. the two-spoke cycle on two aerial points).
+    sampling.  Then the isolated pattern: since dphi_-(p,q) = dphi_+(q,p),
+    converting every dashed edge to a reversed solid one preserves the
+    integrand up to sign, and a vertex whose only incident edges are one
+    solid and one dashed out-edge to distinct targets isolates a two-form
+    in one aerial point, which integrates to zero although the integrand
+    does not vanish, so `weight_mc` still samples it.  The predicate is
+    conservative: a vertex with further incident edges is NOT flagged
+    (such graphs can carry nonzero weight, e.g. the two-spoke cycle on two
+    aerial points).
     """
-    dim = 2 * g.n + g.m - 2
-    if len(g.finite_edges) != dim:
-        return ZeroWeight("dimension_mismatch")
-    if g.palette == "two_color":
-        if len({_one_form(e) for e in g.finite_edges}) < dim:
-            return ZeroWeight("double_edge_same_color")
-        for v in range(g.n):
-            if any(e[1] == v for e in g.finite_edges):
-                continue  # incoming edges break the isolation argument
-            out = [e for e in g.out_edges(v) if e[1] != INF]
-            solid = [e for e in out if e[2] == "+"]
-            dashed = [e for e in out if e[2] == "-"]
-            for es in solid:
-                for ed in dashed:
-                    if es[1] != ed[1]:
-                        return ZeroWeight("pattern_bullet_leftarrow_dashrightarrow")
+    reason = _pointwise_zero(g)
+    if reason:
+        return ZeroWeight(reason)
+    edges = g.finite_edges
+    for v in range(g.n):
+        if any(e[1] == v for e in edges):
+            continue  # incoming edges break the isolation argument
+        solid, dashed = ({dst for src, dst, c in edges if src == v and c == color} for color in TWO_COLOR)
+        if any(s != d for s in solid for d in dashed):
+            return ZeroWeight("pattern_bullet_leftarrow_dashrightarrow")
     return UNKNOWN
 
 
-def enumerate_graphs(n: int, m: int, out_degrees, palette: str = "two_color",
-                     allow_infinity: bool = False, ground_out_degrees=None):
+def enumerate_graphs(n: int, m: int, out_degrees, allow_infinity: bool = False, ground_out_degrees=None):
     """All admissible graphs up to aerial renumbering.
 
     `out_degrees[v]` is the number of edges leaving aerial vertex v (2 for
     the linear-bivector profile).  Ground vertices emit
-    `ground_out_degrees[j]` dashed edges (default 0).
+    `ground_out_degrees[j]` dashed edges (default 0).  The count grows
+    quickly: n = 4, m = 1 with out-degree 2 gives 8,295 graphs.
     """
-    if n > ENUM_CAP or m > ENUM_CAP:
-        raise CapExceeded(f"enumeration capped at n,m <= {ENUM_CAP}")
-    if palette not in ("two_color", "four_color"):
-        raise UnsupportedPalette(palette)
-    colors = TWO_COLOR if palette == "two_color" else FOUR_COLOR
     ground_out_degrees = ground_out_degrees or [0] * m
+    degrees = [out_degrees[v] for v in range(n)] + [ground_out_degrees[j] for j in range(m)]
     targets = list(range(n + m)) + ([INF] if allow_infinity else [])
 
     def choices_for(v, deg):
-        opts = [(tgt, color) for tgt in targets if tgt != v for color in colors
-                if _color_violation(n, m, palette, v, tgt, color) is None]
+        opts = [(v, tgt, color) for tgt in targets if tgt != v for color in TWO_COLOR
+                if _color_violation(n, m, v, tgt, color) is None]
         return list(itertools.combinations(opts, deg))
 
-    per_vertex = []
-    for v in range(n):
-        per_vertex.append([(v, ch) for ch in choices_for(v, out_degrees[v])])
-    for j in range(m):
-        per_vertex.append([(n + j, ch) for ch in choices_for(n + j, ground_out_degrees[j])])
-
-    seen = set()
-    out = []
-    for combo in itertools.product(*per_vertex):
-        edges = [(v, tgt, color) for v, ch in combo for tgt, color in ch]
+    out = {}  # canonical graphs in order of first appearance
+    for combo in itertools.product(*(choices_for(v, deg) for v, deg in enumerate(degrees))):
         try:
-            g = ColoredGraph(n, m, edges, palette).canonical()
+            out.setdefault(ColoredGraph(n, m, [e for ch in combo for e in ch]).canonical())
         except ValueError:
             continue
-        if g not in seen:
-            seen.add(g)
-            out.append(g)
-    return out
+    return list(out)
 
 
 # -- angle functions ----------------------------------------------------------
 #
 # An edge's angle is a signed sum of arg w over the factors w = p - q and
-# p - conj(q), joined by p + conj(q) and p + q in the four-color palette.
-# A half (the second is the first at -conj(q)) has a = xp - xq, b1 = yp - yq,
-# b2 = yp + yq, u = 1/(a^2 + b1^2) and v = 1/(a^2 + b2^2); by d arg(w) =
+# p - conj(q).  With a = xp - xq, b1 = yp - yq, b2 = yp + yq,
+# u = 1/(a^2 + b1^2) and v = 1/(a^2 + b2^2), by d arg(w) =
 # (a db - b da)/|w|^2 its one-form in color c (c' the other) is
 #     -P_c dxp + A_c dyp + P_c dxq - A_c' dyq,  P+- = u b1 +- v b2,  A+- = a (u +- v).
 # As dphi_-(p, q) = dphi_+(q, p), edge q -> p of color c has the form of
@@ -293,40 +284,28 @@ def _pair_value(known, recipes, name, emit):
     return known[name]
 
 
-def angle(p: complex, q: complex, color: str, palette: str = "two_color"):
+def angle(p: complex, q: complex, color: str):
     """Angle value and analytic one-form coefficients for one colored edge.
 
     Returns (value, coeffs) with coeffs = [d/dRe p, d/dIm p, d/dRe q, d/dIm q].
     The value is a sum of atan2 branches (well defined modulo 2 pi).  The
-    coefficients of each half are the pair arrays of `_OFF_AXIS`, evaluated
-    here on floats and by the Monte-Carlo program on blocks of samples; in
-    the four-color palette the half p + conj(q), p + q (the first half at
-    -conj(q)) carries the color's second sign.
+    coefficients are the pair arrays of `_OFF_AXIS`, evaluated here on
+    floats and by the Monte-Carlo program on blocks of samples.
     """
     if p == q:
         raise CoincidentPoints("p == q")
-    if palette == "two_color" and color not in TWO_COLOR:
+    if color not in TWO_COLOR:
         raise ValueError(color)
     xp, yp, xq, yq = p.real, p.imag, q.real, q.imag
-    b1, b2 = yp - yq, yp + yq
-    e1 = 1.0 if color[0] == "+" else -1.0
-    halves = [(1.0, 1.0, ("p-q", "p-qbar"))]
-    if palette != "two_color":
-        halves.append((1.0 if color[1] == "+" else -1.0, -1.0, ("p+qbar", "p+q")))
-    value = 0.0
-    coeffs = [0.0, 0.0, 0.0, 0.0]
-    for weight, e, keys in halves:
-        a = xp - e * xq
-        for key, b in zip(keys, (b1, b2)):
-            if a * a + b * b == 0.0:
-                raise CoincidentPoints(f"factor {key} degenerates")
-        value += weight * (math.atan2(b1, a) + e1 * math.atan2(b2, a))
-        known = {"xp": xp, "yp": yp, "xq": e * xq, "yq": yq, "one": 1.0}
-        P, A, A_other = (_pair_value(known, _OFF_AXIS, name, lambda f, x, y: f(x, y))
-                         for name in ("P" + color[0], "A" + color[0], "A" + _OTHER[color[0]]))
-        for t, term in enumerate((-P, A, e * P, -A_other)):
-            coeffs[t] += weight * term
-    return value, coeffs
+    a, b1, b2 = xp - xq, yp - yq, yp + yq
+    for key, b in (("p-q", b1), ("p-qbar", b2)):
+        if a * a + b * b == 0.0:
+            raise CoincidentPoints(f"factor {key} degenerates")
+    value = math.atan2(b1, a) + (1.0 if color == "+" else -1.0) * math.atan2(b2, a)
+    known = {"xp": xp, "yp": yp, "xq": xq, "yq": yq, "one": 1.0}
+    P, A, A_other = (_pair_value(known, _OFF_AXIS, name, lambda f, x, y: f(x, y))
+                     for name in ("P" + color, "A" + color, "A" + _OTHER[color]))
+    return value, [-P, A, P, -A_other]
 
 
 # -- Monte-Carlo weights -------------------------------------------------------
@@ -383,16 +362,16 @@ def weight_mc(g: ColoredGraph, samples: int, seed: int) -> WeightEstimate:
 
     The gauge is that of `_gauge_plan`.  The integrand is the determinant
     of the edge-form coefficients against the free coordinates, times the
-    Jacobian of the map from the unit cube.  It vanishes at every point,
-    and the estimate is exactly 0 +- 0 with nothing drawn, when two edges
-    have the same one-form (`_one_form`: two equal rows) or when no edge
-    touches some vertex (the form is pulled back from a configuration
-    space of lower dimension).  Otherwise each call compiles it into a
-    straight-line numpy program on a few reused block buffers: the arrays
-    of each endpoint pair's table (`_integrand_entries`), then the Laplace
-    expansion of the determinant (`_laplace_program`) at every dimension;
-    the program's length, and the cost of a call, follow the number of
-    memoized minors rather than the dimension.  Entry and cofactor signs
+    Jacobian of the map from the unit cube.  The estimate is exactly
+    0 +- 0 with nothing drawn when the integrand vanishes at every point
+    for one of the reasons of `_pointwise_zero`, which are the first that
+    `zero_weight_predicate` reports.  Otherwise each call compiles the
+    integrand into a straight-line numpy program on a few reused block
+    buffers: the arrays of each endpoint pair's table
+    (`_integrand_entries`), then the Laplace expansion of the determinant
+    (`_laplace_program`) at every dimension; the program's length, and the
+    cost of a call, follow the number of memoized minors rather than the
+    dimension.  Entry and cofactor signs
     and the factor 2 of rows on the real axis move, exactly, into the
     normalization.  Non-finite samples (coincident points) are counted in
     `nonfinite` and left out of the mean and the standard error.  Chunk t
@@ -404,22 +383,17 @@ def weight_mc(g: ColoredGraph, samples: int, seed: int) -> WeightEstimate:
     import numpy as np
 
     for name, value in (("samples", samples), ("seed", seed)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        if not _is_integer(value):
             raise SympairError(f"{name} must be an integer, got {value!r}")
     if samples < 1:
         raise SympairError(f"samples must be >= 1, got {samples}")
     if seed < 0:
         raise SympairError(f"seed must be >= 0, got {seed}")
-    if g.palette != "two_color":
-        raise UnsupportedPalette("weights are integrated for the two-color palette")
-    edges = g.finite_edges
     plan = _gauge_plan(g)
-    dim = 2 * g.n + g.m - 2
-    if len(edges) != dim:
-        return WeightEstimate(0.0, 0.0, samples, seed)  # not a top form
-    forms = {_one_form(e) for e in edges}
-    if len(forms) < dim or len({v for p, q, _ in forms for v in (p, q)}) < g.n + g.m:
-        return WeightEstimate(0.0, 0.0, samples, seed)  # two equal rows, or a vertex no edge touches
+    if _pointwise_zero(g):
+        return WeightEstimate(0.0, 0.0, samples, seed)
+    edges = g.finite_edges
+    dim = len(edges)
 
     nin = 2 * (g.n + g.m) + 1  # values of a block's inputs: its xs, its ys and the constant 1.0
     steps = [None] * nin  # steps[i] = (operator, left, right) computes value i
@@ -604,15 +578,13 @@ def mirror_orientation_sign(g: ColoredGraph) -> int:
 # -- operator compilation ------------------------------------------------------
 
 def compile_operator(g: ColoredGraph, pair: SymmetricPair, arguments) -> BlockPolynomial:
-    """Contract a two-color graph into a polydifferential value on S(g).
+    """Contract a colored graph into a polydifferential value on S(g).
 
     Aerial vertices carry half the linear Poisson bivector; an edge of
     color '+' ranges over p indices and differentiates tangent directions,
     one of color '-' over k indices.  Ground vertex j holds arguments[j].
     The result is restricted to the k-annihilator (k symbols killed).
     """
-    if g.palette != "two_color":
-        raise UnsupportedPalette("compile_operator supports the two-color palette")
     if len(arguments) != g.m:
         raise ColorArityMismatch(f"graph has {g.m} ground vertices, got {len(arguments)} arguments")
     if any(e[1] == INF for e in g.edges):

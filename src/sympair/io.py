@@ -269,8 +269,7 @@ def parse_graph(data: dict):
         if type(e[0]) is not int or not (type(e[1]) is int or e[1] == "inf"):
             raise SympairError(f"graph edge {json.dumps(e)}: the source must be a JSON integer "
                                f"and the target a JSON integer or \"inf\"")
-    palette = "two_color" if all(len(c[2]) == 1 for c in edges) else "four_color"
-    return ColoredGraph(data["n"], data["m"], [tuple(e) for e in edges], palette)
+    return ColoredGraph(data["n"], data["m"], [tuple(e) for e in edges])
 
 
 class RunReport:

@@ -317,6 +317,7 @@ def test_graph_weight_rejects_malformed_files(tmp_path, capsys):
         ({"n": 1, "m": 2, "edges": [[0, 1, "+"], [0, 2]]}, "[source, target, color] triples"),
         ({"n": 1, "m": 2}, "missing key 'edges' in graph file"),
         ({"n": "1", "m": 2, "edges": []}, "vertex counts"),
+        ({"n": 1, "m": 2, "edges": [[0, 1, "++"], [0, 2, "+"]]}, "color '++' is neither '+' nor '-'"),
     ]
     # JSON non-integer vertices would be truncated or coerced to a vertex by int()
     good = [[0, 1, "+"], [0, 3, "+"], [1, 2, "+"], [1, 3, "+"]]
@@ -327,6 +328,19 @@ def test_graph_weight_rejects_malformed_files(tmp_path, capsys):
         code, err = _graph_weight_file(tmp_path, capsys, data)
         assert code == 2
         assert message in err and "Traceback" not in err
+
+
+def test_graph_weight_reports_untouched_vertex(tmp_path, capsys):
+    # no edge touches ground vertex 3: the weight is exactly zero, with nothing drawn
+    path, report_path = tmp_path / "graph.json", tmp_path / "report.json"
+    path.write_text(json.dumps({"n": 2, "m": 2, "edges": [[0, 1, "+"], [0, 2, "+"], [1, 0, "+"], [1, 2, "+"]]}))
+    code = run(["graph-weight", "--graph", str(path), "--samples", "1000", "--json", str(report_path)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "predicate: Zero(untouched_vertex)" in out and "weight = 0.000000 +- 0.000000" in out
+    results = {r["label"]: r for r in json.loads(report_path.read_text())["results"]}
+    assert results["predicate"]["value"] == "untouched_vertex"
+    assert (results["weight"]["value"], results["weight"]["std_error"]) == (0.0, 0.0)
 
 
 def test_graph_weight_rejects_negative_seed(tmp_path, capsys):
