@@ -230,9 +230,8 @@ def _dispatch(args, report) -> int:
         return 0
 
     if cmd == "densities":
-        series = density_series(args.kind, args.order)
-        compiled = series.as_polynomial(pair, "p" if args.kind.startswith("J") else "g")
         space = "p" if args.kind.startswith("J") else "g"
+        compiled = density_series(args.kind, args.order).as_polynomial(pair, space)
         s = sio.format_poly(sio.block_names(pair, space), compiled)
         print(f"{args.kind} expanded to order {args.order} on {space}-coordinates of X:")
         print(f"  {s}")
@@ -247,13 +246,12 @@ def _parse_form(pair, form: str):
         coords = util.vec(form.split(","))
         if len(coords) != pair.dim:
             raise ValueError("form needs one coordinate per basis symbol")
-        # coordinates over the original dual basis; convert to adapted dual
-        return tuple(util.vec_dot(coords, pair.adapted_vectors[i]) for i in range(pair.dim))
-    if form in pair.algebra.basis:
-        i = pair.algebra.basis.index(form)
-        coords = util.unit_vec(pair.dim, i)
-        return tuple(util.vec_dot(coords, pair.adapted_vectors[t]) for t in range(pair.dim))
-    raise ValueError(f"unknown form {form!r}")
+    elif form in pair.algebra.basis:
+        coords = util.unit_vec(pair.dim, pair.algebra.basis.index(form))
+    else:
+        raise ValueError(f"unknown form {form!r}")
+    # coordinates over the original dual basis; convert to adapted dual
+    return tuple(util.vec_dot(coords, v) for v in pair.adapted_vectors)
 
 
 def main(argv=None) -> int:

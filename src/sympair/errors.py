@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+from .util import fmt_vec
+
 
 class SympairError(Exception):
     """Base class for all validation and usage errors raised by sympair."""
@@ -9,22 +11,25 @@ class JacobiViolation(SympairError):
     def __init__(self, i, j, k, defect):
         self.triple = (i, j, k)
         self.defect = defect
-        super().__init__(f"Jacobi identity fails on basis triple {(i, j, k)}: defect {defect}")
+        super().__init__(f"Jacobi identity fails on basis triple {(i, j, k)}: defect {fmt_vec(defect)}")
 
 
 class NotInvolution(SympairError):
-    pass
+    def __init__(self, i, defect):
+        self.vector = i
+        self.defect = defect
+        super().__init__(f"sigma^2 != identity on basis vector {i!r}: defect {fmt_vec(defect)}")
 
 
 class NotAutomorphism(SympairError):
     def __init__(self, i, j, defect):
         self.pair = (i, j)
         self.defect = defect
-        super().__init__(f"sigma is not a bracket automorphism on basis pair {(i, j)}: defect {defect}")
+        super().__init__(f"sigma is not a bracket automorphism on basis pair {(i, j)}: defect {fmt_vec(defect)}")
 
 
 class NotCartanSplit(SympairError):
-    """An adapted basis fails one of the eigenspace or bracket-inclusion checks."""
+    """A user-given adapted basis is not made of sigma eigenvectors, or is not a basis."""
 
 
 class OrderTooHigh(SympairError):

@@ -71,21 +71,11 @@ class ColoredGraph:
 
     def relabel_aerial(self, perm) -> "ColoredGraph":
         """Apply a permutation of the aerial labels (ground labels are fixed)."""
-        def re(v):
-            if v == INF or v >= self.n:
-                return v
-            return perm[v]
-        return ColoredGraph(self.n, self.m, [(re(s), re(d), c) for s, d, c in self.edges])
+        return ColoredGraph(self.n, self.m, _relabel(self.n, self.edges, perm))
 
     def canonical(self) -> "ColoredGraph":
         """Lexicographically minimal edge encoding over aerial relabelings."""
-        best = None
-        for perm in itertools.permutations(range(self.n)):
-            g = self.relabel_aerial(perm)
-            key = tuple(_edge_key(e) for e in g.edges)
-            if best is None or key < best[0]:
-                best = (key, g)
-        return best[1] if best else self
+        return ColoredGraph(self.n, self.m, _canonical_edges(self.n, self.edges))
 
     def _mirror_vertex(self, v):
         """Image of a vertex under the reflection through the vertical axis (ground order reversed)."""
@@ -112,6 +102,19 @@ class ColoredGraph:
 def _edge_key(e):
     src, dst, color = e
     return (src, (1, 0) if dst == INF else (0, dst), color)
+
+
+def _relabel(n: int, edges, perm) -> list:
+    """Edges with each aerial vertex v renamed perm[v]."""
+    return [(s if s >= n else perm[s], d if d == INF or d >= n else perm[d], c) for s, d, c in edges]
+
+
+def _canonical_edges(n: int, edges) -> list:
+    """`edges` relabeled by the aerial permutation whose `_edge_key` list is
+    least, in key order.  Keys are distinct, so edges are compared only by ==."""
+    least = min(sorted((_edge_key(e), e) for e in _relabel(n, edges, perm))
+                for perm in itertools.permutations(range(n)))
+    return [e for _, e in least]
 
 
 def _color_violation(n: int, m: int, src, dst, color: str) -> str | None:
@@ -225,13 +228,14 @@ def enumerate_graphs(n: int, m: int, out_degrees, allow_infinity: bool = False, 
                 if _color_violation(n, m, v, tgt, color) is None]
         return list(itertools.combinations(opts, deg))
 
-    out = {}  # canonical graphs in order of first appearance
+    # every combination is admissible: no loops, admissible colors, and
+    # distinct edges, as each vertex picks distinct out-edges of its own
+    out = {}  # canonical edge lists in order of first appearance -> graph
     for combo in itertools.product(*(choices_for(v, deg) for v, deg in enumerate(degrees))):
-        try:
-            out.setdefault(ColoredGraph(n, m, [e for ch in combo for e in ch]).canonical())
-        except ValueError:
-            continue
-    return list(out)
+        edges = tuple(_canonical_edges(n, [e for ch in combo for e in ch]))
+        if edges not in out:
+            out[edges] = ColoredGraph(n, m, edges)
+    return list(out.values())
 
 
 # -- angle functions ----------------------------------------------------------

@@ -46,10 +46,10 @@ def validate_iwasawa(data: IwasawaData) -> list[str]:
 
     for v in data.p0:
         if not in_block(v, 0, dp):
-            problems.append(f"p0 vector {v} is not in p")
+            problems.append(f"p0 vector {util.fmt_vec(v)} is not in p")
     for v in data.k0 + data.r:
         if not in_block(v, dp, pair.dim):
-            problems.append(f"k0/r vector {v} is not in k")
+            problems.append(f"k0/r vector {util.fmt_vec(v)} is not in k")
 
     k_basis = [util.unit_vec(pair.dim, i) for i in range(dp, pair.dim)]
     if not util.direct_sum_check([k_basis, data.p0, data.n_plus], pair.dim):
@@ -74,7 +74,7 @@ def validate_iwasawa(data: IwasawaData) -> list[str]:
             for v in data.n_plus:
                 w = pair.adapted.bracket(u, v)
                 if not util.span_contains(n_span, w):
-                    problems.append(f"[{label}, n+] escapes n+ (witness {u} x {v})")
+                    problems.append(f"[{label}, n+] escapes n+ (witness {util.fmt_vec(u)} x {util.fmt_vec(v)})")
     if not util.direct_sum_check([data.n_minus, g0, data.n_plus], pair.dim):
         problems.append("g != n- + g0 + n+ with n- = sigma(n+)")
     return problems
@@ -83,7 +83,9 @@ def validate_iwasawa(data: IwasawaData) -> list[str]:
 def hc_restrict(data: IwasawaData, f: BlockPolynomial, require_invariant_flag: bool = False) -> Poly:
     """Substitute each p symbol by its p0 component along g = (k + n+) + p0.
 
-    Returns a polynomial in the p0-basis coordinates.  With the flag set,
+    validate_iwasawa has checked that k + n+ + p0 is a basis of g, so each
+    p symbol has exactly one such decomposition.  Returns a polynomial in
+    the p0-basis coordinates.  With the flag set,
     f must be k-invariant and the image is checked to be k0-invariant.
     """
     pair = data.pair
@@ -96,8 +98,6 @@ def hc_restrict(data: IwasawaData, f: BlockPolynomial, require_invariant_flag: b
     k_basis = [util.unit_vec(pair.dim, i) for i in range(pair.dim_p, pair.dim)]
     cols = util.mat_from_cols(list(k_basis) + list(data.n_plus) + list(data.p0))
     xs = util.solve_each(cols, [util.unit_vec(pair.dim, i) for i in pair.block_indices("p")])
-    if xs is None:
-        raise InvalidIwasawa("decomposition is singular")
     skip = len(k_basis) + len(data.n_plus)
     out = f.poly.subs([Poly.linear(x[skip:]) for x in xs])
     if require_invariant_flag and not _is_k0_invariant(data, out):
@@ -106,12 +106,15 @@ def hc_restrict(data: IwasawaData, f: BlockPolynomial, require_invariant_flag: b
 
 
 def _is_k0_invariant(data: IwasawaData, poly: Poly) -> bool:
+    """Whether every K in k0 kills `poly` as a derivation of S(p0).
+
+    validate_iwasawa makes g0 = k0 + p0 a subalgebra, so [k0, p0] lies in
+    g0 and in p, that is in p0: each [K, v] has p0 coordinates.
+    """
     pair = data.pair
     cols = util.mat_from_cols(list(data.p0))
     for K in data.k0:
         xs = util.solve_each(cols, [pair.adapted.bracket(K, v) for v in data.p0])
-        if xs is None:
-            return False  # [k0, p0] escapes p0
         if not poly.derivation([Poly.linear(x) for x in xs]).is_zero():
             return False
     return True

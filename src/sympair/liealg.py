@@ -1,17 +1,25 @@
 """Lie algebras with exact-rational structure constants and symmetric pairs.
 
 A LieAlgebraDef stores brackets only for ordered basis pairs i < j;
-antisymmetry is implicit and the Jacobi identity is verified on
-construction.  A SymmetricPair adds an involutive automorphism sigma and
-derives an adapted basis (the -1 eigenvectors first, then the +1 ones) in
-which every higher module of the package works.  The bracket table in that
-basis is the LieAlgebraDef `pair.adapted`, built by `LieAlgebraDef.rebased`,
-which is also how the PBW contexts and restricted adjoint actions get
-their structure constants.  `SymmetricPair.bracket_poly` is the one
-bracket of polynomial-coefficient vectors (`TraceSeries.as_polynomial`
-iterates it along adjoint orbits), and `trace_word` the one numeric block
-trace of adjoint words, which `trace_alternation`, `trk_character` and
-`killing_k` call.
+antisymmetry is implicit.  A SymmetricPair adds an involutive automorphism
+sigma and derives an adapted basis (the -1 eigenvectors first, then the +1
+ones) in which every higher module of the package works.  The bracket
+table in that basis is the LieAlgebraDef `pair.adapted`, built by
+`LieAlgebraDef.rebased`, which is also how the PBW contexts and restricted
+adjoint actions get their structure constants.  `SymmetricPair.bracket_poly`
+is the one bracket of polynomial-coefficient vectors
+(`TraceSeries.as_polynomial` iterates it along adjoint orbits), and
+`trace_word` the one numeric block trace of adjoint words, which
+`trace_alternation`, `trk_character` and `killing_k` call.
+
+Each axiom is checked once, by the constructor of its object, and nothing
+downstream checks it again.  `LieAlgebraDef` checks the bracket keys and
+the Jacobi identity (`JacobiViolation`); `rebased` skips Jacobi, as a
+change of basis keeps it.  `SymmetricPair` checks sigma^2 = I
+(`NotInvolution`), that a user-given adapted basis is a basis of sigma
+eigenvectors (`NotCartanSplit`), and last, in the adapted basis, that
+sigma is a bracket automorphism, i.e. [p,p] and [k,k] lie in k and [k,p]
+in p (`NotAutomorphism`).
 """
 
 from __future__ import annotations
@@ -199,7 +207,7 @@ class SymmetricPair:
         self.sigma = [[frac(c) for c in row] for row in sigma]
         if len(self.sigma) != self.dim or any(len(r) != self.dim for r in self.sigma):
             raise ValueError("sigma has wrong dimensions")
-        self._validate_sigma()
+        self._check_involution()
         if adapted is None:
             p_vecs, k_vecs = self._eigen_split()
         else:
@@ -212,26 +220,21 @@ class SymmetricPair:
         self.dim_p = len(p_vecs)
         self.dim_k = len(k_vecs)
         self.adapted_vectors = list(p_vecs) + list(k_vecs)
-        self._to_adapted_matrix = self._inverse_basis_matrix()
+        # the adapted vectors are a basis: sigma^2 = I, or _validate_adapted
+        self._to_adapted_matrix = util.mat_from_cols(util.solve_each(
+            util.mat_from_cols(self.adapted_vectors), [util.unit_vec(self.dim, i) for i in range(self.dim)]))
         self.adapted = algebra.rebased(self.adapted_vectors)
         self.adapted_names = self.adapted.basis
-        self._check_cartan_inclusions()
+        self._check_automorphism()
 
     # -- construction internals -------------------------------------------
 
-    def _validate_sigma(self):
-        n = self.dim
+    def _check_involution(self):
         sq = util.mat_mul(self.sigma, self.sigma)
-        if not util.mat_eq(sq, util.mat_identity(n)):
-            raise NotInvolution("sigma^2 != identity")
-        for i in range(n):
-            for j in range(i + 1, n):
-                si = util.mat_apply(self.sigma, util.unit_vec(n, i))
-                sj = util.mat_apply(self.sigma, util.unit_vec(n, j))
-                lhs = util.mat_apply(self.sigma, self.algebra.bracket_basis(i, j))
-                rhs = self.algebra.bracket(si, sj)
-                if lhs != rhs:
-                    raise NotAutomorphism(self.algebra.basis[i], self.algebra.basis[j], util.vec_sub(lhs, rhs))
+        for j, name in enumerate(self.algebra.basis):
+            defect = util.vec_sub(tuple(row[j] for row in sq), util.unit_vec(self.dim, j))
+            if not is_zero_vec(defect):
+                raise NotInvolution(name, defect)
 
     def _eigen_split(self):
         n = self.dim
@@ -239,28 +242,28 @@ class SymmetricPair:
         minus = [[self.sigma[i][j] - (1 if i == j else 0) for j in range(n)] for i in range(n)]
         p_vecs = [_sign_normalize(v) for v in util.nullspace(plus, n)]   # sigma v = -v
         k_vecs = [_sign_normalize(v) for v in util.nullspace(minus, n)]  # sigma v = +v
-        if len(p_vecs) + len(k_vecs) != n:
-            raise NotInvolution("eigenspaces of sigma do not span")
-        return p_vecs, k_vecs
+        return p_vecs, k_vecs  # they span g, as sigma^2 = I
 
     def _validate_adapted(self, p_vecs, k_vecs):
         n = self.dim
         for v in p_vecs:
             if util.mat_apply(self.sigma, v) != vec_scale(-1, v):
-                raise NotCartanSplit(f"not a -1 eigenvector: {v}")
+                raise NotCartanSplit(f"not a -1 eigenvector: {util.fmt_vec(v)}")
         for v in k_vecs:
             if util.mat_apply(self.sigma, v) != v:
-                raise NotCartanSplit(f"not a +1 eigenvector: {v}")
+                raise NotCartanSplit(f"not a +1 eigenvector: {util.fmt_vec(v)}")
         if not util.direct_sum_check([list(p_vecs), list(k_vecs)], n):
             raise NotCartanSplit("adapted basis is not a basis")
 
-    def _inverse_basis_matrix(self):
-        n = self.dim
-        inv_cols = util.solve_each(util.mat_from_cols(self.adapted_vectors),
-                                   [util.unit_vec(n, i) for i in range(n)])
-        if inv_cols is None:
-            raise NotCartanSplit("adapted basis is singular")
-        return util.mat_from_cols(inv_cols)
+    def _check_automorphism(self):
+        """sigma acts on the adapted basis by signs s (-1 on p, +1 on k), so it
+        is a bracket automorphism exactly when each [e_i, e_j] lies in the
+        s_i s_j eigenspace: [p,p] and [k,k] in k, [k,p] in p."""
+        s = [-1] * self.dim_p + [1] * self.dim_k
+        for (i, j), w in self.adapted._table.items():
+            defect = tuple((s[t] - s[i] * s[j]) * c for t, c in enumerate(w))  # sigma w - s_i s_j w
+            if not is_zero_vec(defect):
+                raise NotAutomorphism(self.adapted_names[i], self.adapted_names[j], defect)
 
     def to_adapted(self, v: Vec) -> Vec:
         """Original coordinates -> adapted coordinates."""
@@ -268,25 +271,6 @@ class SymmetricPair:
 
     def from_adapted(self, v: Vec) -> Vec:
         return util.lin_comb(v, self.adapted_vectors)
-
-    def _check_cartan_inclusions(self):
-        dp = self.dim_p
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                w = self.adapted.bracket_basis(i, j)
-                in_p = i < dp
-                jn_p = j < dp
-                if in_p and jn_p:
-                    bad = any(w[t] for t in range(dp))            # [p,p] subset k
-                elif not in_p and not jn_p:
-                    bad = any(w[t] for t in range(dp))            # [k,k] subset k
-                else:
-                    bad = any(w[t] for t in range(dp, self.dim))  # [k,p] subset p
-                if bad:
-                    raise NotCartanSplit(
-                        f"bracket [{self.adapted_names[i]}, {self.adapted_names[j]}] "
-                        "violates the Cartan inclusions"
-                    )
 
     # -- adapted-coordinate operations -------------------------------------
 

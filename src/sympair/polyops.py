@@ -96,14 +96,14 @@ def k_derivation(pair: SymmetricPair, k_index: int, f: BlockPolynomial) -> Block
     """Action of the k-basis vector on S(p) (or S(g)) by the adjoint derivation.
 
     The symbol e_j transforms to [K, e_j]; the derivation extends this to
-    products.  For space 'p' the bracket stays in p by the Cartan split.
+    products.  For space 'p' the bracket stays in p: [k, p] lies in p for
+    every SymmetricPair, whose constructor checks that sigma is an
+    automorphism.
     """
     pair_idx = list(f.pair.block_indices(f.space))
     images = []
     for j in pair_idx:
         w = pair.adapted.bracket_basis(pair.dim_p + k_index, j)
-        if f.space == "p" and any(w[i] for i in pair.block_indices("k")):
-            raise RuntimeError("Cartan split violated")  # pragma: no cover
         images.append(Poly.linear([w[i] for i in pair_idx]))
     return BlockPolynomial(f.pair, f.space, f.poly.derivation(images))
 

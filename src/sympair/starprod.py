@@ -21,8 +21,8 @@ import warnings
 from fractions import Fraction
 
 from . import util
-from .errors import NotPolarization, NotSigmaStable, OrderTooHigh, TruncationWarning
-from .freelie import FreeAssocSeries, FreeLieSeries, expand_bracket, lie_from_assoc
+from .errors import NotPolarization, NotSigmaStable, OrderTooHigh, TruncationTooLow, TruncationWarning
+from .freelie import FreeAssocSeries, FreeLieSeries, expand_bracket, lie_from_assoc, z_sym
 from .liealg import (
     Character,
     PolarizationCandidate,
@@ -157,9 +157,6 @@ def exp_coord_operator(pair: SymmetricPair, R: BlockPolynomial, jet_order: int, 
     the X variables are substituted away.  Exact through total (X,Y) order
     jet_order.
     """
-    from .errors import TruncationTooLow
-    from .freelie import z_sym as z_sym_series
-
     if R.space != "p":
         raise ValueError("R must be a p-polynomial")
     require_invariant(pair, R, "R")
@@ -169,7 +166,7 @@ def exp_coord_operator(pair: SymmetricPair, R: BlockPolynomial, jet_order: int, 
     nv = 3 * dp  # x block, xi block, y block
     xs = pair.symbolic_vector("p", nv, 0)
     ys = pair.symbolic_vector("p", nv, 2 * dp)
-    Z = z_sym_series(jet_order).evaluate_poly(pair, xs, ys, max_degree=jet_order)
+    Z = z_sym(jet_order).evaluate_poly(pair, xs, ys, max_degree=jet_order)
 
     cap = jet_order + R.degree()
     Jh = density_series("J_half", 2 * ((jet_order + 1) // 2) + 2)

@@ -41,6 +41,11 @@ def fmt(x: Fraction) -> str:
     return str(x)
 
 
+def fmt_vec(v) -> str:
+    """'(p/q, ...)' rendering of an exact vector."""
+    return "(" + ", ".join(fmt(c) for c in v) + ")"
+
+
 def vec(entries) -> Vec:
     return tuple(frac(e) for e in entries)
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from sympair.freelie import (
     bch,
     lie_from_assoc,
 )
+from sympair.graphs import _edge_key
 from sympair.liealg import LieAlgebraDef, build_symmetric_pair
 from sympair.poly import Poly, monomials_up_to_degree
 from sympair.polyops import BlockPolynomial
@@ -414,6 +416,13 @@ def coadjoint_orbit_point(pair, K, f, max_power=12):
         if k > max_power:
             raise ValueError("ad K is not nilpotent to the requested power")
     return tuple(out)
+
+
+def canonical_reference(g):
+    """The least aerial relabeling of `g` by its edge-key list, built as one
+    graph per permutation."""
+    return min((g.relabel_aerial(perm) for perm in itertools.permutations(range(g.n))),
+               key=lambda h: [_edge_key(e) for e in h.edges])
 
 
 def _angle_coeffs_dense(xp, yp, xq, yq, color):

@@ -75,6 +75,29 @@ def test_canonical_labeling_invariance():
         assert g.relabel_aerial(perm).canonical() == base
 
 
+def test_canonical_is_the_least_relabeling():
+    from conftest import canonical_reference
+    rng = random.Random(11)
+    top = [g for g in enumerate_graphs(3, 2, [2] * 3) if len(g.finite_edges) == 6]
+    assert len(top) == 590
+    for g in top:
+        assert g.canonical() == canonical_reference(g) == g
+        perm = list(range(3))
+        rng.shuffle(perm)
+        h = g.relabel_aerial(perm)
+        assert h.canonical() == canonical_reference(h) == g
+    # edges to infinity
+    for g in rng.sample(enumerate_graphs(2, 1, [2, 2], allow_infinity=True), 20):
+        assert g.relabel_aerial([1, 0]).canonical() == canonical_reference(g) == g
+    # four aerial vertices, under random relabelings
+    g = ColoredGraph(4, 1, [(0, 1, "+"), (1, 2, "-"), (2, 3, "+"), (3, 4, "+"), (0, INF, "-"), (2, 0, "+")])
+    for _ in range(10):
+        perm = list(range(4))
+        rng.shuffle(perm)
+        h = g.relabel_aerial(perm)
+        assert h.canonical() == canonical_reference(h) == canonical_reference(g)
+
+
 def test_enumerate_wedge_family():
     graphs = enumerate_graphs(1, 2, [2])
     assert len(graphs) == 1

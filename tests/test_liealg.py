@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from sympair import util
-from sympair.errors import JacobiViolation, NotAutomorphism, NotInvolution
+from sympair.errors import JacobiViolation, NotAutomorphism, NotCartanSplit, NotInvolution
 from sympair.io import load_algebra_file
 from sympair.liealg import (
     LieAlgebraDef,
@@ -37,8 +37,9 @@ def test_jacobi_violation_reports_witness():
 
 def test_sigma_must_be_involution(sl2_pair):
     alg = sl2_pair.algebra
-    with pytest.raises(NotInvolution):
+    with pytest.raises(NotInvolution) as exc:
         build_symmetric_pair(alg, [[2, 0, 0], [0, 1, 0], [0, 0, 1]])
+    assert (exc.value.vector, exc.value.defect) == ("H", (3, 0, 0))
 
 
 def test_sigma_must_be_automorphism(sl2_pair):
@@ -46,7 +47,20 @@ def test_sigma_must_be_automorphism(sl2_pair):
     # diag(-1, 1, 1) squares to 1 but breaks [H, X] = 2X
     with pytest.raises(NotAutomorphism) as exc:
         build_symmetric_pair(alg, [[-1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    assert exc.value.pair
+    assert (exc.value.pair, exc.value.defect) == (("H", "X"), (0, 4, 0))
+
+
+def test_sigma_must_be_automorphism_with_adapted_basis(sl2_pair):
+    alg = sl2_pair.algebra
+    sigma = [[-1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    # eigenvectors of sigma forming a basis, so only the automorphism check can fail:
+    # [H, X+Y] = 2(X-Y) lies in k, where sigma would need it in p
+    with pytest.raises(NotAutomorphism) as exc:
+        build_symmetric_pair(alg, sigma, adapted=([[1, 0, 0]], [[0, 1, 1], [0, 1, -1]]))
+    assert (exc.value.pair, exc.value.defect) == (("H", "X+Y"), (0, 0, 4))
+    # a basis that is not made of eigenvectors is reported first
+    with pytest.raises(NotCartanSplit):
+        build_symmetric_pair(alg, sigma, adapted=([[0, 1, 0]], [[1, 0, 0], [0, 0, 1]]))
 
 
 def test_sl2_split(sl2_pair):
@@ -74,7 +88,6 @@ def test_user_adapted_basis_validated(sl2_pair):
     sigma = [[-1, 0, 0], [0, 0, -1], [0, -1, 0]]
     pair = build_symmetric_pair(alg, sigma, adapted=([[1, 0, 0], [0, 1, 1]], [[0, 1, -1]]))
     assert pair.dim_p == 2
-    from sympair.errors import NotCartanSplit
     with pytest.raises(NotCartanSplit):
         build_symmetric_pair(alg, sigma, adapted=([[1, 0, 0], [0, 1, -1]], [[0, 1, 1]]))
 
