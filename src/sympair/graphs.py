@@ -46,21 +46,23 @@ class ColoredGraph:
             if not (_is_integer(src) and (dst == INF or _is_integer(dst))):
                 raise ValueError(f"edge {edge!r}: the source must be an integer and the target an integer or {INF!r}")
             src, dst = int(src), dst if dst == INF else int(dst)
+            edge = (src, dst, color)
             if src not in vertices:
-                raise ValueError(f"edge source {src} is not a vertex 0..{n + m - 1}")
+                raise ValueError(f"edge {edge!r}: source {src} is not a vertex 0..{n + m - 1}")
             if dst != INF and dst not in vertices:
-                raise ValueError(f"edge target {dst} is neither {INF!r} nor a vertex 0..{n + m - 1}")
+                raise ValueError(f"edge {edge!r}: target {dst} is neither {INF!r} nor a vertex 0..{n + m - 1}")
             if src == dst:
-                raise ValueError("loops are not allowed")
-            norm.append((src, dst, color))
+                raise ValueError(f"edge {edge!r}: loops are not allowed")
+            norm.append(edge)
         norm.sort(key=_edge_key)
-        if len(set(norm)) != len(norm):
-            raise ValueError("double edge with identical source, target, color")
+        double = next((e for e, f in zip(norm, norm[1:]) if e == f), None)
+        if double is not None:
+            raise ValueError(f"edge {double!r}: double edge with identical source, target, color")
         self.edges = tuple(norm)
-        for src, dst, color in self.edges:
-            why = _color_violation(n, m, src, dst, color)
+        for edge in self.edges:
+            why = _color_violation(n, m, *edge)
             if why:
-                raise ValueError(why)
+                raise ValueError(f"edge {edge!r}: {why}")
 
     @property
     def finite_edges(self):

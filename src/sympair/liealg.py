@@ -215,8 +215,6 @@ class SymmetricPair:
             p_vecs = [util.vec(v) for v in p_vecs]
             k_vecs = [util.vec(v) for v in k_vecs]
             self._validate_adapted(p_vecs, k_vecs)
-        self.p_vectors = p_vecs
-        self.k_vectors = k_vecs
         self.dim_p = len(p_vecs)
         self.dim_k = len(k_vecs)
         self.adapted_vectors = list(p_vecs) + list(k_vecs)
@@ -389,7 +387,8 @@ def trace_alternation(pair: SymmetricPair, words, X: Vec, Y: Vec) -> Fraction:
 # -- polarizations ----------------------------------------------------------
 
 class PolarizationCandidate:
-    """A linear form f on g and a candidate subspace b, in original coordinates."""
+    """A linear form f on g and a candidate subspace b, in the coordinates of
+    the algebra they are checked against (adapted ones for `pair.adapted`)."""
 
     def __init__(self, f, b_basis):
         self.f = util.vec(f)

@@ -196,18 +196,6 @@ class Poly:
         p.terms = out
         return p
 
-    def map_vars(self, target_nvars: int, mapping: dict[int, int]) -> "Poly":
-        """Reindex variables into a larger ring (injective index map)."""
-        out = Poly(target_nvars)
-        for m, c in self.terms.items():
-            m2 = [0] * target_nvars
-            for i, k in enumerate(m):
-                if k:
-                    m2[mapping[i]] += k
-            out.terms[tuple(m2)] = out.terms.get(tuple(m2), Fraction(0)) + c
-        out.terms = {m: c for m, c in out.terms.items() if c}
-        return out
-
     def coefficient(self, exps) -> Fraction:
         return self.terms.get(tuple(exps), Fraction(0))
 

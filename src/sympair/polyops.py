@@ -3,13 +3,15 @@
 Elements of S(p) or S(g) are polynomials in the adapted basis symbols of
 the chosen block, i.e. functions on the dual of that block.  The action of
 k on S(p) is the derivation extending the adjoint action through
-[k, p] <= p; invariants are solved degree by degree with exact Gaussian
-elimination.
+[k, p] <= p; invariants are solved degree by degree as the common kernel
+of that action on the monomials (`util.common_kernel`, the one solver that
+`uea.invariant_uea_subspace` uses for U(g)^k too).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+import bisect
+import itertools
 
 from . import util
 from .errors import NotInvariant
@@ -74,19 +76,18 @@ class BlockPolynomial:
         """Reinterpret a p-polynomial inside S(g)."""
         if self.space == "g":
             return self
-        mapping = {t: i for t, i in enumerate(self.pair.block_indices("p"))}
-        return BlockPolynomial(self.pair, "g", self.poly.map_vars(self.pair.dim, mapping))
+        if not self.pair.dim_p:  # a constant, and subs has no image to read the ring of S(g) from
+            return BlockPolynomial.constant(self.pair, "g", self.poly.constant())
+        images = [Poly.var(self.pair.dim, i) for i in self.pair.block_indices("p")]
+        return BlockPolynomial(self.pair, "g", self.poly.subs(images))
 
     def restrict_to_p(self) -> "BlockPolynomial":
-        """Kill every monomial containing a k symbol (restriction to the k-annihilator)."""
+        """Set every k symbol to 0 (restriction to the k-annihilator)."""
         if self.space == "p":
             return self
         dp = self.pair.dim_p
-        kept = {}
-        for m, c in self.poly.terms.items():
-            if all(m[i] == 0 for i in range(dp, self.pair.dim)):
-                kept[m[:dp]] = c
-        return BlockPolynomial(self.pair, "p", Poly(dp, kept))
+        images = [Poly.var(dp, t) for t in range(dp)] + [Poly.zero(dp)] * self.pair.dim_k
+        return BlockPolynomial(self.pair, "p", self.poly.subs(images))
 
     def __repr__(self):
         return f"BlockPolynomial({self.space}, {self.poly.terms!r})"
@@ -123,28 +124,9 @@ def invariant_subspace(pair: SymmetricPair, degree: int) -> list[BlockPolynomial
         raise ValueError("degree must be >= 0")
     nv = pair.dim_p
     monos = list(monomials_of_degree(nv, degree))
-    index = {m: t for t, m in enumerate(monos)}
-    rows = []
-    for a in range(pair.dim_k):
-        # matrix of the derivation in the monomial basis
-        cols = []
-        for m in monos:
-            img = k_derivation(pair, a, BlockPolynomial(pair, "p", Poly.monomial(nv, m)))
-            col = [Fraction(0)] * len(monos)
-            for m2, c in img.poly.terms.items():
-                col[index[m2]] = c
-            cols.append(col)
-        M = util.mat_from_cols([tuple(c) for c in cols])
-        rows.extend(M)
-    if not rows:
-        coeffs = [util.unit_vec(len(monos), t) for t in range(len(monos))]
-    else:
-        coeffs = util.nullspace(rows, len(monos))
-    out = []
-    for v in coeffs:
-        terms = {monos[t]: v[t] for t in range(len(monos)) if v[t]}
-        out.append(BlockPolynomial(pair, "p", Poly(nv, terms)))
-    return out
+    maps = [lambda m, a=a: k_derivation(pair, a, BlockPolynomial(pair, "p", Poly.monomial(nv, m))).poly.terms
+            for a in range(pair.dim_k)]
+    return [BlockPolynomial(pair, "p", Poly(nv, dict(zip(monos, v)))) for v in util.common_kernel(monos, maps)]
 
 
 def apply_series_operator(pair: SymmetricPair, series: TraceSeries, f: BlockPolynomial) -> BlockPolynomial:
@@ -198,62 +180,37 @@ class CEChain:
         )
 
 
-def _insert_sorted(subset: tuple[int, ...], a: int):
-    """Insert index a into a sorted subset; returns (sign, new subset) or None."""
-    if a in subset:
-        return None
-    pos = sum(1 for b in subset if b < a)
-    return (-1) ** pos, subset[:pos] + (a,) + subset[pos:]
-
-
 def cartan_eilenberg_diff(pair: SymmetricPair, chain: CEChain) -> CEChain:
     """Chevalley-Eilenberg differential of k acting on S(p), degree +1.
 
-    (d phi)(K_{i0},...,K_{iq}) = sum_i (-1)^i K_i . phi(... no K_i ...)
-      + sum_{i<j} (-1)^{i+j} phi([K_i,K_j], ... no K_i, K_j ...).
-    In sorted-subset coordinates both sums become signed insertions.
+    On each sorted subset T of q + 1 indices of the k basis,
+    (d phi)(K_T0,...,K_Tq) = sum_i (-1)^i K_Ti . phi(T without Ti)
+      + sum_{i<j} (-1)^(i+j) phi([K_Ti, K_Tj], T without Ti, Tj),
+    where [K_Ti, K_Tj] = sum_b c_b K_b and phi(K_b, rest) is (-1)^(position
+    of b) times the component at the sorted insertion of b into rest, or 0
+    when b is in rest.
     """
-    dk = pair.dim_k
-    nv = pair.dim_p
-    out: dict[tuple[int, ...], Poly] = {}
+    dp = pair.dim_p
+    phi = chain.components
+    zero = Poly.zero(dp)
 
-    def add(subset, poly):
-        if poly.is_zero():
-            return
-        cur = out.get(subset)
-        out[subset] = poly if cur is None else cur + poly
+    def first_slot(b, rest):
+        pos = bisect.bisect_left(rest, b)
+        if pos < len(rest) and rest[pos] == b:
+            return zero
+        return phi.get(rest[:pos] + (b,) + rest[pos:], zero).scale((-1) ** pos)
 
-    for subset, poly in chain.components.items():
-        f = BlockPolynomial(pair, "p", poly)
-        # action term: sum over a not in subset of sign * (K_a . f) on subset+{a}
-        for a in range(dk):
-            ins = _insert_sorted(subset, a)
-            if ins is None:
-                continue
-            sign, new_subset = ins
-            acted = k_derivation(pair, a, f)
-            add(new_subset, acted.poly.scale(sign))
-        # bracket term: replace one slot value K_b by its expansion via [K_a, K_c]
-        for a in range(dk):
-            for c in range(a + 1, dk):
-                w = pair.adapted.bracket_basis(pair.dim_p + a, pair.dim_p + c)
-                for b in range(dk):
-                    coef = w[pair.dim_p + b]
-                    if not coef or b not in subset:
-                        continue
-                    pos_b = subset.index(b)
-                    reduced = subset[:pos_b] + subset[pos_b + 1 :]
-                    ins_a = _insert_sorted(reduced, a)
-                    if ins_a is None:
-                        continue
-                    s1, with_a = ins_a
-                    ins_c = _insert_sorted(with_a, c)
-                    if ins_c is None:
-                        continue
-                    s2, full = ins_c
-                    # phi([K_a,K_c], rest) contributes with the sign moving
-                    # [K_a,K_c] out of slot 0 into sorted position.
-                    sign = ((-1) ** pos_b) * s1 * s2
-                    add(full, poly.scale(sign * coef))
-    return CEChain(pair, chain.degree + 1, {s: q for s, q in out.items() if not q.is_zero()})
-
+    out = {}
+    for T in itertools.combinations(range(pair.dim_k), chain.degree + 1):
+        total = zero
+        for i, a in enumerate(T):
+            rest = T[:i] + T[i + 1:]
+            if rest in phi:
+                total = total + k_derivation(pair, a, BlockPolynomial(pair, "p", phi[rest])).poly.scale((-1) ** i)
+            for j in range(i + 1, len(T)):
+                w = pair.adapted.bracket_basis(dp + a, dp + T[j])
+                for b in range(pair.dim_k):
+                    if w[dp + b]:
+                        total = total + first_slot(b, rest[:j - 1] + rest[j:]).scale((-1) ** (i + j) * w[dp + b])
+        out[T] = total
+    return CEChain(pair, chain.degree + 1, out)

@@ -342,14 +342,8 @@ def _coords(index, u: UEAElement):
 def invariant_uea_subspace(pair: SymmetricPair, ctx: PBWContext, degree: int):
     """Basis (as coefficient vectors) of U(g)^k truncated at a degree."""
     words, index = _uea_basis(pair, degree)
-    rows = []
-    for a in range(pair.dim_k):
-        cols = []
-        for w in words:
-            img = ad_action(ctx, pair.dim_p + a, UEAElement(ctx, {w: 1}))
-            cols.append(_coords(index, img))
-        rows.extend(util.mat_from_cols(cols))
-    return util.nullspace(rows, len(words)), words, index
+    maps = [lambda w, i=i: ad_action(ctx, i, UEAElement(ctx, {w: 1})).terms for i in pair.block_indices("k")]
+    return util.common_kernel(words, maps), words, index
 
 
 def duflo_relation_check(pair: SymmetricPair, lam: Character, degree: int) -> bool:

@@ -22,10 +22,10 @@ Vec = tuple[Fraction, ...]
 
 
 def frac(x) -> Fraction:
-    """Parse an exact rational from int, Fraction, or a 'p/q' string."""
+    """Parse an exact rational from int (not bool), Fraction, or a 'p/q' string."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
         try:
@@ -121,10 +121,6 @@ def mat_identity(n: int):
     return [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
 
 
-def mat_eq(A, B) -> bool:
-    return len(A) == len(B) and all(ra == rb for ra, rb in zip(A, B))
-
-
 def mat_trace(A) -> Fraction:
     return sum((A[i][i] for i in range(len(A))), Fraction(0))
 
@@ -175,6 +171,26 @@ def nullspace(rows: list[list[Fraction]], ncols: int | None = None) -> list[Vec]
             v[pc] = -R[i][fc]
         basis.append(tuple(v))
     return basis
+
+
+def common_kernel(keys, maps) -> list[Vec]:
+    """Canonical basis of the v over `keys` with sum_t v_t f(keys[t]) = 0 for every f in maps.
+
+    Each f(key) is a {image key: coefficient} dict.  The system has one row
+    per map and image key that occurs: leaving out zero rows and reordering
+    rows keeps the row space, so the basis is the canonical one of `nullspace`.
+    """
+    rows = []
+    for f in maps:
+        by_image: dict = {}
+        for t, key in enumerate(keys):
+            for image, c in f(key).items():
+                row = by_image.get(image)
+                if row is None:
+                    row = by_image[image] = [Fraction(0)] * len(keys)
+                row[t] = c
+        rows.extend(by_image.values())
+    return nullspace(rows, len(keys))
 
 
 def solve(A: list[list[Fraction]], b: Vec) -> Vec | None:

@@ -18,7 +18,7 @@ from sympair.freelie import (
 from sympair.graphs import _edge_key
 from sympair.liealg import LieAlgebraDef, build_symmetric_pair
 from sympair.poly import Poly, monomials_up_to_degree
-from sympair.polyops import BlockPolynomial
+from sympair.polyops import BlockPolynomial, CEChain, k_derivation
 
 
 def sl2_algebra():
@@ -216,6 +216,59 @@ def graded_product_reference(left: dict, right: dict, degree, order, combine) ->
                 s = out.get(k)
                 out[k] = c1 * c2 if s is None else s + c1 * c2
     return {k: c for k, c in out.items() if c}
+
+
+def _insert_sorted(subset: tuple[int, ...], a: int):
+    """Insert index a into a sorted subset; returns (sign, new subset) or None."""
+    if a in subset:
+        return None
+    pos = sum(1 for b in subset if b < a)
+    return (-1) ** pos, subset[:pos] + (a,) + subset[pos:]
+
+
+def ce_diff_reference(pair, chain: CEChain) -> CEChain:
+    """`polyops.cartan_eilenberg_diff` by signed insertions from each source subset.
+
+    Each component phi(S) is pushed forward: K_a . phi(S) lands on S + {a}
+    with the sign of a's insertion, and phi(S) times the coefficient of K_b
+    in [K_a, K_c] lands on S - {b} + {a, c} for every b in S.
+    """
+    dk = pair.dim_k
+    out: dict[tuple[int, ...], Poly] = {}
+
+    def add(subset, poly):
+        if poly.is_zero():
+            return
+        cur = out.get(subset)
+        out[subset] = poly if cur is None else cur + poly
+
+    for subset, poly in chain.components.items():
+        f = BlockPolynomial(pair, "p", poly)
+        for a in range(dk):
+            ins = _insert_sorted(subset, a)
+            if ins is None:
+                continue
+            sign, new_subset = ins
+            add(new_subset, k_derivation(pair, a, f).poly.scale(sign))
+        for a in range(dk):
+            for c in range(a + 1, dk):
+                w = pair.adapted.bracket_basis(pair.dim_p + a, pair.dim_p + c)
+                for b in range(dk):
+                    coef = w[pair.dim_p + b]
+                    if not coef or b not in subset:
+                        continue
+                    pos_b = subset.index(b)
+                    reduced = subset[:pos_b] + subset[pos_b + 1:]
+                    ins_a = _insert_sorted(reduced, a)
+                    if ins_a is None:
+                        continue
+                    s1, with_a = ins_a
+                    ins_c = _insert_sorted(with_a, c)
+                    if ins_c is None:
+                        continue
+                    s2, full = ins_c
+                    add(full, poly.scale(((-1) ** pos_b) * s1 * s2 * coef))
+    return CEChain(pair, chain.degree + 1, {s: q for s, q in out.items() if not q.is_zero()})
 
 
 # Truncated exp and log by callbacks: elements need +, -, scale(c) and

@@ -176,7 +176,7 @@ def test_graph_weight_rejects_edge_to_missing_vertex(tmp_path, capsys):
     code = run(["graph-weight", "--graph", str(bad), "--samples", "1000"])
     err = capsys.readouterr().err
     assert code == 2
-    assert "edge target 7" in err and "Traceback" not in err
+    assert "edge (0, 7, '+'): target 7 is neither" in err and "Traceback" not in err
 
 
 def test_graph_weight_reports_nonfinite_count(tmp_path, capsys, monkeypatch):
@@ -318,6 +318,16 @@ def test_graph_weight_rejects_malformed_files(tmp_path, capsys):
         ({"n": 1, "m": 2}, "missing key 'edges' in graph file"),
         ({"n": "1", "m": 2, "edges": []}, "vertex counts"),
         ({"n": 1, "m": 2, "edges": [[0, 1, "++"], [0, 2, "+"]]}, "color '++' is neither '+' nor '-'"),
+        ({"n": 2, "m": 2, "edges": [[0, 1, "+"], [0, 2, "+"], [1, 9, "+"]]},
+         "edge (1, 9, '+'): target 9 is neither 'inf' nor a vertex 0..3"),
+        ({"n": 2, "m": 2, "edges": [[0, 1, "+"], [5, 2, "+"]]}, "edge (5, 2, '+'): source 5 is not a vertex 0..3"),
+        ({"n": 1, "m": 0, "edges": [[0, 0, "-"]]}, "edge (0, 0, '-'): loops are not allowed"),
+        ({"n": 1, "m": 2, "edges": [[0, 1, "+"], [0, 1, "+"]]},
+         "edge (0, 1, '+'): double edge with identical source, target, color"),
+        ({"n": 1, "m": 1, "edges": [[1, 0, "+"]]},
+         "edge (1, 0, '+'): edges leaving the real axis must carry the dashed color"),
+        ({"n": 1, "m": 1, "edges": [[0, 1, "-"]]}, "edge (0, 1, '-'): edges into ground vertices must carry the solid color"),
+        ({"n": 1, "m": 0, "edges": [[0, "inf", "+"]]}, "edge (0, 'inf', '+'): edges to infinity carry the dashed color"),
     ]
     # JSON non-integer vertices would be truncated or coerced to a vertex by int()
     good = [[0, 1, "+"], [0, 3, "+"], [1, 2, "+"], [1, 3, "+"]]
@@ -389,6 +399,14 @@ MALFORMED = [
     pytest.param(["star-rou", "--p", "zz", "--q", "zz"],
                  _fixture("solvable4.json", definitions={"zz": {"z": None}}), None,
                  "definition 'zz' in algebra file, monomial 'z': not an exact rational", id="definition-not-rational"),
+    pytest.param(["star-rou", "--p", "omega", "--q", "omega"],
+                 _fixture("sl2.json", definitions={"omega": {"H^2": True, "(X+Y)^2": 1}}), None,
+                 "definition 'omega' in algebra file, monomial 'H^2': not an exact rational: True",
+                 id="definition-boolean"),
+    pytest.param(["validate"], _fixture("sl2.json", brackets={"[0,1]": {"1": True}, "[0,2]": {"2": -2}, "[1,2]": {"0": 1}}),
+                 None, "bracket '[0,1]' in algebra file: not an exact rational: True", id="bracket-boolean"),
+    pytest.param(["validate"], _fixture("sl2.json", sigma=[[-1, 0, 0], [0, 0, -1], [0, -1, False]]), None,
+                 "key 'sigma' in algebra file: not an exact rational: False", id="sigma-boolean"),
     pytest.param(["hc-project", "--poly", "omega"], _fixture("sl2.json", weyl=5), None,
                  "key 'weyl' in algebra file must be a list of 3x3 matrices", id="weyl-number"),
     pytest.param(["validate"], _fixture("sl2.json", brackets=5), None,

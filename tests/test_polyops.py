@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from sympair import util
+from sympair.liealg import build_symmetric_pair
 from sympair.poly import Poly, monomials_up_to_degree, poly_exp
 from sympair.polyops import (
     BlockPolynomial,
@@ -17,7 +18,7 @@ from sympair.polyops import (
 )
 from sympair.series import TraceSeries, density_series
 
-from conftest import random_block_poly
+from conftest import ce_diff_reference, random_block_poly, sl2_algebra, sl_so_pair
 
 
 def poly_coords(polys, monos):
@@ -65,6 +66,20 @@ def test_inverse_series_roundtrip(sl2_pair, omega):
     there = apply_series_operator(sl2_pair, qh, f)
     back = apply_series_operator(sl2_pair, qh.inverse(), there)
     assert back == f
+
+
+def test_to_g_and_restrict_to_p(solvable_pair):
+    rng = random.Random(5)
+    f = random_block_poly(solvable_pair, "p", 3, rng)
+    g = f.to_g()
+    dp = solvable_pair.dim_p
+    assert g.poly.terms == {m + (0,) * solvable_pair.dim_k: c for m, c in f.poly.terms.items()}
+    assert g.restrict_to_p() == f
+    k_part = BlockPolynomial.symbol(solvable_pair, "g", dp) * g
+    assert (g + k_part).restrict_to_p() == f
+    # with p = 0 (sigma = identity) a p-polynomial is a constant
+    trivial = build_symmetric_pair(sl2_algebra(), [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    assert BlockPolynomial.constant(trivial, "p", 3).to_g() == BlockPolynomial.constant(trivial, "g", 3)
 
 
 # -- invariants ------------------------------------------------------------------
@@ -189,6 +204,17 @@ def test_d_squared_zero(fixture, request):
         for _ in range(4):
             c = random_chain(pair, deg, rng)
             assert cartan_eilenberg_diff(pair, cartan_eilenberg_diff(pair, c)).is_zero()
+
+
+@pytest.mark.parametrize("fixture", ["sl2_pair", "solvable_pair", "diagonal_pair", "sl3_so3"])
+def test_d_matches_insertion_reference(fixture, request):
+    # d^2 = 0 holds for the zero map too; the reference pins the differential itself
+    pair = sl_so_pair(3) if fixture == "sl3_so3" else request.getfixturevalue(fixture)
+    rng = random.Random(23)
+    for deg in range(min(pair.dim_k, 4) + 1):
+        for _ in range(3):
+            c = random_chain(pair, deg, rng)
+            assert cartan_eilenberg_diff(pair, c) == ce_diff_reference(pair, c)
 
 
 def test_kernel_degree0_equals_invariants(sl2_pair, solvable_pair):

@@ -162,8 +162,7 @@ def test_bidiff_symbol_lambda_twist_and_swap(solvable_pair, sl2_pair):
         assert sym != _bidiff_symbol(pair, pair.zero_character())
         swapped = _bidiff_symbol(pair, lam.scale(-1))
         dp = pair.dim_p
-        mapping = {t: (t + dp) % (2 * dp) for t in range(2 * dp)}
-        assert sym.map_vars(2 * dp, mapping) == swapped
+        assert sym.subs([Poly.var(2 * dp, (t + dp) % (2 * dp)) for t in range(2 * dp)]) == swapped
 
 
 def _nonzero_character(pair):
@@ -268,7 +267,7 @@ def test_exp_coord_abelian_translation(abelian_pair):
     sym = exp_coord_operator(abelian_pair, R, 4)
     # constant-coefficient operator: symbol is R in the xi block, no x dependence
     dp = abelian_pair.dim_p
-    expected = R.poly.map_vars(2 * dp, {t: dp + t for t in range(dp)})
+    expected = R.poly.subs([Poly.var(2 * dp, dp + t) for t in range(dp)])
     assert sym == expected
 
 
