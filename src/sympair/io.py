@@ -19,7 +19,6 @@ monomial keys like "H^2*(X+Y)^1" resolved against the adapted basis names.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import re
 import time
@@ -276,6 +275,8 @@ class RunReport:
         self._t0 = time.monotonic()
 
     def digest_file(self, path: str):
+        import hashlib  # here, not at the top: it maps libcrypto, a few MB of RSS
+
         with open(path, "rb") as fh:
             self.inputs_digest = hashlib.sha256(fh.read()).hexdigest()
 

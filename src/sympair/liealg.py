@@ -8,7 +8,8 @@ table in that basis is the LieAlgebraDef `pair.adapted`, built by
 `LieAlgebraDef.rebased`, which is also how the PBW contexts and restricted
 adjoint actions get their structure constants.  `SymmetricPair.bracket_poly`
 is the one bracket of polynomial-coefficient vectors
-(`TraceSeries.as_polynomial` iterates it along adjoint orbits), and
+(`TraceSeries.as_polynomial` carries adjoint orbits with it to half
+the top power of a trace word, then contracts two half powers), and
 `trace_word` the one numeric block trace of adjoint words, which
 `trace_alternation`, `trk_character` and `killing_k` call.
 

@@ -5,6 +5,10 @@ words tr_s((ad X)^(2n)) with s in {p, k, g}; the key of a term is the sorted
 tuple of its (space, power) factors, so the empty key is the constant term.
 It is a `util.Series` whose degree is the total order (the sum of all powers
 in a term); that base class supplies its sums, scaling and equality.
+`TraceSeries.as_polynomial` compiles a series on a pair: it carries the
+adjoint orbit of each basis vector to half the top power only and reads
+every word tr_s((ad X)^k) off one contraction of the powers ceil(k/2) and
+floor(k/2), so no orbit is ever carried to the full power k.
 
 The density family is pinned by the exact order-4 calculus on sl(2): with
 a_n the Taylor coefficients of log(sinh z / z), generated exactly at every
@@ -94,27 +98,33 @@ class TraceSeries(util.Series):
     def as_polynomial(self, pair: SymmetricPair, over: str) -> Poly:
         """Polynomial in the coordinates of X over the `over` block.
 
-        tr_s((ad X)^k) is the sum over i in s of coordinate i of (ad X)^k e_i,
-        read off the orbit e_i, [X, e_i], [X, [X, e_i]], ... of each basis
-        vector in a block the series uses; one pass covers every power.
-        The term products are then multiplied out.
+        With K the top power of a word in the series, the orbit
+        e_j, [X, e_j], [X, [X, e_j]], ... of every basis vector is carried
+        to (ad X)^h e_j, h = ceil(K/2), only.  Each word is then one
+        contraction of two half powers, a = ceil(k/2) and b = floor(k/2):
+
+            tr_s((ad X)^k) = sum_{i in s} sum_j [(ad X)^a e_j]_i [(ad X)^b e_i]_j
+
+        with zero factors skipped (for X in p, ad X swaps p and k, so about
+        half of them are zero).  The term products are then multiplied out.
         """
         nv = len(pair.block_indices(over))
         sym = pair.symbolic_vector(over, nv)
         used = {word for key in self.terms for word in key}
-        top: dict[int, int] = {}
+        vecs = [[Poly.const(nv, 1 if t == j else 0) for t in range(pair.dim)] for j in range(pair.dim)]
+        orbits = [vecs]  # orbits[t][j] = (ad X)^t e_j
+        for _ in range(max(((power + 1) // 2 for _, power in used), default=0)):
+            vecs = [pair.bracket_poly(sym, v) for v in vecs]
+            orbits.append(vecs)
+        words = {}
         for space, power in used:
+            up, down = orbits[(power + 1) // 2], orbits[power // 2]
+            trace: dict = {}
             for i in pair.block_indices(space):
-                top[i] = max(top.get(i, 0), power)
-        diagonal: dict[int, list[Poly]] = {}  # i -> coordinate i of (ad X)^k e_i, k = 0, 1, ...
-        for i, k in top.items():
-            v = [Poly.const(nv, 1 if t == i else 0) for t in range(pair.dim)]
-            diagonal[i] = [v[i]]
-            for _ in range(k):
-                v = pair.bracket_poly(sym, v)
-                diagonal[i].append(v[i])
-        words = {(space, power): sum((diagonal[i][power] for i in pair.block_indices(space)), Poly.zero(nv))
-                 for space, power in used}
+                for j in range(pair.dim):
+                    if up[j][i] and down[i][j]:
+                        util.add_into(trace, up[j][i].mul(down[i][j]).terms)
+            words[(space, power)] = Poly(nv, trace)
         out = Poly.zero(nv)
         for key, c in self.terms.items():
             term = Poly.const(nv, c)

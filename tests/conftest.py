@@ -178,6 +178,39 @@ def ln_e_symbol_reference(pair):
     return tr.scale(Fraction(1, 240))
 
 
+def trace_words_orbit_reference(series, pair, over):
+    """`TraceSeries.as_polynomial` by full-power orbits.
+
+    tr_s((ad X)^k) is the sum over i in s of coordinate i of (ad X)^k e_i,
+    read off the orbit e_i, [X, e_i], [X, [X, e_i]], ... of each basis
+    vector in a block the series uses; one pass covers every power.
+    The term products are then multiplied out.
+    """
+    nv = len(pair.block_indices(over))
+    sym = pair.symbolic_vector(over, nv)
+    used = {word for key in series.terms for word in key}
+    top: dict[int, int] = {}
+    for space, power in used:
+        for i in pair.block_indices(space):
+            top[i] = max(top.get(i, 0), power)
+    diagonal: dict[int, list[Poly]] = {}  # i -> coordinate i of (ad X)^k e_i, k = 0, 1, ...
+    for i, k in top.items():
+        v = [Poly.const(nv, 1 if t == i else 0) for t in range(pair.dim)]
+        diagonal[i] = [v[i]]
+        for _ in range(k):
+            v = pair.bracket_poly(sym, v)
+            diagonal[i].append(v[i])
+    words = {(space, power): sum((diagonal[i][power] for i in pair.block_indices(space)), Poly.zero(nv))
+             for space, power in used}
+    out = Poly.zero(nv)
+    for key, c in series.terms.items():
+        term = Poly.const(nv, c)
+        for word in key:
+            term = term.mul(words[word])
+        out = out + term
+    return out
+
+
 @pytest.fixture(scope="session")
 def omega(sl2_pair):
     return BlockPolynomial(sl2_pair, "p", Poly(2, {(2, 0): 1, (0, 2): 1}))

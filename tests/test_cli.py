@@ -219,6 +219,17 @@ def test_json_report_exact_values(tmp_path):
     assert labels == {"dim_k": "1", "dim_p": "2"}
 
 
+def test_loading_an_algebra_does_not_import_hashlib():
+    """hashlib (and libcrypto with it) loads only when a report digests its input file."""
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, sympair.io; sympair.io.load_algebra_file(sys.argv[1]); "
+            "print('hashlib' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code, alg("sl2.json")], env=env, capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert out.stdout.strip() == "False"
+
+
 def test_deterministic_reports(tmp_path):
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
     run(["graph-weight", "--graph", alg(os.path.join("graphs", "bernoulli.json")),

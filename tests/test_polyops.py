@@ -265,11 +265,22 @@ def test_poly_truncated_mul_is_truncated_full_product():
             assert a.mul(b, d) == a.mul(b).truncate(d)
 
 
+def _single_term_image(rng, unit):
+    """Zero, or c x^a in 4 variables with deg a <= 2 and c = 1 when `unit`."""
+    if rng.random() < 0.15:
+        return Poly.zero(4)
+    exps = rng.choice(list(monomials_up_to_degree(4, 2)))
+    return Poly.monomial(4, exps, 1 if unit else Fraction(rng.choice((-3, -1, 2, 5)), rng.randint(1, 3)))
+
+
 def test_poly_subs_matches_repeated_truncated_multiplication():
     rng = random.Random(37)
-    for _ in range(6):
+    families = [lambda: random_poly(rng, 4, 2, density=0.3),  # general images
+                lambda: _single_term_image(rng, unit=True),  # renamings and zeros
+                lambda: _single_term_image(rng, unit=False)]  # rescaled monomials
+    for image in families * 6:
         f = random_poly(rng, 3, 4)
-        images = [random_poly(rng, 4, 2, density=0.3) for _ in range(3)]
+        images = [image() for _ in range(3)]
         for d in (None, 0, 1, 2, 3, 5, 8):
             expected = Poly.zero(4)
             for m, c in f.terms.items():
@@ -279,3 +290,7 @@ def test_poly_subs_matches_repeated_truncated_multiplication():
                         term = term.mul(images[i], d)
                 expected = expected + term
             assert f.subs(images, d) == expected
+    # two variables onto one monomial: their terms merge, and cancel
+    z = Poly.var(4, 1)
+    assert Poly(2, {(1, 0): 1, (0, 1): 1}).subs([z, z.scale(-1)]).is_zero()
+    assert Poly(2, {(2, 0): 1, (0, 1): 1}).subs([z, Poly.monomial(4, (0, 2, 0, 0), 3)]) == Poly.monomial(4, (0, 2, 0, 0), 4)

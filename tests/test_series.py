@@ -1,13 +1,22 @@
+import functools
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from sympair.errors import OrderTooHigh
 from sympair.freelie import FreeAssocSeries, FreeLieSeries
+from sympair.io import load_algebra_file
 from sympair.poly import Poly
 from sympair.series import TraceSeries, density_series, log_density, log_sinhc
+from sympair.starprod import LN_E_SERIES
+
+from conftest import sl_so_pair, trace_words_orbit_reference
+
+ALGEBRAS = Path(__file__).resolve().parent.parent / "algebras"
+PAIR_NAMES = sorted(path.stem for path in ALGEBRAS.glob("*.json")) + ["sl3", "sl4"]
 
 
 def test_constant_and_arithmetic():
@@ -134,3 +143,42 @@ def test_trace_product_matches_all_pairs_product():
                 if sum(p for _, p in key) <= order:
                     expected[key] = expected.get(key, 0) + c1 * c2
         assert (TraceSeries(order, a) * TraceSeries(order, b)).terms == {k: c for k, c in expected.items() if c}
+
+
+@functools.cache
+def _named_pair(name):
+    if name.startswith("sl") and name[2:].isdigit():
+        return sl_so_pair(int(name[2:]))
+    return load_algebra_file(str(ALGEBRAS / f"{name}.json"))[0]
+
+
+@pytest.mark.parametrize("over", ["p", "g"])
+@pytest.mark.parametrize("name", PAIR_NAMES)
+def test_as_polynomial_matches_full_power_orbits(name, over):
+    """Half powers and one contraction give the full-power orbit compiler's polynomial,
+    for every density kind through order 8 (order 4 on sl4/so(4))."""
+    pair = _named_pair(name)
+    top = 4 if name == "sl4" else 8
+    for kind in ("q", "J", "q_half", "J_half"):
+        for order in range(top, -1, -2):
+            series = density_series(kind, order)
+            assert series.as_polynomial(pair, over) == trace_words_orbit_reference(series, pair, over)
+
+
+@pytest.mark.parametrize("name", PAIR_NAMES)
+def test_as_polynomial_matches_full_power_orbits_off_the_densities(name):
+    """ln E over k, products of two words, odd powers (where the two half
+    powers differ) and the power 0 (tr_s of the identity, dim s); on sl4/so(4)
+    the series are cut at order 4."""
+    pair = _named_pair(name)
+    top = 4 if name == "sl4" else 6
+
+    def w(space, power, c=1):
+        return TraceSeries.word(top, space, power, c)
+
+    products = w("p", 2) * w("p", 4) + w("k", 2) * w("g", 3) - w("g", 1) * w("k", 5) + w("p", 2) * w("g", 2)
+    odd = w("g", 0, 3) + w("p", 1) + w("g", 3, -2) + w("k", 5) + w("p", 0) * w("g", 5) + w("k", 1) * w("p", 3)
+    cases = [(LN_E_SERIES, "k"), (products, "p"), (products, "g"), (odd, "g"), (odd, "k")]
+    for series, over in cases:
+        assert series.as_polynomial(pair, over) == trace_words_orbit_reference(series, pair, over)
+    assert w("g", 0).as_polynomial(pair, "p") == Poly.const(pair.dim_p, pair.dim)
