@@ -40,7 +40,6 @@ from .uea import (
     hc_projection_uea,
     pbw_multiply,
     project_mod_k_lambda,
-    project_mod_k_lambda_dressed,
     rouviere_sharp,
     star_dk,
 )

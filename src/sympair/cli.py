@@ -114,14 +114,14 @@ def run(argv) -> int:
     report = sio.RunReport(["sympair"] + list(argv))
     try:
         code = _dispatch(args, report)
+        if args.json:
+            report.write_json(args.json)
     except SympairError as e:
         print(f"validation error: {e}", file=sys.stderr)
         return 2
     except (KeyError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    if args.json:
-        report.write_json(args.json)
     return code
 
 

@@ -1,10 +1,11 @@
 """Generalized Iwasawa data and the Harish-Chandra restriction.
 
 Iwasawa data is user supplied and only validated here: the package checks
-the direct sum g = k + p0 + n+, the subalgebra and stability conditions of
-the little pair g0 = k0 + p0, and that sigma(n+) closes the triangular
-decomposition.  The projection itself is the substitution sending every
-p symbol to its p0 component along g = (k + n+) + p0.
+that k0 + r is a basis of k, the direct sum g = k + p0 + n+, the subalgebra
+and stability conditions of the little pair g0 = k0 + p0, and that
+sigma(n+) closes the triangular decomposition.  The projection itself is
+the substitution sending every p symbol to its p0 component along
+g = (k + n+) + p0.
 """
 
 from __future__ import annotations
@@ -54,10 +55,8 @@ def validate_iwasawa(data: IwasawaData) -> list[str]:
     k_basis = [util.unit_vec(pair.dim, i) for i in range(dp, pair.dim)]
     if not util.direct_sum_check([k_basis, data.p0, data.n_plus], pair.dim):
         problems.append("g != k + p0 + n+ as a direct sum")
-    if not util.span_eq(data.k0 + data.r, k_basis):
-        problems.append("k != k0 + r")
-    if data.k0 and len(util.span_rref(data.k0 + data.r)) != len(data.k0) + len(data.r):
-        problems.append("k0 and r overlap")
+    if len(data.k0 + data.r) != pair.dim_k or not util.span_eq(data.k0 + data.r, k_basis):
+        problems.append("k0 + r is not a basis of k")
 
     g0 = data.k0 + data.p0
     g0_span = util.span_rref(list(g0))

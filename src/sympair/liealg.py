@@ -1,9 +1,11 @@
 """Lie algebras with exact-rational structure constants and symmetric pairs.
 
-A LieAlgebraDef stores brackets only for ordered basis pairs i < j;
-antisymmetry is implicit.  A SymmetricPair adds an involutive automorphism
-sigma and derives an adapted basis (the -1 eigenvectors first, then the +1
-ones) in which every higher module of the package works.  The bracket
+A LieAlgebraDef is given brackets for ordered basis pairs i < j only and
+stores them once, as a sparse antisymmetric table read through
+`bracket_terms` (the nonzero entries) or `bracket_basis` (a dense vector).
+A SymmetricPair adds an involutive automorphism sigma and derives an
+adapted basis (the -1 eigenvectors first, then the +1 ones) in which every
+higher module of the package works.  The bracket
 table in that basis is the LieAlgebraDef `pair.adapted`, built by
 `LieAlgebraDef.rebased`, which is also how the PBW contexts and restricted
 adjoint actions get their structure constants.  `SymmetricPair.bracket_poly`
@@ -41,7 +43,7 @@ from .util import Vec, frac, is_zero_vec, vec_add, vec_scale, zero_vec
 
 
 class LieAlgebraDef:
-    """Basis names plus exact bracket structure constants (i < j only)."""
+    """Basis names plus exact bracket structure constants (given for i < j only)."""
 
     def __init__(self, name: str, basis: list[str], brackets: dict, validate: bool = True):
         self.name = name
@@ -52,30 +54,31 @@ class LieAlgebraDef:
         repeated = next((b for t, b in enumerate(self.basis) if b in self.basis[:t]), None)
         if repeated is not None:
             raise ValueError(f"basis name {repeated!r} is repeated")
-        self._table: dict[tuple[int, int], Vec] = {}
+        self._terms = [[()] * self.dim for _ in range(self.dim)]
         for (i, j), coeffs in brackets.items():
             if not (0 <= i < j < self.dim):
                 raise ValueError(f"bracket key {(i, j)} must satisfy 0 <= i < j < dim")
-            v = list(zero_vec(self.dim))
+            v = {}
             for k, c in coeffs.items():
                 if not 0 <= int(k) < self.dim:
                     raise ValueError(f"bracket {(i, j)} has target index {k} outside 0..{self.dim - 1}")
                 v[int(k)] = frac(c)
-            if not is_zero_vec(v):
-                self._table[(i, j)] = tuple(v)
-        # dense antisymmetric lookup, so bracket_basis allocates nothing; _terms
-        # holds each entry's nonzero (index, coefficient) pairs, which bracket sums
-        zero = zero_vec(self.dim)
-        self._rows = [[zero] * self.dim for _ in range(self.dim)]
-        for (i, j), v in self._table.items():
-            self._rows[i][j] = v
-            self._rows[j][i] = vec_scale(-1, v)
-        self._terms = [[tuple((k, c) for k, c in enumerate(w) if c) for w in row] for row in self._rows]
+            terms = tuple((k, c) for k, c in sorted(v.items()) if c)
+            self._terms[i][j] = terms
+            self._terms[j][i] = tuple((k, -c) for k, c in terms)
         if validate:
             self._check_jacobi()
 
+    def bracket_terms(self, i: int, j: int) -> tuple[tuple[int, Fraction], ...]:
+        """The nonzero (index, coefficient) pairs of [e_i, e_j], in index order."""
+        return self._terms[i][j]
+
     def bracket_basis(self, i: int, j: int) -> Vec:
-        return self._rows[i][j]
+        """[e_i, e_j] as a dense tuple."""
+        out = list(zero_vec(self.dim))
+        for k, c in self._terms[i][j]:
+            out[k] = c
+        return tuple(out)
 
     def rebased(self, vectors) -> "LieAlgebraDef":
         """The subalgebra spanned by `vectors`, with its brackets in that basis.
@@ -162,12 +165,9 @@ class Character:
             raise ValueError("character needs one value per k-basis vector")
         for a in range(pair.dim_k):
             for b in range(a + 1, pair.dim_k):
-                w = pair.adapted.bracket_basis(pair.dim_p + a, pair.dim_p + b)
-                val = sum(
-                    (self.values[t - pair.dim_p] * w[t] for t in range(pair.dim_p, pair.dim)),
-                    Fraction(0),
-                )
-                if val != 0:
+                terms = pair.adapted.bracket_terms(pair.dim_p + a, pair.dim_p + b)
+                # [k,k] lies in k: SymmetricPair checks that sigma is an automorphism
+                if sum((self.values[t - pair.dim_p] * c for t, c in terms), Fraction(0)) != 0:
                     raise ValueError("character does not vanish on [k,k]")
 
     def of_k_vector(self, kv: Vec) -> Fraction:
@@ -259,9 +259,10 @@ class SymmetricPair:
         is a bracket automorphism exactly when each [e_i, e_j] lies in the
         s_i s_j eigenspace: [p,p] and [k,k] in k, [k,p] in p."""
         s = [-1] * self.dim_p + [1] * self.dim_k
-        for (i, j), w in self.adapted._table.items():
-            defect = tuple((s[t] - s[i] * s[j]) * c for t, c in enumerate(w))  # sigma w - s_i s_j w
-            if not is_zero_vec(defect):
+        for i, j in itertools.combinations(range(self.dim), 2):
+            if any(s[t] != s[i] * s[j] for t, _ in self.adapted.bracket_terms(i, j)):
+                w = self.adapted.bracket_basis(i, j)
+                defect = tuple((s[t] - s[i] * s[j]) * c for t, c in enumerate(w))  # sigma w - s_i s_j w
                 raise NotAutomorphism(self.adapted_names[i], self.adapted_names[j], defect)
 
     def to_adapted(self, v: Vec) -> Vec:
@@ -331,11 +332,11 @@ class SymmetricPair:
         for i, a in enumerate(u):
             if not a:
                 continue
-            row = self.adapted._terms[i]
             for j, b in v_terms:
-                if row[j]:
+                terms = self.adapted.bracket_terms(i, j)
+                if terms:
                     ab = a.mul(b)
-                    for t, c in row[j]:
+                    for t, c in terms:
                         util.add_into(out[t], ab.terms, c)
         return [Poly(nv, terms) for terms in out]
 

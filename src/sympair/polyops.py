@@ -208,9 +208,7 @@ def cartan_eilenberg_diff(pair: SymmetricPair, chain: CEChain) -> CEChain:
             if rest in phi:
                 total = total + k_derivation(pair, a, BlockPolynomial(pair, "p", phi[rest])).poly.scale((-1) ** i)
             for j in range(i + 1, len(T)):
-                w = pair.adapted.bracket_basis(dp + a, dp + T[j])
-                for b in range(pair.dim_k):
-                    if w[dp + b]:
-                        total = total + first_slot(b, rest[:j - 1] + rest[j:]).scale((-1) ** (i + j) * w[dp + b])
+                for t, c in pair.adapted.bracket_terms(dp + a, dp + T[j]):  # t >= dp: [k,k] lies in k
+                    total = total + first_slot(t - dp, rest[:j - 1] + rest[j:]).scale((-1) ** (i + j) * c)
         out[T] = total
     return CEChain(pair, chain.degree + 1, out)

@@ -28,7 +28,7 @@ from fractions import Fraction
 from . import util
 from .liealg import Character, SymmetricPair
 from .poly import Poly, monomials_of_degree
-from .polyops import BlockPolynomial, apply_series_operator, require_invariant
+from .polyops import BlockPolynomial, require_invariant
 from .series import TraceSeries, density_series
 
 
@@ -67,12 +67,8 @@ class PBWContext:
             i = inv
             swapped = word[:i] + (word[i + 1], word[i]) + word[i + 2 :]
             result = dict(self.straighten(swapped))
-            w = self.algebra.bracket_basis(word[i], word[i + 1])
-            for t in range(self.dim):
-                if w[t]:
-                    for mono, c in self.straighten(word[:i] + (t,) + word[i + 2 :]).items():
-                        result[mono] = result.get(mono, Fraction(0)) + w[t] * c
-            result = {m: c for m, c in result.items() if c}
+            for t, c in self.algebra.bracket_terms(word[i], word[i + 1]):
+                util.add_into(result, self.straighten(word[:i] + (t,) + word[i + 2 :]), c)
         self._memo[word] = result
         return result
 
@@ -83,14 +79,11 @@ class UEAElement:
     def __init__(self, ctx: PBWContext, terms: dict | None = None):
         self.ctx = ctx
         self.terms: dict[tuple[int, ...], Fraction] = {}
-        if terms:
-            for w, c in terms.items():
-                c = util.frac(c)
-                if c:
-                    w = tuple(w)
-                    assert all(w[i] <= w[i + 1] for i in range(len(w) - 1)), "not a PBW monomial"
-                    self.terms[w] = self.terms.get(w, Fraction(0)) + c
-            self.terms = {w: c for w, c in self.terms.items() if c}
+        for w, c in (terms or {}).items():
+            c = util.frac(c)
+            if c:
+                assert all(w[i] <= w[i + 1] for i in range(len(w) - 1)), "not a PBW monomial"
+                self.terms[tuple(w)] = c
 
     @classmethod
     def unit(cls, ctx, c=1):
@@ -105,10 +98,7 @@ class UEAElement:
         return cls(ctx, {(i,): c for i, c in enumerate(v_ctx) if c})
 
     def __add__(self, other):
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            out[w] = out.get(w, Fraction(0)) + c
-        return UEAElement(self.ctx, out)
+        return UEAElement(self.ctx, util.add_into(dict(self.terms), other.terms))
 
     def __sub__(self, other):
         return self + other.scale(-1)
@@ -140,12 +130,7 @@ def pbw_multiply(a: UEAElement, b: UEAElement) -> UEAElement:
     out: dict[tuple[int, ...], Fraction] = {}
     for w1, c1 in a.terms.items():
         for w2, c2 in b.terms.items():
-            for mono, c in ctx.straighten(w1 + w2).items():
-                s = out.get(mono, Fraction(0)) + c1 * c2 * c
-                if s:
-                    out[mono] = s
-                else:
-                    out.pop(mono, None)
+            util.add_into(out, ctx.straighten(w1 + w2), c1 * c2)
     return UEAElement(ctx, out)
 
 
@@ -244,7 +229,7 @@ def reduce_mod_k_lambda(u: UEAElement, lam: Character) -> UEAElement:
         t = bisect.bisect_left(w, ks)
         for i in w[t:]:
             c *= neg[i - ks]
-        out[w[:t]] = out.get(w[:t], 0) + c
+        util.add_into(out, {w[:t]: c})
     return UEAElement(ctx, out)
 
 
@@ -253,18 +238,6 @@ def _project(ctx: PBWContext, u: UEAElement, lam: Character) -> Poly:
     p = ctx.p_symbols
     return _peel(reduce_mod_k_lambda(u, lam), len(p), lambda w: _word_to_mono(p, w),
                  lambda rem, top: reduce_mod_k_lambda(rem - _beta_over(ctx, p, top), lam))
-
-
-def project_mod_k_lambda_dressed(ctx: PBWContext, u: UEAElement, lam: Character,
-                                 series: TraceSeries) -> BlockPolynomial:
-    """The unique S with u = beta(series-operator applied to S) mod U(g).k^lambda.
-
-    The plain projection uses the splitting along beta(S(p)); this variant
-    splits along the series-dressed copy.  The two differ below the top
-    degree whenever the series has nonconstant terms.
-    """
-    plain = project_mod_k_lambda(ctx, u, lam)
-    return apply_series_operator(ctx.pair, series.inverse(), plain)
 
 
 def project_mod_k_lambda(ctx: PBWContext, u: UEAElement, lam: Character) -> BlockPolynomial:

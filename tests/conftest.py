@@ -54,10 +54,11 @@ def double_with_swap(base: LieAlgebraDef):
     """g + g with the factor-swap involution (the diagonal pair of base)."""
     n = base.dim
     brackets = {}
-    for (i, j), _ in base._table.items():
-        w = base.bracket_basis(i, j)
-        brackets[(i, j)] = {t: w[t] for t in range(n) if w[t]}
-        brackets[(i + n, j + n)] = {t + n: w[t] for t in range(n) if w[t]}
+    for i, j in itertools.combinations(range(n), 2):
+        terms = base.bracket_terms(i, j)
+        if terms:
+            brackets[(i, j)] = dict(terms)
+            brackets[(i + n, j + n)] = {t + n: c for t, c in terms}
     basis = [s + "1" for s in base.basis] + [s + "2" for s in base.basis]
     dbl = LieAlgebraDef(base.name + "x2", basis, brackets)
     sigma = [[0] * (2 * n) for _ in range(2 * n)]

@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 
@@ -104,10 +105,9 @@ def test_hc_project_renders_signed_coefficients(tmp_path, capsys):
     assert out.splitlines()[0] == "-H^4 + 2*H^2 - 1/2"
 
 
-def test_char(tmp_path, capsys):
-    pol = tmp_path / "pol.json"
-    pol.write_text(json.dumps({"b": [["1", "1", "0"], ["0", "0", "1"]]}))
-    code = run(["char", alg("heisenberg3.json"), "--poly", "zz", "--f", "z", "--pol", str(pol)])
+def test_char(capsys):
+    pol = alg(os.path.join("polarizations", "heisenberg3.json"))
+    code = run(["char", alg("heisenberg3.json"), "--poly", "zz", "--f", "z", "--pol", pol])
     out = capsys.readouterr().out.strip()
     assert code == 0 and out == "1"
 
@@ -217,6 +217,30 @@ def test_json_report_exact_values(tmp_path):
     data = json.loads(report_path.read_text())
     labels = {r["label"]: r["value"] for r in data["results"]}
     assert labels == {"dim_k": "1", "dim_p": "2"}
+
+
+def test_unwritable_json_path_is_an_error(tmp_path, capsys):
+    path = tmp_path / "missing" / "r.json"
+    code = run(["validate", alg("sl2.json"), "--json", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert str(path) in err and "Traceback" not in err
+
+
+def _readme_commands():
+    """The lines of the README's "Command line" block, as argument lists without `sympair`."""
+    with open(os.path.join(ALG, "..", "README.md")) as fh:
+        text = fh.read()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line, comments=True)[1:] for line in block.splitlines() if line.strip()]
+    assert commands, "README has no command-line block"
+    return commands
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=lambda argv: argv[0])
+def test_readme_command_line_examples_run(monkeypatch, capsys, argv):
+    monkeypatch.chdir(os.path.join(ALG, ".."))
+    assert run(argv) == 0, capsys.readouterr().err
 
 
 def test_loading_an_algebra_does_not_import_hashlib():
@@ -404,6 +428,10 @@ MALFORMED = [
                  "missing key 'iwasawa' in algebra file", id="missing-iwasawa"),
     pytest.param(["hc-project", "--poly", "omega"], _fixture("sl2.json", iwasawa={"p0": 1}), None,
                  "'iwasawa' key 'p0' in algebra file must be a list of vectors of length 3", id="iwasawa-not-vectors"),
+    pytest.param(["hc-project", "--poly", "omega"],
+                 _fixture("sl2.json", iwasawa={"p0": [["1", "0", "0"]], "n_plus": [["0", "1", "0"]], "k0": [],
+                                               "r": [["0", "1", "-1"], ["0", "1", "-1"]]}), None,
+                 "k0 + r is not a basis of k", id="iwasawa-r-dependent"),
     pytest.param(["star-rou", "--p", "zz", "--q", "zz", "--lambda", "mu"],
                  _fixture("solvable4.json", characters={"mu": [None]}), None,
                  "'characters' key 'mu' in algebra file: not an exact rational", id="character-not-rational"),

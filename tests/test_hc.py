@@ -47,6 +47,13 @@ def test_validate_negative_witness(sl2_pair):
     assert "n+" in str(exc.value)
 
 
+def test_validate_rejects_dependent_r_with_empty_k0(sl2_pair):
+    r = adapted(sl2_pair, [0, 1, -1])
+    with pytest.raises(InvalidIwasawa, match=r"k0 \+ r is not a basis of k"):
+        IwasawaData(sl2_pair, p0=[adapted(sl2_pair, [1, 0, 0])], n_plus=[adapted(sl2_pair, [0, 1, 0])],
+                    k0=[], r=[r, r])
+
+
 def test_hc_restrict_omega(sl2_iwasawa, omega):
     assert hc_restrict(sl2_iwasawa, omega, True) == Poly(1, {(2,): 1})
 

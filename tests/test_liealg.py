@@ -108,7 +108,38 @@ def test_rebased_random_basis_is_a_lie_algebra():
             combo = [sum((w[t] * vectors[t][s] for t in range(n)), Fraction(0)) for s in range(n)]
             assert tuple(combo) == alg.bracket(util.vec(vectors[i]), util.vec(vectors[j]))
         # validation on: the rebased constants pass the Jacobi check
-        LieAlgebraDef(new.name, new.basis, {key: dict(enumerate(v)) for key, v in new._table.items()})
+        LieAlgebraDef(new.name, new.basis,
+                      {key: dict(new.bracket_terms(*key)) for key in itertools.combinations(range(n), 2)})
+
+
+def _bracket_tables():
+    """Every fixture's table and its adapted one, sl3/so(3), sl4/so(4), and a random rebasing."""
+    pairs = file_pairs() + [sl_so_pair(3), sl_so_pair(4)]
+    tables = [t for pair in pairs for t in (pair.algebra, pair.adapted)]
+    alg = pairs[-2].algebra
+    rng = random.Random(5)
+    vectors = [[0]]
+    while util.rank(vectors) < alg.dim:
+        vectors = [[Fraction(rng.randint(-1, 1)) for _ in range(alg.dim)] for _ in range(alg.dim)]
+    return pairs, tables + [alg.rebased(vectors)]
+
+
+def test_bracket_terms_is_one_sparse_antisymmetric_table():
+    pairs, tables = _bracket_tables()
+    for alg in tables:
+        n = alg.dim
+        for i, j in itertools.product(range(n), repeat=2):
+            terms = alg.bracket_terms(i, j)
+            assert [t for t, _ in terms] == sorted({t for t, _ in terms}) and all(c for _, c in terms)
+            assert alg.bracket_terms(j, i) == tuple((t, -c) for t, c in terms)
+            dense = [Fraction(0)] * n
+            for t, c in terms:
+                dense[t] = c
+            assert tuple(dense) == alg.bracket_basis(i, j) == alg.bracket(util.unit_vec(n, i), util.unit_vec(n, j))
+    for pair in pairs:
+        for i, j in itertools.product(range(pair.dim), repeat=2):
+            w = pair.bracket_adapted(i, j)
+            assert isinstance(w, tuple) and len(w) == pair.dim and w == pair.adapted.bracket_basis(i, j)
 
 
 def test_rebased_rejects_dependent_and_non_closed_bases(sl2_pair):

@@ -407,13 +407,12 @@ def test_hc_projection_with_nonzero_k0(diagonal_pair):
 
 
 def test_dressed_projection_differs_below_top_degree(sl2_pair, sl2_ctx, omega):
-    from sympair.series import density_series
-    from sympair.uea import project_mod_k_lambda_dressed
+    """Splitting along the series-dressed copy of beta(S(p)) instead of beta(S(p))."""
     lam0 = sl2_pair.zero_character()
     jh = density_series("J_half", 4)
     u = beta(sl2_ctx, omega * omega)
     plain = project_mod_k_lambda(sl2_ctx, u, lam0)
-    dressed = project_mod_k_lambda_dressed(sl2_ctx, u, lam0, jh)
+    dressed = apply_series_operator(sl2_pair, jh.inverse(), plain)
     assert plain == omega * omega
     assert dressed != plain
     assert dressed.poly.homogeneous_part(4) == plain.poly.homogeneous_part(4)
