@@ -16,7 +16,10 @@ from .liealg import (
     PolarizationCandidate,
     SymmetricPair,
     build_symmetric_pair,
+    group_type,
+    pair_from_matrices,
     polarization_check,
+    sl_so,
     trace_alternation,
     trace_word,
 )

@@ -75,13 +75,18 @@ def parse_algebra(data: dict):
         m = _BRACKET_KEY.match(key.replace(" ", ""))
         if not m:
             raise ValueError(f"bad bracket key {key!r}")
-        i, j = int(m.group(1)), int(m.group(2))
         what = f"bracket {key!r} in algebra file"
-        coeffs = _object(coeffs, (), what)
-        try:
-            brackets[(i, j)] = {int(k): util.frac(v) for k, v in coeffs.items()}
-        except (TypeError, ValueError) as e:
-            raise SympairError(f"{what}: {e}") from None
+        ij = int(m.group(1)), int(m.group(2))
+        if ij in brackets:
+            raise SympairError(f"{what} repeats the basis pair {ij}")
+        brackets[ij] = {}
+        for k, v in _object(coeffs, (), what).items():
+            t = int(k) if k.strip().isdecimal() else -1
+            if not 0 <= t < len(basis):
+                raise SympairError(f"{what}: target index {k} outside 0..{len(basis) - 1}")
+            if t in brackets[ij]:
+                raise SympairError(f"{what}: target index {t} is repeated")
+            brackets[ij][t] = _rational(v, what)
     algebra = LieAlgebraDef(name, basis, brackets)
     sigma = _vectors(data["sigma"], algebra.dim, "key 'sigma' in algebra file")
     adapted = None

@@ -5,24 +5,27 @@ stores them once, as a sparse antisymmetric table read through
 `bracket_terms` (the nonzero entries) or `bracket_basis` (a dense vector).
 A SymmetricPair adds an involutive automorphism sigma and derives an
 adapted basis (the -1 eigenvectors first, then the +1 ones) in which every
-higher module of the package works.  The bracket
-table in that basis is the LieAlgebraDef `pair.adapted`, built by
-`LieAlgebraDef.rebased`, which is also how the PBW contexts and restricted
-adjoint actions get their structure constants.  `SymmetricPair.bracket_poly`
-is the one bracket of polynomial-coefficient vectors
-(`TraceSeries.as_polynomial` carries adjoint orbits with it to half
-the top power of a trace word, then contracts two half powers), and
-`trace_word` the one numeric block trace of adjoint words, which
-`trace_alternation`, `trk_character` and `killing_k` call.
+higher module of the package works.  The bracket table in that basis is
+the LieAlgebraDef `pair.adapted`, built by `LieAlgebraDef.rebased`, which
+is also how the PBW contexts and restricted adjoint actions get their
+structure constants.  `SymmetricPair.bracket_poly` is the one bracket of
+polynomial-coefficient vectors (`TraceSeries.as_polynomial` carries
+adjoint orbits with it to half the top power of a trace word, then
+contracts two half powers), and `trace_word` the one numeric block trace
+of adjoint words, which `trace_alternation`, `trk_character` and
+`killing_k` call.  `pair_from_matrices` is the one builder of pairs of
+matrix Lie algebras, with commutators as brackets; the classical pairs
+`sl_so(n)` and `group_type` (the diagonal pair of g + g) are built on it.
 
-Each axiom is checked once, by the constructor of its object, and nothing
-downstream checks it again.  `LieAlgebraDef` checks the bracket keys and
-the Jacobi identity (`JacobiViolation`); `rebased` skips Jacobi, as a
-change of basis keeps it.  `SymmetricPair` checks sigma^2 = I
+Each axiom is checked once, by the constructor of its object, and
+nothing downstream checks it again.  `LieAlgebraDef` checks the bracket
+keys and the Jacobi identity (`JacobiViolation`); `rebased` and
+`pair_from_matrices` skip it: a change of basis keeps it, and matrix
+commutators satisfy it.  `SymmetricPair` checks sigma^2 = I
 (`NotInvolution`), that a user-given adapted basis is a basis of sigma
 eigenvectors (`NotCartanSplit`), and last, in the adapted basis, that
-sigma is a bracket automorphism, i.e. [p,p] and [k,k] lie in k and [k,p]
-in p (`NotAutomorphism`).
+sigma is a bracket automorphism, i.e. [p,p] and [k,k] lie in k and
+[k,p] in p (`NotAutomorphism`).
 """
 
 from __future__ import annotations
@@ -349,6 +352,52 @@ class SymmetricPair:
 
 def build_symmetric_pair(algebra: LieAlgebraDef, sigma, adapted=None) -> SymmetricPair:
     return SymmetricPair(algebra, sigma, adapted=adapted)
+
+
+# -- symmetric pairs of matrix Lie algebras ---------------------------------
+
+def pair_from_matrices(name: str, names: list[str], matrices, sigma) -> SymmetricPair:
+    """The pair spanned by square `matrices`, with commutators as brackets and
+    `sigma`, a map of matrices, as involution.  The coordinates of every
+    commutator and sigma-image come from one elimination against the
+    flattened basis; Jacobi is not re-checked, as commutators satisfy it.
+    Raises ValueError, naming the pair, if the matrices are dependent or an
+    image leaves their span."""
+    def flat(m):
+        return util.vec(itertools.chain(*m))
+
+    basis = [flat(m) for m in matrices]
+    if util.rank(basis) != len(basis):
+        raise ValueError(f"{name}: the matrices are linearly dependent")
+    keys = list(itertools.combinations(range(len(basis)), 2))
+    images = [util.vec_sub(flat(util.mat_mul(a, b)), flat(util.mat_mul(b, a)))
+              for a, b in itertools.combinations(matrices, 2)]
+    coords = util.solve_each(util.mat_from_cols(basis), images + [flat(sigma(m)) for m in matrices])
+    if coords is None:
+        raise ValueError(f"{name}: a commutator or sigma-image leaves the span of the matrices")
+    brackets = {key: {t: c for t, c in enumerate(x) if c} for key, x in zip(keys, coords)}
+    algebra = LieAlgebraDef(name, names, brackets, validate=False)
+    return SymmetricPair(algebra, util.mat_from_cols(coords[len(keys):]))
+
+
+def sl_so(n: int) -> SymmetricPair:
+    """(sl(n), so(n)) with sigma(X) = -X^T, on H_i = E_ii - E_(i+1)(i+1), then E_ij (i != j)."""
+    offdiag = [(i, j) for i in range(n) for j in range(n) if i != j]
+    names = [f"H{i + 1}" for i in range(n - 1)] + [f"E{i + 1}{j + 1}" for i, j in offdiag]
+    mats = [[[(a == b == i) - (a == b == i + 1) for b in range(n)] for a in range(n)] for i in range(n - 1)]
+    mats += [[[int((a, b) == key) for b in range(n)] for a in range(n)] for key in offdiag]
+    return pair_from_matrices(f"sl{n}", names, mats, lambda m: [[-c for c in col] for col in zip(*m)])
+
+
+def group_type(name: str, names: list[str], matrices) -> SymmetricPair:
+    """The diagonal pair `name`x2 of the matrix algebra g: g + g as block-diagonal
+    matrices, sigma swapping the blocks; its basis is `names` with suffix 1, then 2."""
+    n = len(matrices[0])
+    zero = [[0] * n] * n
+    blocks = [(m, zero) for m in matrices] + [(zero, m) for m in matrices]
+    mats = [[list(r) + [0] * n for r in a] + [[0] * n + list(r) for r in b] for a, b in blocks]
+    return pair_from_matrices(f"{name}x2", [s + "1" for s in names] + [s + "2" for s in names], mats,
+                              lambda m: [row[n:] + row[:n] for row in m[n:] + m[:n]])
 
 
 # -- trace words and alternation sums --------------------------------------

@@ -16,7 +16,7 @@ from sympair.freelie import (
     lie_from_assoc,
 )
 from sympair.graphs import _edge_key
-from sympair.liealg import LieAlgebraDef, build_symmetric_pair
+from sympair.liealg import LieAlgebraDef, build_symmetric_pair, group_type
 from sympair.poly import Poly, monomials_up_to_degree
 from sympair.polyops import BlockPolynomial, CEChain, k_derivation
 
@@ -50,27 +50,9 @@ def abelian_pair():
     return build_symmetric_pair(alg, [[-1, 0], [0, -1]])
 
 
-def double_with_swap(base: LieAlgebraDef):
-    """g + g with the factor-swap involution (the diagonal pair of base)."""
-    n = base.dim
-    brackets = {}
-    for i, j in itertools.combinations(range(n), 2):
-        terms = base.bracket_terms(i, j)
-        if terms:
-            brackets[(i, j)] = dict(terms)
-            brackets[(i + n, j + n)] = {t + n: c for t, c in terms}
-    basis = [s + "1" for s in base.basis] + [s + "2" for s in base.basis]
-    dbl = LieAlgebraDef(base.name + "x2", basis, brackets)
-    sigma = [[0] * (2 * n) for _ in range(2 * n)]
-    for i in range(n):
-        sigma[i][i + n] = 1
-        sigma[i + n][i] = 1
-    return build_symmetric_pair(dbl, sigma)
-
-
 @pytest.fixture(scope="session")
 def diagonal_pair():
-    return double_with_swap(sl2_algebra())
+    return group_type("sl2", ["H", "X", "Y"], [[[1, 0], [0, -1]], [[0, 1], [0, 0]], [[0, 0], [1, 0]]])
 
 
 def coadjoint_semidirect(base: LieAlgebraDef):
@@ -110,47 +92,6 @@ def coadjoint_semidirect(base: LieAlgebraDef):
 def am_pair():
     """sl2 semidirect its coadjoint module: an anti-invariant quadratic pair."""
     return coadjoint_semidirect(sl2_algebra())
-
-
-def sl_so_pair(n):
-    """(sl(n), so(n)) with sigma(X) = -X^T, built from matrix units.
-
-    Basis: H_i = E_ii - E_(i+1)(i+1) for i < n, then E_ij for i != j.
-    """
-    mats = [{(i, i): 1, (i + 1, i + 1): -1} for i in range(n - 1)]
-    mats += [{(i, j): 1} for i in range(n) for j in range(n) if i != j]
-    names = [f"H{i + 1}" for i in range(n - 1)] + [f"E{i + 1}{j + 1}" for i in range(n) for j in range(n) if i != j]
-    offdiag = {next(iter(m)): t for t, m in enumerate(mats) if t >= n - 1}
-
-    def coords(mat):
-        out = [Fraction(0)] * len(mats)
-        running = Fraction(0)
-        for i in range(n - 1):  # diagonal d = sum_i h_i (e_i - e_(i+1))
-            running += mat.get((i, i), 0)
-            out[i] = running
-        for key, v in mat.items():
-            if key[0] != key[1]:
-                out[offdiag[key]] = Fraction(v)
-        return out
-
-    def product(a, b):
-        out = {}
-        for (i, k), x in a.items():
-            for (k2, j), y in b.items():
-                if k == k2:
-                    out[(i, j)] = out.get((i, j), 0) + x * y
-        return out
-
-    brackets = {}
-    for a in range(len(mats)):
-        for b in range(a + 1, len(mats)):
-            ab, ba = product(mats[a], mats[b]), product(mats[b], mats[a])
-            comm = {key: ab.get(key, 0) - ba.get(key, 0) for key in set(ab) | set(ba)}
-            brackets[(a, b)] = {t: c for t, c in enumerate(coords(comm)) if c}
-    alg = LieAlgebraDef(f"sl{n}", names, brackets)
-    cols = [coords({(c, r): -v for (r, c), v in m.items()}) for m in mats]
-    sigma = [[cols[j][i] for j in range(len(mats))] for i in range(len(mats))]
-    return build_symmetric_pair(alg, sigma)
 
 
 def ln_e_symbol_reference(pair):

@@ -405,6 +405,7 @@ def _fixture(name, **changes):
 
 
 CHAR = ["char", "--poly", "zz", "--f", "z"]
+SL2_REST = {"[0,2]": {"2": "-2"}, "[1,2]": {"0": "1"}}  # the sl2 brackets other than [0,1]
 
 #: command, algebra file data, polarization file data or None, message naming the key and the file
 MALFORMED = [
@@ -444,6 +445,12 @@ MALFORMED = [
                  id="definition-boolean"),
     pytest.param(["validate"], _fixture("sl2.json", brackets={"[0,1]": {"1": True}, "[0,2]": {"2": -2}, "[1,2]": {"0": 1}}),
                  None, "bracket '[0,1]' in algebra file: not an exact rational: True", id="bracket-boolean"),
+    pytest.param(["validate"], _fixture("sl2.json", brackets={"[0,1]": {"1": "2", "01": "3"}, **SL2_REST}), None,
+                 "bracket '[0,1]' in algebra file: target index 1 is repeated", id="bracket-target-repeated"),
+    pytest.param(["validate"], _fixture("sl2.json", brackets={"[0,1]": {"1": "2"}, "[0, 1]": {"1": "3"}, **SL2_REST}),
+                 None, "bracket '[0, 1]' in algebra file repeats the basis pair (0, 1)", id="bracket-pair-repeated"),
+    pytest.param(["validate"], _fixture("sl2.json", brackets={"[0,1]": {"7": "1"}, **SL2_REST}), None,
+                 "bracket '[0,1]' in algebra file: target index 7 outside 0..2", id="bracket-target-out-of-range"),
     pytest.param(["validate"], _fixture("sl2.json", sigma=[[-1, 0, 0], [0, 0, -1], [0, -1, False]]), None,
                  "key 'sigma' in algebra file: not an exact rational: False", id="sigma-boolean"),
     pytest.param(["hc-project", "--poly", "omega"], _fixture("sl2.json", weyl=5), None,

@@ -15,12 +15,11 @@ from sympair.liealg import (
     eval_lie_word,
     nilradical_solvable,
     polarization_check,
+    sl_so,
     stabilizer,
     trace_alternation,
     trace_word,
 )
-
-from conftest import sl_so_pair
 
 ALGEBRAS = Path(__file__).resolve().parent.parent / "algebras"
 
@@ -114,7 +113,7 @@ def test_rebased_random_basis_is_a_lie_algebra():
 
 def _bracket_tables():
     """Every fixture's table and its adapted one, sl3/so(3), sl4/so(4), and a random rebasing."""
-    pairs = file_pairs() + [sl_so_pair(3), sl_so_pair(4)]
+    pairs = file_pairs() + [sl_so(3), sl_so(4)]
     tables = [t for pair in pairs for t in (pair.algebra, pair.adapted)]
     alg = pairs[-2].algebra
     rng = random.Random(5)
@@ -152,7 +151,7 @@ def test_rebased_rejects_dependent_and_non_closed_bases(sl2_pair):
 
 
 def test_adapted_algebra_matches_adapted_brackets(sl2_pair, diagonal_pair, am_pair):
-    for pair in file_pairs() + [sl2_pair, diagonal_pair, am_pair, sl_so_pair(3)]:
+    for pair in file_pairs() + [sl2_pair, diagonal_pair, am_pair, sl_so(3)]:
         assert pair.adapted.basis == pair.adapted_names
         for i, j in itertools.product(range(pair.dim), repeat=2):
             w = pair.algebra.bracket(pair.adapted_vectors[i], pair.adapted_vectors[j])

@@ -9,12 +9,11 @@ reason records the measured value; fixing the normalization flips them.
 import pytest
 
 from sympair import util
+from sympair.liealg import sl_so
 from sympair.poly import Poly
 from sympair.polyops import BlockPolynomial, invariant_subspace
 from sympair.starprod import star_cf
 from sympair.uea import rouviere_sharp, star_dk
-
-from conftest import sl_so_pair
 
 
 def killing_casimir(pair):
@@ -34,7 +33,7 @@ def killing_casimir(pair):
 
 def _pair(name, request):
     fixture = {"sl2": "sl2_pair", "sl2diag": "diagonal_pair"}
-    return sl_so_pair(3) if name == "sl3" else request.getfixturevalue(fixture[name])
+    return sl_so(3) if name == "sl3" else request.getfixturevalue(fixture[name])
 
 
 def _fails(reason):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from sympair import util
-from sympair.liealg import build_symmetric_pair
+from sympair.liealg import build_symmetric_pair, sl_so
 from sympair.poly import Poly, monomials_up_to_degree, poly_exp
 from sympair.polyops import (
     BlockPolynomial,
@@ -18,7 +18,7 @@ from sympair.polyops import (
 )
 from sympair.series import TraceSeries, density_series
 
-from conftest import ce_diff_reference, random_block_poly, sl2_algebra, sl_so_pair
+from conftest import ce_diff_reference, random_block_poly, sl2_algebra
 
 
 def poly_coords(polys, monos):
@@ -209,7 +209,7 @@ def test_d_squared_zero(fixture, request):
 @pytest.mark.parametrize("fixture", ["sl2_pair", "solvable_pair", "diagonal_pair", "sl3_so3"])
 def test_d_matches_insertion_reference(fixture, request):
     # d^2 = 0 holds for the zero map too; the reference pins the differential itself
-    pair = sl_so_pair(3) if fixture == "sl3_so3" else request.getfixturevalue(fixture)
+    pair = sl_so(3) if fixture == "sl3_so3" else request.getfixturevalue(fixture)
     rng = random.Random(23)
     for deg in range(min(pair.dim_k, 4) + 1):
         for _ in range(3):

@@ -9,11 +9,12 @@ import pytest
 from sympair.errors import OrderTooHigh
 from sympair.freelie import FreeAssocSeries, FreeLieSeries
 from sympair.io import load_algebra_file
+from sympair.liealg import sl_so
 from sympair.poly import Poly
 from sympair.series import TraceSeries, density_series, log_density, log_sinhc
 from sympair.starprod import LN_E_SERIES
 
-from conftest import sl_so_pair, trace_words_orbit_reference
+from conftest import trace_words_orbit_reference
 
 ALGEBRAS = Path(__file__).resolve().parent.parent / "algebras"
 PAIR_NAMES = sorted(path.stem for path in ALGEBRAS.glob("*.json")) + ["sl3", "sl4"]
@@ -148,7 +149,7 @@ def test_trace_product_matches_all_pairs_product():
 @functools.cache
 def _named_pair(name):
     if name.startswith("sl") and name[2:].isdigit():
-        return sl_so_pair(int(name[2:]))
+        return sl_so(int(name[2:]))
     return load_algebra_file(str(ALGEBRAS / f"{name}.json"))[0]
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from sympair import util
 from sympair.errors import NotInvariant
-from sympair.liealg import Character
+from sympair.liealg import Character, sl_so
 from sympair.poly import Poly
 from sympair.polyops import BlockPolynomial, apply_series_operator, invariant_subspace
 from sympair.series import density_series
@@ -25,7 +25,7 @@ from sympair.uea import (
     star_dk,
 )
 
-from conftest import random_block_poly, sl_so_pair, straighten_random, symmetrized_by_permutations
+from conftest import random_block_poly, straighten_random, symmetrized_by_permutations
 
 
 @pytest.fixture(scope="module")
@@ -434,7 +434,7 @@ def test_project_beta_times_k_at_zero_lambda(sl2_pair, sl2_ctx):
 
 @pytest.mark.parametrize("which", ["sl2diag", "sl3", "sl4"])
 def test_symmetrized_matches_permutation_average(which, diagonal_pair):
-    pair = diagonal_pair if which == "sl2diag" else sl_so_pair(int(which[2]))
+    pair = diagonal_pair if which == "sl2diag" else sl_so(int(which[2]))
     ctx = PBWContext(pair)
     rng = random.Random(f"symmetrize/{which}")
     for _ in range(60):
