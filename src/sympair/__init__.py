@@ -16,6 +16,7 @@ from .liealg import (
     PolarizationCandidate,
     SymmetricPair,
     build_symmetric_pair,
+    coadjoint_semidirect,
     group_type,
     pair_from_matrices,
     polarization_check,

@@ -72,11 +72,11 @@ def parse_algebra(data: dict):
         raise SympairError("key 'basis' in algebra file must be a list of names")
     brackets = {}
     for key, coeffs in _object(data.get("brackets", {}), (), "the 'brackets' block of algebra file").items():
-        m = _BRACKET_KEY.match(key.replace(" ", ""))
-        if not m:
-            raise ValueError(f"bad bracket key {key!r}")
         what = f"bracket {key!r} in algebra file"
-        ij = int(m.group(1)), int(m.group(2))
+        m = _BRACKET_KEY.match(key.replace(" ", ""))
+        ij = tuple(map(int, m.groups())) if m else None
+        if ij is None or not 0 <= ij[0] < ij[1] < len(basis):
+            raise SympairError(f"{what}: the key must be [i,j] with 0 <= i < j < {len(basis)}")
         if ij in brackets:
             raise SympairError(f"{what} repeats the basis pair {ij}")
         brackets[ij] = {}

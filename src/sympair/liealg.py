@@ -15,7 +15,8 @@ contracts two half powers), and `trace_word` the one numeric block trace
 of adjoint words, which `trace_alternation`, `trk_character` and
 `killing_k` call.  `pair_from_matrices` is the one builder of pairs of
 matrix Lie algebras, with commutators as brackets; the classical pairs
-`sl_so(n)` and `group_type` (the diagonal pair of g + g) are built on it.
+`sl_so(n)`, `group_type` (the diagonal pair of g + g) and
+`coadjoint_semidirect` (g + g* with the coadjoint action) are built on it.
 
 Each axiom is checked once, by the constructor of its object, and
 nothing downstream checks it again.  `LieAlgebraDef` checks the bracket
@@ -398,6 +399,21 @@ def group_type(name: str, names: list[str], matrices) -> SymmetricPair:
     mats = [[list(r) + [0] * n for r in a] + [[0] * n + list(r) for r in b] for a, b in blocks]
     return pair_from_matrices(f"{name}x2", [s + "1" for s in names] + [s + "2" for s in names], mats,
                               lambda m: [row[n:] + row[:n] for row in m[n:] + m[:n]])
+
+
+def coadjoint_semidirect(algebra: LieAlgebraDef) -> SymmetricPair:
+    """The pair `name`_coad, g + g* with the coadjoint action, sigma = +1 on g and -1 on g*.
+
+    As affine matrices x -> [[-ad(x)^T, 0], [0, 0]] and f_j -> [[0, e_j], [0, 0]],
+    so [e_i, f_j] = -sum_t c_it^j f_t; sigma negates the last column.  The
+    basis is g's names, then each with a `*`.  The matrices are independent
+    only when g has trivial centre; otherwise ValueError is raised."""
+    n = algebra.dim
+    mats = [[[-c for c in col] + [0] for col in zip(*algebra.ad(util.unit_vec(n, i)))] + [[0] * (n + 1)]
+            for i in range(n)]
+    mats += [[[0] * n + [int(r == j)] for r in range(n + 1)] for j in range(n)]
+    return pair_from_matrices(f"{algebra.name}_coad", algebra.basis + [s + "*" for s in algebra.basis], mats,
+                              lambda m: [row[:n] + [-row[n]] for row in m])
 
 
 # -- trace words and alternation sums --------------------------------------

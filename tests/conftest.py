@@ -16,7 +16,7 @@ from sympair.freelie import (
     lie_from_assoc,
 )
 from sympair.graphs import _edge_key
-from sympair.liealg import LieAlgebraDef, build_symmetric_pair, group_type
+from sympair.liealg import LieAlgebraDef, build_symmetric_pair, coadjoint_semidirect, group_type
 from sympair.poly import Poly, monomials_up_to_degree
 from sympair.polyops import BlockPolynomial, CEChain, k_derivation
 
@@ -53,39 +53,6 @@ def abelian_pair():
 @pytest.fixture(scope="session")
 def diagonal_pair():
     return group_type("sl2", ["H", "X", "Y"], [[[1, 0], [0, -1]], [[0, 1], [0, 0]], [[0, 0], [1, 0]]])
-
-
-def coadjoint_semidirect(base: LieAlgebraDef):
-    """k semidirect k^* with the coadjoint action and sigma = (+1, -1).
-
-    The pairing between the two blocks is sigma-anti-invariant, so this is
-    a quadratic pair whose two-argument expansion collapses.
-    """
-    n = base.dim
-    brackets = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            w = base.bracket_basis(i, j)
-            entries = {t: w[t] for t in range(n) if w[t]}
-            if entries:
-                brackets[(i, j)] = entries
-    # [e_i, f_j] = coad(e_i) f_j with (coad(x) xi)(y) = -xi([x, y])
-    for i in range(n):
-        for j in range(n):
-            entries = {}
-            for t in range(n):
-                w = base.bracket_basis(i, t)
-                if w[j]:
-                    entries[t + n] = -w[j]
-            if entries:
-                brackets[(i, j + n)] = entries
-    basis = list(base.basis) + [s + "*" for s in base.basis]
-    alg = LieAlgebraDef(base.name + "_coad", basis, brackets)
-    sigma = [[0] * (2 * n) for _ in range(2 * n)]
-    for i in range(n):
-        sigma[i][i] = 1
-        sigma[i + n][i + n] = -1
-    return build_symmetric_pair(alg, sigma)
 
 
 @pytest.fixture(scope="session")
@@ -416,6 +383,75 @@ def sym_factorize_reference(order):
         else:
             K = K + defect
     return P, K
+
+
+def _sinhc_series(count):
+    """b_k, a_k for k < count: with sinh z / z = sum s_k z^(2k) = sum z^(2k) / (2k+1)!, its inverse
+    is sum b_k z^(2k) and its logarithm sum a_k z^(2k) (k a_k = k s_k - sum_(0<t<k) t a_t s_(k-t))."""
+    s = [Fraction(1, math.factorial(2 * k + 1)) for k in range(count)]
+    b, a = [Fraction(1)], [Fraction(0)]
+    for k in range(1, count):
+        b.append(-sum((s[t] * b[k - t] for t in range(1, k + 1)), Fraction(0)))
+        a.append(s[k] - sum((t * a[t] * s[k - t] for t in range(1, k)), Fraction(0)) / k)
+    return b, a
+
+
+def laplace_beltrami_symbol(pair, R, jet, density):
+    """Symbol of J^(1/2) o (Delta + c) o J^(-1/2) in exponential coordinates on p, exact
+    through x-degree jet - 2, in the variables of `exp_coord_operator` (x, then xi).
+
+    Delta is the Laplace-Beltrami operator of the metric that Exp pulls back
+    from the form on p dual to the quadratic Casimir R:
+    g(X) = <T u, T v> with T = sinh(ad X)/ad X on p, so its inverse is
+    G = T^-1 R T^-T and its volume J_g = det_p T = exp sum_n a_n tr_p M^n,
+    where M = (ad X)^2 on p and a_n are the coefficients of log(sinh z / z).
+    Its symbol is G^ij xi_i xi_j + (d_i G^ij + G^ij d_i log J_g) xi_j.  The
+    conjugating density is log J = sum_n density(n, a_n) tr_p M^n, and
+    c = R(d) J^(1/2) at 0.  M comes from the numeric ad matrices, and every
+    series from `_sinhc_series`: nothing of `series` or `apply_series_operator`.
+    """
+    dp, n, N = pair.dim_p, pair.dim, jet // 2
+    b, a = _sinhc_series(N + 1)
+    zero = Poly.zero(dp)
+
+    def matmul(A, B):
+        return [[sum((A[i][t].mul(B[t][j], jet) for t in range(len(B))), zero) for j in range(len(B[0]))]
+                for i in range(len(A))]
+
+    ads = [pair.adapted.ad(util.unit_vec(n, t)) for t in range(dp)]
+    adX = [[sum((Poly.var(dp, t, ads[t][i][j]) for t in range(dp) if ads[t][i][j]), zero) for j in range(n)]
+           for i in range(n)]
+    M = [row[:dp] for row in matmul(adX, adX)[:dp]]
+    powers = [[[Poly.const(dp, int(i == j)) for j in range(dp)] for i in range(dp)]]
+    for _ in range(N):
+        powers.append(matmul(powers[-1], M))
+    traces = [sum((P[i][i] for i in range(dp)), zero) for P in powers]
+    log_jg = sum((tr.scale(c) for c, tr in zip(a[1:], traces[1:])), zero)
+    log_j = sum((tr.scale(density(k, a[k])) for k, tr in enumerate(traces[1:], 1)), zero)
+
+    def r_entry(i, j):  # R(xi) = sum_ij r_ij xi_i xi_j
+        c = R.poly.terms.get(tuple((t == i) + (t == j) for t in range(dp)), Fraction(0))
+        return Poly.const(dp, c if i == j else c / 2)
+
+    r = [[r_entry(i, j) for j in range(dp)] for i in range(dp)]
+    t_inv = [[sum((P[i][j].scale(c) for c, P in zip(b, powers)), zero) for j in range(dp)] for i in range(dp)]
+    G = matmul(matmul(t_inv, r), [list(col) for col in zip(*t_inv)])
+    V = [sum((G[i][j].diff(i) + G[i][j].mul(log_jg.diff(i), jet) for i in range(dp)), zero) for j in range(dp)]
+    # with D = d log J: first order V - G D, zero order G (D D / 4 - d D / 2) - V D / 2 + c
+    D = [log_j.diff(i) for i in range(dp)]
+    half, quarter = Fraction(1, 2), Fraction(1, 4)
+    c = sum((r[i][j].mul(D[i].diff(j)) for i in range(dp) for j in range(dp)), zero).truncate(0).scale(half)
+    order0 = c - sum((V[j].mul(D[j], jet) for j in range(dp)), zero).scale(half)
+    for i, j in itertools.product(range(dp), repeat=2):
+        order0 = order0 + G[i][j].mul(D[i].mul(D[j], jet).scale(quarter) - D[i].diff(j).scale(half), jet)
+    order1 = [V[j] - sum((G[i][j].mul(D[i], jet) for i in range(dp)), zero) for j in range(dp)]
+    terms = {}
+    parts = [(order0, ())] + [(order1[j], (j,)) for j in range(dp)]
+    parts += [(G[i][j], (i, j)) for i in range(dp) for j in range(dp)]
+    for coeff, xi in parts:
+        xi_exps = tuple(xi.count(t) for t in range(dp))
+        util.add_into(terms, {m + xi_exps: v for m, v in coeff.terms.items()})
+    return Poly(2 * dp, terms)
 
 
 def coadjoint_orbit_point(pair, K, f, max_power=12):

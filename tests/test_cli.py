@@ -227,11 +227,16 @@ def test_unwritable_json_path_is_an_error(tmp_path, capsys):
     assert str(path) in err and "Traceback" not in err
 
 
-def _readme_commands():
-    """The lines of the README's "Command line" block, as argument lists without `sympair`."""
+def _readme_block(section, language):
+    """The first `language` code block under the README heading `section`."""
     with open(os.path.join(ALG, "..", "README.md")) as fh:
         text = fh.read()
-    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return text.split(f"## {section}", 1)[1].split(f"```{language}\n", 1)[1].split("```", 1)[0]
+
+
+def _readme_commands():
+    """The lines of the README's "Command line" block, as argument lists without `sympair`."""
+    block = _readme_block("Command line", "sh")
     commands = [shlex.split(line, comments=True)[1:] for line in block.splitlines() if line.strip()]
     assert commands, "README has no command-line block"
     return commands
@@ -241,6 +246,18 @@ def _readme_commands():
 def test_readme_command_line_examples_run(monkeypatch, capsys, argv):
     monkeypatch.chdir(os.path.join(ALG, ".."))
     assert run(argv) == 0, capsys.readouterr().err
+
+
+def test_readme_library_use_block_runs():
+    """The "Library use" block runs as written, and each line commented `# True` holds."""
+    lines, checks = [], 0
+    for line in _readme_block("Library use", "python").splitlines():
+        code, _, comment = line.partition("#")
+        if comment.strip().startswith("True"):
+            line, checks = f"assert {code.strip()}", checks + 1
+        lines.append(line)
+    assert checks >= 3
+    exec(compile("\n".join(lines), "README.md", "exec"), {})
 
 
 def test_loading_an_algebra_does_not_import_hashlib():
@@ -451,6 +468,9 @@ MALFORMED = [
                  None, "bracket '[0, 1]' in algebra file repeats the basis pair (0, 1)", id="bracket-pair-repeated"),
     pytest.param(["validate"], _fixture("sl2.json", brackets={"[0,1]": {"7": "1"}, **SL2_REST}), None,
                  "bracket '[0,1]' in algebra file: target index 7 outside 0..2", id="bracket-target-out-of-range"),
+    *[pytest.param(["validate"], _fixture("sl2.json", brackets={key: {"1": "2"}, **SL2_REST}), None,
+                   f"bracket '{key}' in algebra file: the key must be [i,j] with 0 <= i < j < 3", id=f"bracket-key-{name}")
+      for key, name in (("[1,0]", "out-of-order"), ("[0,9]", "out-of-range"), ("[0;1]", "malformed"))],
     pytest.param(["validate"], _fixture("sl2.json", sigma=[[-1, 0, 0], [0, 0, -1], [0, -1, False]]), None,
                  "key 'sigma' in algebra file: not an exact rational: False", id="sigma-boolean"),
     pytest.param(["hc-project", "--poly", "omega"], _fixture("sl2.json", weyl=5), None,

@@ -1,23 +1,30 @@
-"""Symmetric pairs built from matrices: `pair_from_matrices`, `sl_so`, `group_type`.
+"""Symmetric pairs built from matrices: `pair_from_matrices`, `sl_so`,
+`group_type` and `coadjoint_semidirect`.
 
 The generated pairs are compared with the copies they replace: the
 benchmark's own sl(n)/so(n) generator (`perfbench/pairs.py`, read, not
-changed) and the committed `algebras/sl2diag.json`.  The Iwasawa data of
-sl(n)/so(n) is written out here, as only tests use it.
+changed) and the committed `algebras/sl2diag.json`.  The semidirect pairs
+are compared with their definition, bracket by bracket.  The Iwasawa data
+of sl(n)/so(n) is written out here, as only tests use it.
 """
 
+import contextlib
 import importlib
 import itertools
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from conftest import sl2_algebra
 
-from sympair import group_type, pair_from_matrices, sl_so, util
-from sympair.errors import NotInvolution
+from sympair import LieAlgebraDef, coadjoint_semidirect, group_type, pair_from_matrices, sl_so, util
+from sympair.errors import NotInvolution, TruncationWarning
 from sympair.hc import IwasawaData, hc_restrict, validate_iwasawa, weyl_invariance_check
 from sympair.io import load_algebra_file
 from sympair.poly import Poly
 from sympair.polyops import invariant_subspace
+from sympair.starprod import star_cf
+from sympair.uea import duflo_relation_check, rouviere_sharp
 
 ROOT = Path(__file__).resolve().parent.parent
 SL2 = [[[1, 0], [0, -1]], [[0, 1], [0, 0]], [[0, 0], [1, 0]]]  # H, X = E12, Y = E21
@@ -71,6 +78,57 @@ def test_pair_from_matrices_rejects_sigma_images_outside_the_span():
 def test_pair_from_matrices_rejects_a_non_involution():
     with pytest.raises(NotInvolution, match="basis vector 'H': defect"):
         pair_from_matrices("sl2", ["H", "X", "Y"], SL2, lambda m: [[2 * c for c in row] for row in m])
+
+
+# -- the coadjoint semidirect pair g + g* -------------------------------------
+
+AFF1 = LieAlgebraDef("aff1", ["a", "b"], {(0, 1): {1: 1}})  # [a, b] = b
+R3 = LieAlgebraDef("r3", ["a", "b", "c"], {(0, 1): {1: 1}, (0, 2): {2: 2}})  # [a, b] = b, [a, c] = 2c
+
+
+@pytest.mark.parametrize("base", [sl2_algebra(), AFF1, R3], ids=lambda base: base.name)
+def test_coadjoint_semidirect_follows_its_definition(base):
+    """[e_i, e_j] is g's bracket, [e_i, f_j] = -sum_t c_it^j f_t, [f_i, f_j] = 0, sigma = (+1, -1)."""
+    pair, n = coadjoint_semidirect(base), base.dim
+    alg = pair.algebra
+    assert (alg.name, alg.basis) == (base.name + "_coad", base.basis + [s + "*" for s in base.basis])
+    for i, j in itertools.product(range(n), repeat=2):
+        assert alg.bracket_terms(i, j) == base.bracket_terms(i, j)
+        coad = {n + t: -c for t in range(n) for k, c in base.bracket_terms(i, t) if k == j}
+        assert dict(alg.bracket_terms(i, n + j)) == coad
+        assert alg.bracket_terms(n + i, n + j) == ()
+    assert pair.sigma == [[(a == b) * (1 if a < n else -1) for b in range(2 * n)] for a in range(2 * n)]
+    assert (pair.dim_p, pair.dim_k) == (n, n)
+
+
+def test_coadjoint_semidirect_needs_a_trivial_centre():
+    # z spans the centre of solvable4, so ad z = 0 and its matrix vanishes
+    solvable4 = LieAlgebraDef("solvable4", ["t", "x", "y", "z"], {(0, 1): {1: -1}, (0, 2): {2: 1}, (1, 2): {3: 1}})
+    with pytest.raises(ValueError, match="solvable4_coad: the matrices are linearly dependent"):
+        coadjoint_semidirect(solvable4)
+
+
+@pytest.mark.parametrize("base, trk", [(AFF1, (1, 0)), (R3, (3, 0, 0))], ids=["aff1", "r3"])
+def test_non_unimodular_semidirect_pairs_at_every_character(base, trk):
+    """The first pairs with tr_k != 0, so the `trk` and `half-trk` characters are nonzero.
+
+    g* is abelian and g acts on it by the coadjoint action, so both
+    products of invariants are pointwise here: at lambda = 0, tr_k / 2 and
+    tr_k, `star_cf` and `rouviere_sharp` agree with f * g on every ordered
+    pair of invariants of degree 1 to 3 (degree 3 x 3 warns of the order-4
+    truncation, which drops nothing), and the Duflo relation holds.
+    """
+    pair = coadjoint_semidirect(base)
+    assert pair.trk_character().values == trk
+    invariants = [f for d in (1, 2, 3) for f in invariant_subspace(pair, d)]
+    assert [f.degree() for f in invariants] == [1, 2, 3]
+    for lam in (pair.zero_character(), pair.trk_character().scale(Fraction(1, 2)), pair.trk_character()):
+        for f, g in itertools.product(invariants, repeat=2):
+            truncated = f.degree() >= 3 and g.degree() >= 3
+            with pytest.warns(TruncationWarning) if truncated else contextlib.nullcontext():
+                product = star_cf(pair, f, g, lam)
+            assert product == rouviere_sharp(pair, f, g, lam) == f * g
+        assert all(duflo_relation_check(pair, lam, d) for d in (1, 2, 3))
 
 
 # -- Iwasawa data of sl(n)/so(n) ----------------------------------------------
