@@ -15,7 +15,7 @@ from . import io as sio
 from . import starprod, util
 from .errors import SympairError
 from .freelie import bch as bch_series
-from .freelie import bracket_of_word, z_sym
+from .freelie import bracket_of_word, evaluate_bracket, z_sym
 from .graphs import weight_mc, zero_weight_predicate, UNKNOWN
 from .hc import hc_restrict, weyl_invariance_check
 from .liealg import Character, PolarizationCandidate, combo_name
@@ -26,14 +26,7 @@ from .uea import duflo_relation_check, rouviere_sharp, star_dk
 
 
 def _bracket_str(word) -> str:
-    b = bracket_of_word(word)
-
-    def render(t):
-        if isinstance(t, str):
-            return t
-        return f"[{render(t[0])},{render(t[1])}]"
-
-    return render(b)
+    return evaluate_bracket(bracket_of_word(word), "X", "Y", lambda u, v: f"[{u},{v}]", {})
 
 
 def _print_lie_series(series, report):

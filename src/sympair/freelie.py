@@ -17,6 +17,13 @@ Lie coordinates are peeled one degree at a time in place, by the
 degree-n expansion of each Lyndon bracketing.  The factorization
 e^X e^Y = e^P e^K is incremental: degree n of P or K only needs
 log(e^P e^K) at order n, with P and K known through degree n - 1.
+
+`evaluate_bracket` is the one walk over a nested bracket.  With the
+commutator it expands the bracket into the tensor algebra
+(`expand_bracket`); with `SymmetricPair.bracket_poly` it substitutes
+polynomial vectors into a Lie series (`FreeLieSeries.evaluate_poly`);
+`liealg.trace_alternation` and the CLI's labels call it with a numeric
+and a string bracket.
 """
 
 from __future__ import annotations
@@ -63,24 +70,6 @@ class FreeAssocSeries(util.Series):
 
 # -- Lyndon machinery -------------------------------------------------------
 
-def lyndon_words(max_len: int) -> list[tuple[int, ...]]:
-    """All Lyndon words over {0,1} of length 1..max_len (Duval's algorithm)."""
-    out = []
-    w = [-1]
-    while w:
-        w[-1] += 1
-        m = len(w)
-        if w[-1] < 2:
-            out.append(tuple(w))
-            while len(w) < max_len:
-                w.append(w[len(w) - m])
-            while w and w[-1] == 1:
-                w.pop()
-        else:
-            w.pop()
-    return sorted(out, key=lambda u: (len(u), u))
-
-
 def standard_factorization(w: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Split a Lyndon word w = uv with v its longest proper Lyndon suffix."""
     assert len(w) >= 2
@@ -116,23 +105,34 @@ def _lyndon(w: tuple[int, ...]):
     return entry
 
 
-_EXPAND_CACHE: dict = {}
+def evaluate_bracket(b, x, y, bracket, memo: dict):
+    """Value of a nested bracket ('X', 'Y' or a pair of brackets) at x, y.
+
+    `bracket` combines the values of the two halves of a pair; each pair's
+    value is kept in `memo`, so a shared sub-bracket is evaluated once.
+    """
+    if b == "X":
+        return x
+    if b == "Y":
+        return y
+    out = memo.get(b)
+    if out is None:
+        out = memo[b] = bracket(evaluate_bracket(b[0], x, y, bracket, memo),
+                                evaluate_bracket(b[1], x, y, bracket, memo))
+    return out
+
+
+#: order -> {nested bracket: its expansion at that order}
+_EXPAND_CACHE: dict[int, dict] = {}
 
 
 def expand_bracket(b, order: int) -> FreeAssocSeries:
     """Expand a nested bracket (pairs of 'X'/'Y') into the tensor algebra."""
-    key = (b, order)
-    if key in _EXPAND_CACHE:
-        return _EXPAND_CACHE[key]
-    if b == "X":
-        out = FreeAssocSeries.letter(order, X)
-    elif b == "Y":
-        out = FreeAssocSeries.letter(order, Y)
-    else:
-        u, v = b
-        eu, ev = expand_bracket(u, order), expand_bracket(v, order)
-        out = eu * ev - ev * eu
-    _EXPAND_CACHE[key] = out
+    memo = _EXPAND_CACHE.setdefault(order, {})
+    out = memo.get(b)
+    if out is None:
+        out = evaluate_bracket(b, FreeAssocSeries.letter(order, X), FreeAssocSeries.letter(order, Y),
+                               lambda u, v: u * v - v * u, memo)
     return out
 
 
@@ -148,36 +148,16 @@ class FreeLieSeries(util.Series):
             util.add_into(out, expand_bracket(bracket_of_word(w), len(w)).terms, c)
         return FreeAssocSeries._of(self.order, out)
 
-    def swap_letters(self) -> "FreeLieSeries":
-        """The series with X and Y exchanged (recomputed on the Lyndon basis)."""
-        swapped = {tuple(1 - a for a in w): c for w, c in self.to_assoc().terms.items()}
-        return lie_from_assoc(FreeAssocSeries._of(self.order, swapped))
-
-    def evaluate_poly(self, pair, Xp, Yp, max_degree=None):
+    def evaluate_poly(self, pair, Xp, Yp):
         """Substitute polynomial-coefficient vectors for the letters."""
-        word_vals = {}
-
-        def walk(b):
-            if b == "X":
-                return Xp
-            if b == "Y":
-                return Yp
-            if b not in word_vals:
-                u, v = b
-                word_vals[b] = pair.bracket_poly(walk(u), walk(v))
-            return word_vals[b]
-
         from .poly import Poly
-        nv = Xp[0].nvars
-        out = [Poly.zero(nv) for _ in range(pair.dim)]
+        memo: dict = {}
+        out: list[dict] = [{} for _ in range(pair.dim)]
         for w, c in self.terms.items():
-            val = walk(bracket_of_word(w))
-            for i in range(pair.dim):
-                if not val[i].is_zero():
-                    out[i] = out[i] + val[i].scale(c)
-        if max_degree is not None:
-            out = [q.truncate(max_degree) for q in out]
-        return out
+            val = evaluate_bracket(bracket_of_word(w), Xp, Yp, pair.bracket_poly, memo)
+            for acc, v in zip(out, val):
+                util.add_into(acc, v.terms, c)
+        return [Poly(Xp[0].nvars, terms) for terms in out]
 
 
 def lie_from_assoc(series: FreeAssocSeries) -> FreeLieSeries:

@@ -71,10 +71,6 @@ class ColoredGraph:
     def out_degree(self, v: int) -> int:
         return sum(1 for e in self.edges if e[0] == v)
 
-    def relabel_aerial(self, perm) -> "ColoredGraph":
-        """Apply a permutation of the aerial labels (ground labels are fixed)."""
-        return ColoredGraph(self.n, self.m, _relabel(self.n, self.edges, perm))
-
     def canonical(self) -> "ColoredGraph":
         """Lexicographically minimal edge encoding over aerial relabelings."""
         return ColoredGraph(self.n, self.m, _canonical_edges(self.n, self.edges))

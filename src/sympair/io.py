@@ -68,8 +68,12 @@ def _vectors(value, dim: int, what: str) -> list[util.Vec]:
 def parse_algebra(data: dict):
     _object(data, ("name", "basis", "sigma"), "algebra file")
     name, basis = data["name"], data["basis"]
+    if not isinstance(name, str):
+        raise SympairError("key 'name' in algebra file must be a string")
     if not isinstance(basis, list) or not all(isinstance(b, str) for b in basis):
         raise SympairError("key 'basis' in algebra file must be a list of names")
+    if not basis:
+        raise SympairError("key 'basis' in algebra file must name at least one vector")
     brackets = {}
     for key, coeffs in _object(data.get("brackets", {}), (), "the 'brackets' block of algebra file").items():
         what = f"bracket {key!r} in algebra file"
@@ -89,6 +93,8 @@ def parse_algebra(data: dict):
             brackets[ij][t] = _rational(v, what)
     algebra = LieAlgebraDef(name, basis, brackets)
     sigma = _vectors(data["sigma"], algebra.dim, "key 'sigma' in algebra file")
+    if len(sigma) != algebra.dim:
+        raise SympairError(f"key 'sigma' in algebra file must be a {algebra.dim}x{algebra.dim} matrix")
     adapted = None
     if "adapted" in data:
         block = _object(data["adapted"], ("p", "k"), "the 'adapted' block of algebra file")

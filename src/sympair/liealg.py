@@ -13,8 +13,10 @@ polynomial-coefficient vectors (`TraceSeries.as_polynomial` carries
 adjoint orbits with it to half the top power of a trace word, then
 contracts two half powers), and `trace_word` the one numeric block trace
 of adjoint words, which `trace_alternation`, `trk_character` and
-`killing_k` call.  `pair_from_matrices` is the one builder of pairs of
-matrix Lie algebras, with commutators as brackets; the classical pairs
+`killing_k` call; `trace_alternation` evaluates its nested brackets with
+`freelie.evaluate_bracket` over the numeric bracket of `adapted`.
+`pair_from_matrices` is the one builder of pairs of matrix Lie algebras,
+with commutators as brackets; the classical pairs
 `sl_so(n)`, `group_type` (the diagonal pair of g + g) and
 `coadjoint_semidirect` (g + g* with the coadjoint action) are built on it.
 
@@ -42,6 +44,7 @@ from .errors import (
     NotCartanSplit,
     NotInvolution,
 )
+from .freelie import evaluate_bracket
 from .poly import Poly
 from .util import Vec, frac, is_zero_vec, vec_add, vec_scale, zero_vec
 
@@ -432,21 +435,12 @@ def trace_word(pair: SymmetricPair, space: str, word: list[Vec]) -> Fraction:
     return pair.block_trace(M, space)
 
 
-def eval_lie_word(pair: SymmetricPair, word, X: Vec, Y: Vec) -> Vec:
-    """Evaluate a nested bracket word; 'X'/'Y' are leaves, pairs are brackets."""
-    if word == "X":
-        return X
-    if word == "Y":
-        return Y
-    a, b = word
-    return pair.adapted.bracket(eval_lie_word(pair, a, X, Y), eval_lie_word(pair, b, X, Y))
-
-
 def trace_alternation(pair: SymmetricPair, words, X: Vec, Y: Vec) -> Fraction:
     """tr_p(x_1...x_n) + (-1)^(n-1) tr_k(x_n...x_1) with x_i = ad(word_i(X,Y))."""
     if any(X[i] for i in range(pair.dim_p, pair.dim)) or any(Y[i] for i in range(pair.dim_p, pair.dim)):
         raise ValueError("trace_alternation arguments must lie in p")
-    vecs = [eval_lie_word(pair, w, X, Y) for w in words]
+    memo: dict = {}
+    vecs = [evaluate_bracket(w, X, Y, pair.adapted.bracket, memo) for w in words]
     sign = 1 if len(vecs) % 2 else -1
     return trace_word(pair, "p", vecs) + sign * trace_word(pair, "k", vecs[::-1])
 

@@ -235,8 +235,3 @@ def monomials_of_degree(nvars: int, d: int):
         for i in c:
             m[i] += 1
         yield tuple(m)
-
-
-def monomials_up_to_degree(nvars: int, d: int):
-    for k in range(d + 1):
-        yield from monomials_of_degree(nvars, k)

@@ -157,18 +157,6 @@ class CEChain:
                     self.components[subset] = poly if cur is None else cur + poly
             self.components = {s: q for s, q in self.components.items() if not q.is_zero()}
 
-    def __add__(self, other):
-        out = dict(self.components)
-        for s, q in other.components.items():
-            out[s] = out.get(s, Poly.zero(q.nvars)) + q
-        return CEChain(self.pair, self.degree, out)
-
-    def scale(self, c):
-        return CEChain(self.pair, self.degree, {s: q.scale(c) for s, q in self.components.items()})
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
     def is_zero(self):
         return not self.components
 

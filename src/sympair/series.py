@@ -10,16 +10,20 @@ adjoint orbit of each basis vector to half the top power only and reads
 every word tr_s((ad X)^k) off one contraction of the powers ceil(k/2) and
 floor(k/2), so no orbit is ever carried to the full power k.
 
-The density family is pinned by the exact order-4 calculus on sl(2): with
-a_n the Taylor coefficients of log(sinh z / z), generated exactly at every
-order as a_n = 2^(2n) B_(2n) / (2n (2n)!) from the Bernoulli numbers,
+The densities are J(X) = det_p(sinh ad X / ad X), the Riemannian volume
+of G/K in exponential coordinates, and Duflo's q(X) =
+det_g(sinh(ad X / 2) / (ad X / 2)).  With a_n the Taylor coefficients of
+log(sinh z / z), generated exactly at every order as
+a_n = 2^(2n) B_(2n) / (2n (2n)!) from the Bernoulli numbers,
 
-    log J(X) = sum_n 4^(1-n) a_n tr_p (ad X)^(2n)
-    log q(X) = sum_n 4^(1-2n) a_n tr_g (ad X)^(2n)
+    log J(X) = sum_n a_n tr_p (ad X)^(2n)
+    log q(X) = sum_n 4^(-n) a_n tr_g (ad X)^(2n)
 
-which gives J^(1/2) = 1 + (1/12) tr_p(ad X)^2 + (1/360) tr_p(ad X)^4 + ...
+which gives J^(1/2) = 1 + (1/12) tr_p(ad X)^2 + (1/1440) tr_p(ad X)^4 + ...
 on sl(2), the identity q^(1/2)(X) = J(X/2) for X in p, and the standard
-(1/48) tr_g(ad X)^2 leading term of q^(1/2).
+(1/48) tr_g(ad X)^2 leading term of q^(1/2).  The oracles of
+`tests/test_oracles.py` (Duflo's theorem, the group-type pairs, the
+Laplace-Beltrami operator) fix these normalizations from order 4 on.
 """
 
 from __future__ import annotations
@@ -141,13 +145,12 @@ def _merge_keys(k1: tuple, k2: tuple) -> tuple:
 def log_density(kind: str, order: int) -> TraceSeries:
     """log of q, J, q_half, or J_half as an abstract trace series."""
     if kind in ("J", "J_half"):
-        space, step = "p", 1
+        space, shift = "p", 0
     elif kind in ("q", "q_half"):
-        space, step = "g", 2
+        space, shift = "g", 1
     else:
         raise ValueError(f"unknown density kind {kind!r}")
-    terms = {((space, 2 * n),): a_n * Fraction(4) ** (1 - step * n)
-             for n, a_n in enumerate(log_sinhc(order // 2), 1)}
+    terms = {((space, 2 * n),): a_n / 4 ** (shift * n) for n, a_n in enumerate(log_sinhc(order // 2), 1)}
     series = TraceSeries(order, terms)
     if kind.endswith("_half"):
         series = series.scale(Fraction(1, 2))

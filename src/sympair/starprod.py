@@ -7,8 +7,8 @@ the k-valued component
              - 1/48 [X,[Y,[X,Y]]] - 1/48 [Y,[X,[X,Y]]] + ...
 
 and the scalar logarithm, whose order-2 part vanishes identically and
-whose order-4 part is the trace series (1/240)(tr_p - tr_k)(ad W)^2 at
-W = [X,Y] in k, that is (1/240) b(W, W) with b = K_g - 2 K_k.  The
+whose order-4 part is the trace series -(1/240)(tr_p - tr_k)(ad W)^2 at
+W = [X,Y] in k, that is -(1/240) b(W, W) with b = K_g - 2 K_k.  The
 symbol compiles it over the k block with `TraceSeries.as_polynomial`, the
 one symbolic trace-word compiler; `ln_e_scalar` evaluates it at vectors
 through `trace_word`.  Requests beyond order 4 fail loudly rather than guess.
@@ -46,9 +46,9 @@ H_TERMS = (
 )
 
 #: coefficient of the alternation sum on ([X,Y],[X,Y]) in ln E, order 4.
-LN_E_ORDER4_COEFF = Fraction(1, 240)
+LN_E_ORDER4_COEFF = Fraction(-1, 240)
 
-#: ln E through order 4 as a trace series in W = [X, Y] in k: (1/240)(tr_p - tr_k)(ad W)^2
+#: ln E through order 4 as a trace series in W = [X, Y] in k: -(1/240)(tr_p - tr_k)(ad W)^2
 LN_E_SERIES = (TraceSeries.word(2, "p", 2) - TraceSeries.word(2, "k", 2)).scale(LN_E_ORDER4_COEFF)
 
 
@@ -65,7 +65,7 @@ def h_component(order: int) -> FreeLieSeries:
 
 
 def ln_e_scalar(pair: SymmetricPair, X, Y) -> Fraction:
-    """Order-4 value of ln E(X, Y): (1/240) (tr_p - tr_k)(ad[X,Y])^2.
+    """Order-4 value of ln E(X, Y): -(1/240) (tr_p - tr_k)(ad[X,Y])^2.
 
     The order-2 alternation tr_p(ad X ad Y) - tr_k(ad Y ad X) vanishes for
     every pair (trace of AB versus BA across the two blocks), so the first
@@ -91,7 +91,7 @@ def _bidiff_symbol(pair: SymmetricPair, lam: Character) -> Poly:
     log_sym = Poly.zero(nv)
     if not lam.is_zero():
         hs = h_component(order)
-        hval = hs.evaluate_poly(pair, Xs, Ys, max_degree=order)
+        hval = hs.evaluate_poly(pair, Xs, Ys)
         for i in pair.block_indices("k"):
             if not hval[i].is_zero():
                 log_sym = log_sym + hval[i].scale(lam.values[i - dp])
@@ -138,13 +138,6 @@ def wheel_factor_B(order: int) -> TraceSeries:
 
 # -- invariant operators in exponential coordinates ---------------------------
 
-def _series_at_vector(pair: SymmetricPair, compiled: Poly, vector: list[Poly],
-                      max_degree: int) -> Poly:
-    """Evaluate a trace series compiled over p at a vector with polynomial coordinates."""
-    images = [vector[i] for i in pair.block_indices("p")]
-    return compiled.subs(images, max_degree)
-
-
 def exp_coord_operator(pair: SymmetricPair, R: BlockPolynomial, jet_order: int, X=None) -> Poly:
     """Normalized symbol of the invariant operator attached to R, at X.
 
@@ -166,14 +159,14 @@ def exp_coord_operator(pair: SymmetricPair, R: BlockPolynomial, jet_order: int, 
     nv = 3 * dp  # x block, xi block, y block
     xs = pair.symbolic_vector("p", nv, 0)
     ys = pair.symbolic_vector("p", nv, 2 * dp)
-    Z = z_sym(jet_order).evaluate_poly(pair, xs, ys, max_degree=jet_order)
+    Z = z_sym(jet_order).evaluate_poly(pair, xs, ys)
 
     cap = jet_order + R.degree()
     Jh = density_series("J_half", 2 * ((jet_order + 1) // 2) + 2)
     jh, jh_inv = Jh.as_polynomial(pair, "p"), Jh.inverse().as_polynomial(pair, "p")
-    pref = _series_at_vector(pair, jh, ys, cap)
-    pref = pref.mul(_series_at_vector(pair, jh, xs, cap), cap)
-    pref = pref.mul(_series_at_vector(pair, jh_inv, Z, cap), cap)
+    pref = jh.subs(ys[:dp], cap)  # the series compiled over p, at the p-coordinates of each vector
+    pref = pref.mul(jh.subs(xs[:dp], cap), cap)
+    pref = pref.mul(jh_inv.subs(Z[:dp], cap), cap)
 
     # exp(<xi, Z - X>): every term of Z - X has y-degree >= 1
     pairing = Poly.zero(nv)

@@ -93,10 +93,6 @@ class UEAElement:
     def generator(cls, ctx, i, c=1):
         return cls(ctx, {(i,): util.frac(c)})
 
-    @classmethod
-    def from_vector(cls, ctx, v_ctx):
-        return cls(ctx, {(i,): c for i, c in enumerate(v_ctx) if c})
-
     def __add__(self, other):
         return UEAElement(self.ctx, util.add_into(dict(self.terms), other.terms))
 

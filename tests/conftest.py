@@ -15,10 +15,52 @@ from sympair.freelie import (
     bch,
     lie_from_assoc,
 )
-from sympair.graphs import _edge_key
+from sympair.graphs import ColoredGraph, _edge_key, _relabel
 from sympair.liealg import LieAlgebraDef, build_symmetric_pair, coadjoint_semidirect, group_type
-from sympair.poly import Poly, monomials_up_to_degree
+from sympair.poly import Poly, monomials_of_degree
 from sympair.polyops import BlockPolynomial, CEChain, k_derivation
+from sympair.uea import UEAElement
+
+
+# -- small constructions only the tests use -----------------------------------
+
+def lyndon_words(max_len: int) -> list[tuple[int, ...]]:
+    """All Lyndon words over {0,1} of length 1..max_len (Duval's algorithm)."""
+    out = []
+    w = [-1]
+    while w:
+        w[-1] += 1
+        m = len(w)
+        if w[-1] < 2:
+            out.append(tuple(w))
+            while len(w) < max_len:
+                w.append(w[len(w) - m])
+            while w and w[-1] == 1:
+                w.pop()
+        else:
+            w.pop()
+    return sorted(out, key=lambda u: (len(u), u))
+
+
+def swap_letters(series: FreeLieSeries) -> FreeLieSeries:
+    """The series with X and Y exchanged (recomputed on the Lyndon basis)."""
+    swapped = {tuple(1 - a for a in w): c for w, c in series.to_assoc().terms.items()}
+    return lie_from_assoc(FreeAssocSeries._of(series.order, swapped))
+
+
+def monomials_up_to_degree(nvars: int, d: int):
+    for k in range(d + 1):
+        yield from monomials_of_degree(nvars, k)
+
+
+def relabel_aerial(g: ColoredGraph, perm) -> ColoredGraph:
+    """Apply a permutation of the aerial labels (ground labels are fixed)."""
+    return ColoredGraph(g.n, g.m, _relabel(g.n, g.edges, perm))
+
+
+def uea_from_vector(ctx, v_ctx) -> UEAElement:
+    """The degree-1 element of U(g) with coordinates v_ctx in the context's basis."""
+    return UEAElement(ctx, {(i,): c for i, c in enumerate(v_ctx) if c})
 
 
 def sl2_algebra():
@@ -64,7 +106,7 @@ def am_pair():
 def ln_e_symbol_reference(pair):
     """ln E through order 4 as a polynomial in the (X, Y) slot variables.
 
-    (1/240)(tr_p - tr_k)(ad W)^2 at W = [X, Y], with ad W and its square
+    -(1/240)(tr_p - tr_k)(ad W)^2 at W = [X, Y], with ad W and its square
     built by dense loops over the structure constants (no polynomial
     bracket, adjoint matrix or trace-series compiler of the package).  X
     slots are variables 0..dim_p-1, Y slots dim_p..2 dim_p-1.
@@ -84,7 +126,7 @@ def ln_e_symbol_reference(pair):
         tr = tr + M2[i][i]
     for i in pair.block_indices("k"):
         tr = tr - M2[i][i]
-    return tr.scale(Fraction(1, 240))
+    return tr.scale(Fraction(-1, 240))
 
 
 def trace_words_orbit_reference(series, pair, over):
@@ -485,7 +527,7 @@ def coadjoint_orbit_point(pair, K, f, max_power=12):
 def canonical_reference(g):
     """The least aerial relabeling of `g` by its edge-key list, built as one
     graph per permutation."""
-    return min((g.relabel_aerial(perm) for perm in itertools.permutations(range(g.n))),
+    return min((relabel_aerial(g, perm) for perm in itertools.permutations(range(g.n))),
                key=lambda h: [_edge_key(e) for e in h.edges])
 
 

@@ -43,13 +43,13 @@ def test_star_rou_omega(capsys):
     code = run(["star-rou", alg("sl2.json"), "--p", "omega", "--q", "omega"])
     out = capsys.readouterr().out.strip()
     assert code == 0
-    assert out == "omega^2 - 16/15"
+    assert out == "omega^2 + 16/15"
 
 
 def test_star_cf_matches(capsys):
     run(["star-cf", alg("sl2.json"), "--p", "omega", "--q", "omega"])
     out = capsys.readouterr().out.strip()
-    assert out == "omega^2 - 16/15"
+    assert out == "omega^2 + 16/15"
 
 
 def test_star_rou_unknown_name(capsys):
@@ -116,7 +116,7 @@ def test_densities(capsys):
     code = run(["densities", alg("sl2.json"), "--kind", "J_half", "--order", "4"])
     out = capsys.readouterr().out
     assert code == 0
-    assert "1/3" in out and "2/45" in out
+    assert "1/3" in out and "1/90" in out
 
 
 def test_graph_weight_and_json_roundtrip(tmp_path, capsys):
@@ -203,12 +203,12 @@ def test_e_series_reads_the_order4_constant(monkeypatch, tmp_path, capsys):
     # the printed and reported coefficient follow starprod.LN_E_ORDER4_COEFF
     from fractions import Fraction
     from sympair import starprod
-    monkeypatch.setattr(starprod, "LN_E_ORDER4_COEFF", Fraction(-1, 240))
+    monkeypatch.setattr(starprod, "LN_E_ORDER4_COEFF", Fraction(1, 240))
     report_path = tmp_path / "e.json"
     assert run(["e-series", "--order", "4", "--json", str(report_path)]) == 0
-    assert "order-4 term = -1/240 * (tr_p - tr_k)(ad[X,Y])^2" in capsys.readouterr().out
+    assert "order-4 term = 1/240 * (tr_p - tr_k)(ad[X,Y])^2" in capsys.readouterr().out
     labels = {r["label"]: r["value"] for r in json.loads(report_path.read_text())["results"]}
-    assert labels["scalar_order4_coefficient"] == "-1/240"
+    assert labels["scalar_order4_coefficient"] == "1/240"
 
 
 def test_json_report_exact_values(tmp_path):
@@ -483,6 +483,12 @@ MALFORMED = [
                  "key 'basis' in algebra file must be a list of names", id="basis-number"),
     pytest.param(["validate"], _fixture("sl2.json", basis=[1, 2, 3]), None,
                  "key 'basis' in algebra file must be a list of names", id="basis-not-names"),
+    pytest.param(["validate"], _fixture("sl2.json", basis=[]), None,
+                 "key 'basis' in algebra file must name at least one vector", id="basis-empty"),
+    pytest.param(["validate"], {**_fixture("sl2.json"), "name": 5}, None,
+                 "key 'name' in algebra file must be a string", id="name-number"),
+    pytest.param(["validate"], _fixture("sl2.json", sigma=[["-1", "0", "0"], ["0", "0", "-1"]]), None,
+                 "key 'sigma' in algebra file must be a 3x3 matrix", id="sigma-two-rows"),
     pytest.param(["validate"], _fixture("sl2.json", sigma=[["2", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]), None,
                  "sigma^2 != identity on basis vector 'H': defect (3, 0, 0)", id="sigma-not-involution"),
     pytest.param(["validate"], _fixture("sl2.json", sigma=[["-1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]), None,

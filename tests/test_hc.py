@@ -84,7 +84,7 @@ def test_hc_restrict_plain_multiplicativity(sl2_iwasawa, sl2_pair):
 
 def test_hc_restrict_star_products_low_degree(sl2_iwasawa, sl2_pair, omega):
     """Through total degree 2 the star product restricts multiplicatively;
-    at (omega, omega) the discrepancy is exactly the constant -16/15 the
+    at (omega, omega) the discrepancy is exactly the constant 16/15 the
     missing gauge intertwiner would absorb."""
     one = BlockPolynomial.constant(sl2_pair, "p", 1)
     for P, Q in [(one, one), (one, omega), (omega, one)]:
@@ -93,7 +93,7 @@ def test_hc_restrict_star_products_low_degree(sl2_iwasawa, sl2_pair, omega):
         assert lhs == rhs
     lhs = hc_restrict(sl2_iwasawa, rouviere_sharp(sl2_pair, omega, omega), False)
     rhs = hc_restrict(sl2_iwasawa, omega, False).mul(hc_restrict(sl2_iwasawa, omega, False))
-    assert lhs == rhs + Poly.const(1, Fraction(-16, 15))
+    assert lhs == rhs + Poly.const(1, Fraction(16, 15))
 
 
 def test_image_is_k0_invariant_degrees_up_to_4(sl2_iwasawa, sl2_pair):

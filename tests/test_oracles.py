@@ -1,18 +1,19 @@
 """Independent oracles for the density normalization.
 
 Each check states a theorem the products must satisfy and shares no code
-path with the constants pinned by the acceptance criteria.  The ones the
-current normalization of `q`, `J` and `ln E` fails are strict xfails whose
-reason records the measured value; fixing the normalization flips them.
+path with the constants pinned by the acceptance criteria.  Together they
+fix the normalization of `q`, `J` and `ln E`: Duflo's theorem on the
+Casimir of S(g)^g and on the group-type pairs G x G / G, the agreement of
+`star_cf` with `rouviere_sharp` on sl2diag and sl3/so(3), and the
+Laplace-Beltrami operator, which holds only for the Riemannian volume
+J = det_p(sinh ad X / ad X).
 """
-
-from fractions import Fraction
 
 import pytest
 from conftest import laplace_beltrami_symbol
 
 from sympair import util
-from sympair.liealg import sl_so
+from sympair.liealg import group_type, sl_so
 from sympair.poly import Poly
 from sympair.polyops import BlockPolynomial, invariant_subspace
 from sympair.starprod import exp_coord_operator, star_cf
@@ -41,14 +42,7 @@ def _pair(name, request):
     return sl_so(3) if name == "sl3" else request.getfixturevalue(fixture[name])
 
 
-def _fails(reason):
-    return pytest.mark.xfail(strict=True, raises=AssertionError, reason=reason)
-
-
-@pytest.mark.parametrize("name", [
-    pytest.param("sl2", marks=_fails("star_dk(C, C) - C*C = -1/128 on sl2 (Duflo: 0)")),
-    pytest.param("sl3", marks=_fails("star_dk(C, C) - C*C = -1/48 on sl3/so(3) (Duflo: 0)")),
-])
+@pytest.mark.parametrize("name", ["sl2", "sl3"])
 def test_duflo_multiplicative_on_casimir(name, request):
     # Duflo: beta o d_{q^(1/2)} is an algebra isomorphism on S(g)^g, so the
     # transported product of two invariants is their plain product
@@ -57,25 +51,54 @@ def test_duflo_multiplicative_on_casimir(name, request):
     assert star_dk(pair, C, C) == C * C
 
 
-@pytest.mark.parametrize("name", [
-    "sl2",  # both give C^2 - 16/15
-    pytest.param("sl2diag", marks=_fails("constant of (.) - C^2: rouviere_sharp -1/2, star_cf 0 on sl2diag")),
-    pytest.param("sl3", marks=_fails("constant of (.) - C^2: rouviere_sharp -13/2, star_cf -4 on sl3/so(3)")),
-])
+@pytest.mark.parametrize("name", ["sl2", "sl2diag", "sl3"])
 def test_star_cf_matches_rouviere_sharp(name, request):
     pair = _pair(name, request)
     C = invariant_subspace(pair, 2)[0]
     assert star_cf(pair, C, C) == rouviere_sharp(pair, C, C)
 
 
+# -- the group-type pair G x G / G ------------------------------------------------
+
+#: sl3 on H1 = E11 - E22, H2 = E22 - E33, then E12, E13, E23, E21, E31, E32
+SL3_NAMES = ["H1", "H2", "E12", "E13", "E23", "E21", "E31", "E32"]
+SL3_MATRICES = [
+    [[1, 0, 0], [0, -1, 0], [0, 0, 0]], [[0, 0, 0], [0, 1, 0], [0, 0, -1]],
+    [[0, 1, 0], [0, 0, 0], [0, 0, 0]], [[0, 0, 1], [0, 0, 0], [0, 0, 0]], [[0, 0, 0], [0, 0, 1], [0, 0, 0]],
+    [[0, 0, 0], [1, 0, 0], [0, 0, 0]], [[0, 0, 0], [0, 0, 0], [1, 0, 0]], [[0, 0, 0], [0, 0, 0], [0, 1, 0]],
+]
+
+
+@pytest.fixture(scope="module")
+def group_type_invariants(diagonal_pair):
+    """name -> (pair, {C2, C2^2, C3}) with Ck = invariant_subspace(pair, k)[0]."""
+    out = {}
+    for name, pair, degrees in (("sl2x2", diagonal_pair, (2,)),
+                                ("sl3x2", group_type("sl3", SL3_NAMES, SL3_MATRICES), (2, 3))):
+        inv = {f"C{d}": invariant_subspace(pair, d)[0] for d in degrees}
+        inv["C2^2"] = inv["C2"] * inv["C2"]
+        out[name] = pair, inv
+    return out
+
+
+@pytest.mark.parametrize("name, p, q", [
+    ("sl2x2", "C2", "C2"),
+    ("sl2x2", "C2", "C2^2"),
+    ("sl3x2", "C2", "C2"),
+    ("sl3x2", "C2", "C2^2"),
+    ("sl3x2", "C2", "C3"),
+    ("sl3x2", "C3", "C3"),
+])
+def test_group_type_rouviere_is_the_plain_product(group_type_invariants, name, p, q):
+    # On G x G / G, p is g and S(p)^k is S(g)^g; Duflo's theorem makes the
+    # Rouviere product of two invariants their plain product
+    pair, inv = group_type_invariants[name]
+    assert rouviere_sharp(pair, inv[p], inv[q]) == inv[p] * inv[q]
+
+
 # -- Duflo's problem against Riemannian geometry ---------------------------------
 
 JET = 6
-
-
-def code_j(n, a):
-    """log J = sum_n 4^(1-n) a_n tr_p (ad X)^(2n), the normalization of `series.log_density`."""
-    return a * Fraction(4) ** (1 - n)
 
 
 def standard_j(n, a):
@@ -91,27 +114,17 @@ def casimir_operators(sl2_pair, omega):
     return {name: (pair, R, exp_coord_operator(pair, R, JET)) for name, (pair, R) in cases.items()}
 
 
-@pytest.mark.parametrize("name, density", [
-    ("sl2", code_j),
-    ("sl3", code_j),
-    pytest.param("sl2", standard_j, marks=_fails(
-        "x_i^2 coefficients of the zero-order part: exp_coord_operator minus J_g^(1/2) o (Delta + c) o J_g^(-1/2)"
-        " = -8/15 (x_0^2 + x_1^2) on sl2")),
-    pytest.param("sl3", standard_j, marks=_fails(
-        "x_i^2 coefficients of the zero-order part: exp_coord_operator minus J_g^(1/2) o (Delta + c) o J_g^(-1/2)"
-        " = -7/80 (x_0^2 - x_0 x_1 + x_1^2 + x_2^2 + x_3^2 + x_4^2) on sl3/so(3)")),
-], ids=["sl2-code-J", "sl3-code-J", "sl2-standard-J", "sl3-standard-J"])
-def test_exp_coord_casimir_is_the_laplace_beltrami_operator(casimir_operators, name, density):
+@pytest.mark.parametrize("name", ["sl2", "sl3"])
+def test_exp_coord_casimir_is_the_laplace_beltrami_operator(casimir_operators, name):
     # The invariant operator of the Casimir is the Laplace-Beltrami operator
-    # plus a constant; exp_coord_operator writes it conjugated by J^(1/2).
-    # With the code's own J the construction is checked apart from the
-    # normalization; only J = J_g makes the operator act on half-densities.
+    # plus a constant; exp_coord_operator writes it conjugated by J^(1/2),
+    # and it acts on half-densities only when J = J_g.
     pair, R, operator = casimir_operators[name]
     dp = pair.dim_p
 
     def through_jet(symbol):  # x-degree <= JET - 2, where the jet truncation does not reach
         return {m: c for m, c in symbol.terms.items() if sum(m[:dp]) <= JET - 2}
 
-    expected = through_jet(laplace_beltrami_symbol(pair, R, JET, density))
+    expected = through_jet(laplace_beltrami_symbol(pair, R, JET, standard_j))
     assert any(sum(m[:dp]) == JET - 2 for m in expected)  # the oracle reaches the compared degree
     assert through_jet(operator) == expected

@@ -92,11 +92,11 @@ def test_j_half_leading_coefficients(sl2_pair):
     jh = density_series("J_half", 4)
     assert jh.coefficient(()) == 1
     assert jh.coefficient((("p", 2),)) == Fraction(1, 12)
-    # on sl(2) the order-4 part collapses to (1/360) tr_p(ad X)^4 since the
+    # on sl(2) the order-4 part collapses to (1/1440) tr_p(ad X)^4 since the
     # quartic trace and the squared quadratic trace agree there
     poly = jh.as_polynomial(sl2_pair, "p")
     tr4 = TraceSeries.word(4, "p", 4).as_polynomial(sl2_pair, "p")
-    assert poly.homogeneous_part(4) == tr4.scale(Fraction(1, 360))
+    assert poly.homogeneous_part(4) == tr4.scale(Fraction(1, 1440))
 
 
 def test_q_half_leading_coefficient():

@@ -25,7 +25,7 @@ from sympair.uea import (
     star_dk,
 )
 
-from conftest import random_block_poly, straighten_random, symmetrized_by_permutations
+from conftest import random_block_poly, straighten_random, symmetrized_by_permutations, uea_from_vector
 
 
 @pytest.fixture(scope="module")
@@ -45,9 +45,9 @@ def adapted(pair, original):
 # -- straightening --------------------------------------------------------------
 
 def test_defining_relation(sl2_pair, sl2_ctx):
-    ux = UEAElement.from_vector(sl2_ctx, adapted(sl2_pair, [0, 1, 0]))
-    uy = UEAElement.from_vector(sl2_ctx, adapted(sl2_pair, [0, 0, 1]))
-    uh = UEAElement.from_vector(sl2_ctx, adapted(sl2_pair, [1, 0, 0]))
+    ux = uea_from_vector(sl2_ctx, adapted(sl2_pair, [0, 1, 0]))
+    uy = uea_from_vector(sl2_ctx, adapted(sl2_pair, [0, 0, 1]))
+    uh = uea_from_vector(sl2_ctx, adapted(sl2_pair, [1, 0, 0]))
     assert pbw_multiply(ux, uy) - pbw_multiply(uy, ux) == uh
 
 
@@ -59,9 +59,9 @@ def test_abelian_product_is_symmetric(abelian_pair):
 
 
 def test_associativity_witness(sl2_pair, sl2_ctx):
-    uh = UEAElement.from_vector(sl2_ctx, adapted(sl2_pair, [1, 0, 0]))
-    ux = UEAElement.from_vector(sl2_ctx, adapted(sl2_pair, [0, 1, 0]))
-    uy = UEAElement.from_vector(sl2_ctx, adapted(sl2_pair, [0, 0, 1]))
+    uh = uea_from_vector(sl2_ctx, adapted(sl2_pair, [1, 0, 0]))
+    ux = uea_from_vector(sl2_ctx, adapted(sl2_pair, [0, 1, 0]))
+    uy = uea_from_vector(sl2_ctx, adapted(sl2_pair, [0, 0, 1]))
     assert pbw_multiply(pbw_multiply(uh, ux), uy) == pbw_multiply(uh, pbw_multiply(ux, uy))
 
 
@@ -210,7 +210,7 @@ def test_rouviere_unit(sl2_pair, omega):
 
 
 def test_rouviere_sl2_value(sl2_pair, omega):
-    assert rouviere_sharp(sl2_pair, omega, omega) == omega * omega - BlockPolynomial.constant(sl2_pair, "p", Fraction(16, 15))
+    assert rouviere_sharp(sl2_pair, omega, omega) == omega * omega + BlockPolynomial.constant(sl2_pair, "p", Fraction(16, 15))
 
 
 def test_rouviere_requires_invariance(sl2_pair):
