@@ -217,7 +217,7 @@ def _dispatch(args, report) -> int:
         P = sio.resolve_definition(pair, data, args.poly, "p")
         f = _parse_form(pair, args.f)
         b = sio.load_polarization(pair, args.pol)
-        val = character_sigma_stable(pair, P, f, PolarizationCandidate(f, b))
+        val = character_sigma_stable(pair, P, PolarizationCandidate(f, b))
         print(util.fmt(val))
         report.add("character", val)
         return 0

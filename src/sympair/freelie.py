@@ -15,8 +15,9 @@ series as each is formed (`util.power_sum`).  Both kernels run on integer
 numerators over a common denominator and return Fraction coefficients.
 Lie coordinates are peeled one degree at a time in place, by the
 degree-n expansion of each Lyndon bracketing.  The factorization
-e^X e^Y = e^P e^K is incremental: degree n of P or K only needs
-log(e^P e^K) at order n, with P and K known through degree n - 1.
+g = e^X e^Y = e^P e^K reads P off the symmetric-space series: sigma
+fixes K and negates P, so g sigma(g)^(-1) = e^(2P) = e^X e^(2Y) e^X and
+P = z_sym; then K = log(e^(-P) e^X e^Y).
 
 `evaluate_bracket` is the one walk over a nested bracket.  With the
 commutator it expands the bracket into the tensor algebra
@@ -202,30 +203,24 @@ def bch(order: int) -> FreeLieSeries:
     return lie_from_assoc((ex * ey).log())
 
 
-def sym_factorize(order: int):
-    """Solve e^X e^Y = e^P e^K with P odd-graded and K even-graded.
-
-    With sigma(X) = -X, sigma(Y) = -Y, a bracket of length n is p-type for
-    odd n and k-type for even n; each degree of the defect log(e^X e^Y) -
-    log(e^P e^K) is homogeneous, so the correction is assigned wholesale.
-    Degree n of the defect only depends on P and K through degree n - 1,
-    so step n works at truncation order n and peels degree n alone.
-    """
-    _check_order(order)
-    target = bch(order)
-    P: dict[tuple[int, ...], Fraction] = {}
-    K: dict[tuple[int, ...], Fraction] = {}
-    for n in range(1, order + 1):
-        e_pk = FreeLieSeries(n, P).to_assoc().exp() * FreeLieSeries(n, K).to_assoc().exp()
-        current = lie_from_assoc(e_pk.log().homogeneous_part(n))
-        defect = target.homogeneous_part(n) - current
-        (P if n % 2 == 1 else K).update(defect.terms)
-    return FreeLieSeries(order, P), FreeLieSeries(order, K)
-
-
 def z_sym(order: int) -> FreeLieSeries:
     """(1/2) log(e^X e^(2Y) e^X), the symmetric-space BCH series."""
     _check_order(order)
     ex = FreeAssocSeries.letter(order, X).exp()
     e2y = FreeAssocSeries.letter(order, Y, 2).exp()
     return lie_from_assoc((ex * e2y * ex).log().scale(Fraction(1, 2)))
+
+
+def sym_factorize(order: int):
+    """Solve e^X e^Y = e^P e^K with P odd-graded and K even-graded.
+
+    With sigma(X) = -X, sigma(Y) = -Y, a bracket of length n is p-type for
+    odd n and k-type for even n.  For g = e^X e^Y = e^P e^K, sigma(g) =
+    e^(-P) e^K, so g sigma(g)^(-1) = e^(2P) = e^X e^(2Y) e^X: P is z_sym,
+    and K = log(e^(-P) e^X e^Y).
+    """
+    P = z_sym(order)
+    ex = FreeAssocSeries.letter(order, X).exp()
+    ey = FreeAssocSeries.letter(order, Y).exp()
+    K = lie_from_assoc((P.to_assoc().scale(-1).exp() * ex * ey).log())
+    return P, K

@@ -146,9 +146,9 @@ def exp_coord_operator(pair: SymmetricPair, R: BlockPolynomial, jet_order: int, 
     truncated at jet_order (the wheel factor on the second axis is 1).
 
     Variables of the result: 0..dim_p-1 are the X coordinates, dim_p..2dim_p-1
-    the symbol (xi) coordinates.  With a concrete X (adapted p-coordinates)
-    the X variables are substituted away.  Exact through total (X,Y) order
-    jet_order.
+    the symbol (xi) coordinates.  A concrete X, given by its dim_p
+    p-coordinates or as an adapted vector of g with k-part 0, is substituted
+    for the X variables.  Exact through total (X,Y) order jet_order.
     """
     if R.space != "p":
         raise ValueError("R must be a p-polynomial")
@@ -156,6 +156,11 @@ def exp_coord_operator(pair: SymmetricPair, R: BlockPolynomial, jet_order: int, 
     if R.degree() > jet_order:
         raise TruncationTooLow(f"deg R = {R.degree()} exceeds jet order {jet_order}")
     dp = pair.dim_p
+    if X is not None:
+        X = util.vec(X)
+        if len(X) not in (dp, pair.dim) or any(X[dp:]):
+            raise ValueError(f"X = {util.fmt_vec(X)} must be {dp} p-coordinates "
+                             f"or an adapted vector of length {pair.dim} that lies in p")
     nv = 3 * dp  # x block, xi block, y block
     xs = pair.symbolic_vector("p", nv, 0)
     ys = pair.symbolic_vector("p", nv, 2 * dp)
@@ -185,8 +190,7 @@ def exp_coord_operator(pair: SymmetricPair, R: BlockPolynomial, jet_order: int, 
             terms[key] = terms.get(key, 0) + c * r * math.prod(math.factorial(e) for e in m[2 * dp:])
     out = Poly(2 * dp, terms)
     if X is not None:
-        X = util.vec(X)
-        images = [Poly.const(dp, X[i]) for i in pair.block_indices("p")]
+        images = [Poly.const(dp, c) for c in X[:dp]]
         images += [Poly.var(dp, t) for t in range(dp)]
         return out.subs(images)
     return out
@@ -194,29 +198,27 @@ def exp_coord_operator(pair: SymmetricPair, R: BlockPolynomial, jet_order: int, 
 
 # -- characters from sigma-stable polarizations -------------------------------
 
-def character_sigma_stable(pair: SymmetricPair, P: BlockPolynomial, f,
-                           b: PolarizationCandidate) -> Fraction:
-    """Character value at a linear form f in the k-annihilator.
+def character_sigma_stable(pair: SymmetricPair, P: BlockPolynomial, b: PolarizationCandidate) -> Fraction:
+    """Character value at the linear form b.f in the k-annihilator.
 
-    Validates that b is a sigma-stable polarization at f; the character of
-    the invariant algebra is then evaluation at f (the vertical wheel
-    factor is 1), constant on the K-orbit of f.
+    Validates that b is a sigma-stable polarization at b.f; the character of
+    the invariant algebra is then evaluation at b.f (the vertical wheel
+    factor is 1), constant on the K-orbit of b.f.
     """
     if P.space != "p":
         raise ValueError("P must be a p-polynomial")
     require_invariant(pair, P, "P")
-    f = util.vec(f)  # adapted coordinates of a form on g
+    f = b.f  # adapted coordinates of a form on g
     if any(f[i] for i in pair.block_indices("k")):
         raise ValueError("f must annihilate k")
 
     # sigma stability of span(b): sigma is -1 on p and +1 on k in adapted coords
-    basis = [util.vec(v) for v in b.b_basis]
-    sig = [tuple(-v[i] if i < pair.dim_p else v[i] for i in range(pair.dim)) for v in basis]
-    if not util.span_eq(basis, sig):
+    sig = [tuple(-v[i] if i < pair.dim_p else v[i] for i in range(pair.dim)) for v in b.b_basis]
+    if not util.span_eq(b.b_basis, sig):
         raise NotSigmaStable("sigma(b) != b")
 
     # polarization flags, computed on the adapted-coordinate copy of g
-    report = polarization_check(pair.adapted, PolarizationCandidate(f, basis))
+    report = polarization_check(pair.adapted, b)
     if not report.is_polarization:
         raise NotPolarization(repr(report))
     return P.evaluate([f[i] for i in pair.block_indices("p")])

@@ -23,7 +23,14 @@ from sympair.starprod import (
 )
 from sympair.uea import PBWContext, beta, pbw_multiply, project_mod_k_lambda, rouviere_sharp, star_dk
 
-from conftest import coadjoint_orbit_point, ln_e_symbol_reference, random_block_poly, random_p_vector, swap_letters
+from conftest import (
+    coadjoint_orbit_point,
+    ln_e_symbol_reference,
+    random_block_poly,
+    random_p_vector,
+    swap_letters,
+    sym_factorize_reference,
+)
 
 ALGEBRAS = Path(__file__).resolve().parent.parent / "algebras"
 
@@ -284,6 +291,14 @@ def test_exp_coord_concrete_point(sl2_pair, omega):
     images = [Poly.const(dp, Fraction(1)), Poly.const(dp, Fraction(0))]
     images += [Poly.var(dp, t) for t in range(dp)]
     assert at == sym.subs(images)
+    # the same X as an adapted vector of g, with k-part 0
+    assert exp_coord_operator(sl2_pair, omega, 4, X=(1, 0, 0)) == at
+
+
+@pytest.mark.parametrize("X", [(1, 0, 5), (1,)], ids=["k-component", "too-short"])
+def test_exp_coord_rejects_an_X_outside_p(sl2_pair, omega, X):
+    with pytest.raises(ValueError, match=r"X = \(1"):
+        exp_coord_operator(sl2_pair, omega, 4, X=X)
 
 
 def test_exp_coord_at_origin_beyond_order_eight(sl2_pair, omega):
@@ -313,8 +328,7 @@ def test_exp_coord_compiles_two_series(sl2_pair, omega, monkeypatch, call):
 
 def test_exp_coord_sl2_against_uea_factorization_oracle(sl2_pair, omega):
     """Independent oracle: move J^(1/2)(Y) onto R by adjunction and use the
-    group-factorization series from sym_factorize instead of z_sym."""
-    from sympair.freelie import sym_factorize
+    group-factorization series of the per-degree solver instead of z_sym."""
     from sympair.poly import poly_exp
 
     jet = 4
@@ -324,7 +338,7 @@ def test_exp_coord_sl2_against_uea_factorization_oracle(sl2_pair, omega):
     nv = 3 * dp
     xs = sl2_pair.symbolic_vector("p", nv, 0)
     ys = sl2_pair.symbolic_vector("p", nv, 2 * dp)
-    P, _ = sym_factorize(jet)
+    P, _ = sym_factorize_reference(jet)
     Z = P.evaluate_poly(sl2_pair, xs, ys)
     cap = jet + omega.degree()
     jh = density_series("J_half", 6)
@@ -364,18 +378,18 @@ def heis_data(pair):
 
 
 def test_character_unit(heisenberg_pair):
-    f, b, _ = heis_data(heisenberg_pair)
+    _, b, _ = heis_data(heisenberg_pair)
     one = BlockPolynomial.constant(heisenberg_pair, "p", 1)
-    assert character_sigma_stable(heisenberg_pair, one, f, b) == 1
+    assert character_sigma_stable(heisenberg_pair, one, b) == 1
 
 
 def test_character_values_and_multiplicativity(heisenberg_pair):
-    f, b, Pz = heis_data(heisenberg_pair)
-    chi_z = character_sigma_stable(heisenberg_pair, Pz, f, b)
+    _, b, Pz = heis_data(heisenberg_pair)
+    chi_z = character_sigma_stable(heisenberg_pair, Pz, b)
     assert chi_z == 1
     prod = star_cf(heisenberg_pair, Pz, Pz)
     assert prod == Pz * Pz  # nilpotent pair: product is pointwise
-    chi_prod = character_sigma_stable(heisenberg_pair, prod, f, b)
+    chi_prod = character_sigma_stable(heisenberg_pair, prod, b)
     assert chi_prod == chi_z * chi_z
 
 
@@ -386,14 +400,14 @@ def test_character_rejects_non_sigma_stable(heisenberg_pair):
         heisenberg_pair.to_adapted(util.vec([0, 0, 1])),
     ])
     with pytest.raises(NotSigmaStable):
-        character_sigma_stable(heisenberg_pair, Pz, f, bad)
+        character_sigma_stable(heisenberg_pair, Pz, bad)
 
 
 def test_character_rejects_non_polarization(heisenberg_pair):
     f, _, Pz = heis_data(heisenberg_pair)
     small = PolarizationCandidate(f, [heisenberg_pair.to_adapted(util.vec([0, 0, 1]))])
     with pytest.raises(NotPolarization):
-        character_sigma_stable(heisenberg_pair, Pz, f, small)
+        character_sigma_stable(heisenberg_pair, Pz, small)
 
 
 def test_character_constant_on_orbit(heisenberg_pair, solvable_pair):
