@@ -46,7 +46,7 @@ from .errors import (
 )
 from .freelie import evaluate_bracket
 from .poly import Poly
-from .util import Vec, frac, is_zero_vec, vec_add, vec_scale, zero_vec
+from .util import Vec, frac, is_zero_vec, vec_scale, zero_vec
 
 
 class LieAlgebraDef:
@@ -126,14 +126,16 @@ class LieAlgebraDef:
         return util.mat_from_cols(cols)
 
     def _check_jacobi(self):
+        """Raise on the first triple i < j < k with [e_i,[e_j,e_k]] + [e_j,[e_k,e_i]] + [e_k,[e_i,e_j]] != 0."""
+        T = self._terms
         for i, j, k in itertools.combinations(range(self.dim), 3):
-            ei, ej, ek = (util.unit_vec(self.dim, t) for t in (i, j, k))
-            d = vec_add(
-                vec_add(self.bracket(ei, self.bracket(ej, ek)), self.bracket(ej, self.bracket(ek, ei))),
-                self.bracket(ek, self.bracket(ei, ej)),
-            )
-            if not is_zero_vec(d):
-                raise JacobiViolation(self.basis[i], self.basis[j], self.basis[k], d)
+            d = list(zero_vec(self.dim))
+            for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                for t, x in T[b][c]:
+                    for s, y in T[a][t]:
+                        d[s] += x * y
+            if any(d):
+                raise JacobiViolation(self.basis[i], self.basis[j], self.basis[k], tuple(d))
 
     def killing(self, u: Vec, v: Vec) -> Fraction:
         return util.mat_trace(util.mat_mul(self.ad(u), self.ad(v)))

@@ -147,11 +147,11 @@ class Poly:
 
     def derivation(self, images: list["Poly"]) -> "Poly":
         """Image under the derivation sending variable i to images[i]."""
-        out = Poly.zero(self.nvars)
-        for i, image in enumerate(images):
-            d = self.diff(i)
-            if d and image:
-                out = out + image.mul(d)
+        used = {i for m in self.terms for i, e in enumerate(m) if e}
+        out = Poly(self.nvars)
+        for i in sorted(used):
+            if images[i]:
+                util.add_into(out.terms, images[i].mul(self.diff(i)).terms)
         return out
 
     def degree(self) -> int:

@@ -93,20 +93,22 @@ class BlockPolynomial:
         return f"BlockPolynomial({self.space}, {self.poly.terms!r})"
 
 
+def _k_images(pair: SymmetricPair, k_index: int, space: str) -> list[Poly]:
+    """The linear forms [K, e_j] for the k-basis vector K and the symbols e_j of a block ('p' or 'g')."""
+    n = len(pair.block_indices(space))  # both blocks start at index 0
+    units = [tuple(int(t == i) for t in range(n)) for i in range(n)]
+    return [Poly(n, {units[i]: c for i, c in pair.adapted.bracket_terms(pair.dim_p + k_index, j)}) for j in range(n)]
+
+
 def k_derivation(pair: SymmetricPair, k_index: int, f: BlockPolynomial) -> BlockPolynomial:
     """Action of the k-basis vector on S(p) (or S(g)) by the adjoint derivation.
 
-    The symbol e_j transforms to [K, e_j]; the derivation extends this to
-    products.  For space 'p' the bracket stays in p: [k, p] lies in p for
-    every SymmetricPair, whose constructor checks that sigma is an
-    automorphism.
+    The symbol e_j transforms to [K, e_j] (`_k_images`); the derivation
+    extends this to products.  For space 'p' the bracket stays in p: [k, p]
+    lies in p for every SymmetricPair, whose constructor checks that sigma
+    is an automorphism.
     """
-    pair_idx = list(f.pair.block_indices(f.space))
-    images = []
-    for j in pair_idx:
-        w = pair.adapted.bracket_basis(pair.dim_p + k_index, j)
-        images.append(Poly.linear([w[i] for i in pair_idx]))
-    return BlockPolynomial(f.pair, f.space, f.poly.derivation(images))
+    return BlockPolynomial(f.pair, f.space, f.poly.derivation(_k_images(pair, k_index, f.space)))
 
 
 def is_invariant(pair: SymmetricPair, f: BlockPolynomial) -> bool:
@@ -124,7 +126,7 @@ def invariant_subspace(pair: SymmetricPair, degree: int) -> list[BlockPolynomial
         raise ValueError("degree must be >= 0")
     nv = pair.dim_p
     monos = list(monomials_of_degree(nv, degree))
-    maps = [lambda m, a=a: k_derivation(pair, a, BlockPolynomial(pair, "p", Poly.monomial(nv, m))).poly.terms
+    maps = [lambda m, images=_k_images(pair, a, "p"): Poly.monomial(nv, m).derivation(images).terms
             for a in range(pair.dim_k)]
     return [BlockPolynomial(pair, "p", Poly(nv, dict(zip(monos, v)))) for v in util.common_kernel(monos, maps)]
 

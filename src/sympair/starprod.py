@@ -209,6 +209,8 @@ def character_sigma_stable(pair: SymmetricPair, P: BlockPolynomial, b: Polarizat
         raise ValueError("P must be a p-polynomial")
     require_invariant(pair, P, "P")
     f = b.f  # adapted coordinates of a form on g
+    if len(f) != pair.dim or any(len(v) != pair.dim for v in b.b_basis):
+        raise ValueError(f"f = {util.fmt_vec(f)} and each b vector need {pair.dim} coordinates")
     if any(f[i] for i in pair.block_indices("k")):
         raise ValueError("f must annihilate k")
 

@@ -1,10 +1,11 @@
-"""Exact-rational helpers: parsing, formatting, dense linear algebra, and
-the truncated series shared by every series type: the linear arithmetic
-of `Series`, the graded truncated product, exponential and logarithm.
+"""Exact-rational helpers: parsing, formatting, linear algebra, and the
+truncated series shared by every series type: the linear arithmetic of
+`Series`, the graded truncated product, exponential and logarithm.
 
 Matrices are lists of lists of Fraction; vectors are tuples of Fraction.
-Sizes in this package stay small (dimension <= ~40), so plain Gaussian
-elimination over Fraction is both exact and fast enough.
+One sparse Gauss-Jordan, `rref` on rows {column: Fraction}, serves all
+of the linear algebra: the dense routines convert their rows to it, and
+`common_kernel` builds its mostly-zero rows sparse from the start.
 
 The two series kernels, `graded_product` and `power_sum` (behind `exp`
 and `log`), take and return {key: Fraction} dicts but compute on integer
@@ -125,50 +126,55 @@ def mat_trace(A) -> Fraction:
     return sum((A[i][i] for i in range(len(A))), Fraction(0))
 
 
-def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (nonzero rows, pivot column indices)."""
-    M = [list(r) for r in rows]
-    nrows = len(M)
-    ncols = len(M[0]) if nrows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if M[i][c] != 0), None)
-        if pr is None:
-            continue
-        M[r], M[pr] = M[pr], M[r]
-        pv = M[r][c]
-        M[r] = [x / pv for x in M[r]]
-        for i in range(nrows):
-            if i != r and M[i][c] != 0:
-                f = M[i][c]
-                M[i] = [a - f * b if b else a for a, b in zip(M[i], M[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return [row for row in M if any(x != 0 for x in row)], pivots
+def rref(rows) -> tuple[list[dict], list[int]]:
+    """Reduced row echelon form of sparse rows {column: coefficient}: (nonzero rows, pivot columns).
+
+    Each row in turn is reduced by the pivot rows so far, which are kept
+    without their pivot entry; a nonzero remainder is scaled to 1 at its
+    least column, a new pivot that is then cleared from the earlier rows.
+    The RREF of a row space is unique, so the row order does not matter.
+    """
+    tails: dict[int, dict] = {}
+    for row in rows:
+        r = {c: x for c, x in row.items() if x}
+        for c in [c for c in r if c in tails]:  # a pivot row is zero on the other pivots
+            add_into(r, tails[c], -r.pop(c))
+        if r:
+            p = min(r)
+            inv = 1 / Fraction(r.pop(p))
+            tail = {t: x * inv for t, x in r.items()}
+            for other in tails.values():
+                if p in other:
+                    add_into(other, tail, -other.pop(p))
+            tails[p] = tail
+    pivots = sorted(tails)
+    return [{p: Fraction(1), **tails[p]} for p in pivots], pivots
+
+
+def _sparse(rows) -> list[dict]:
+    return [{c: x for c, x in enumerate(row) if x} for row in rows]
 
 
 def rank(rows) -> int:
-    return len(rref(rows)[0])
+    return len(rref(_sparse(rows))[0])
 
 
 def nullspace(rows: list[list[Fraction]], ncols: int | None = None) -> list[Vec]:
     """Canonical basis of {v : M v = 0}, from the RREF free columns."""
-    if not rows:
-        if ncols is None:
-            raise ValueError("ncols required for an empty matrix")
-        return [unit_vec(ncols, i) for i in range(ncols)]
-    ncols = len(rows[0])
+    if not rows and ncols is None:
+        raise ValueError("ncols required for an empty matrix")
+    return _kernel(_sparse(rows), len(rows[0]) if rows else ncols)
+
+
+def _kernel(rows: list[dict], ncols: int) -> list[Vec]:
+    """`nullspace` of sparse rows over `ncols` columns."""
     R, pivots = rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
     basis = []
-    for fc in free:
+    for fc in sorted(set(range(ncols)).difference(pivots)):
         v = [Fraction(0)] * ncols
         v[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -R[i][fc]
+        for row, pc in zip(R, pivots):
+            v[pc] = -row.get(fc, Fraction(0))
         basis.append(tuple(v))
     return basis
 
@@ -187,10 +193,11 @@ def common_kernel(keys, maps) -> list[Vec]:
             for image, c in f(key).items():
                 row = by_image.get(image)
                 if row is None:
-                    row = by_image[image] = [Fraction(0)] * len(keys)
-                row[t] = c
+                    by_image[image] = {t: c}
+                else:
+                    row[t] = c
         rows.extend(by_image.values())
-    return nullspace(rows, len(keys))
+    return _kernel(rows, len(keys))
 
 
 def solve(A: list[list[Fraction]], b: Vec) -> Vec | None:
@@ -206,15 +213,14 @@ def solve_each(A: list[list[Fraction]], bs: list[Vec]) -> list[Vec] | None:
     """
     n = len(A)
     ncols = len(A[0]) if n else 0
-    aug = [list(A[i]) + [b[i] for b in bs] for i in range(n)]
-    R, pivots = rref(aug)
+    R, pivots = rref(_sparse([list(A[i]) + [b[i] for b in bs] for i in range(n)]))
     if pivots and pivots[-1] >= ncols:
         return None
     out = []
     for k in range(ncols, ncols + len(bs)):
         x = [Fraction(0)] * ncols
-        for i, pc in enumerate(pivots):
-            x[pc] = R[i][k]
+        for row, pc in zip(R, pivots):
+            x[pc] = row.get(k, Fraction(0))
         out.append(tuple(x))
     return out
 
@@ -223,8 +229,8 @@ def span_rref(vectors: list[Vec]) -> list[Vec]:
     """Canonical (RREF) basis of the span; empty list for the zero space."""
     if not vectors:
         return []
-    R, _ = rref([list(v) for v in vectors])
-    return [tuple(r) for r in R]
+    R, _ = rref(_sparse(vectors))
+    return [tuple(row.get(c, Fraction(0)) for c in range(len(vectors[0]))) for row in R]
 
 
 def span_contains(span_basis: list[Vec], v: Vec) -> bool:

@@ -202,6 +202,31 @@ def graded_product_reference(left: dict, right: dict, degree, order, combine) ->
     return {k: c for k, c in out.items() if c}
 
 
+def rref_dense_reference(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+    """The dense Gauss-Jordan that the sparse `util.rref` replaced: (nonzero rows, pivot columns)."""
+    M = [list(r) for r in rows]
+    nrows = len(M)
+    ncols = len(M[0]) if nrows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, nrows) if M[i][c] != 0), None)
+        if pr is None:
+            continue
+        M[r], M[pr] = M[pr], M[r]
+        pv = M[r][c]
+        M[r] = [x / pv for x in M[r]]
+        for i in range(nrows):
+            if i != r and M[i][c] != 0:
+                f = M[i][c]
+                M[i] = [a - f * b if b else a for a, b in zip(M[i], M[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return [row for row in M if any(x != 0 for x in row)], pivots
+
+
 def _insert_sorted(subset: tuple[int, ...], a: int):
     """Insert index a into a sorted subset; returns (sign, new subset) or None."""
     if a in subset:

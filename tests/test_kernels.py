@@ -6,20 +6,25 @@ of `graded_product_reference`, `exp_reference` and `log_reference`
 (conftest), in the same key order, on the three key types of the package:
 words (free associative series), trace keys (`TraceSeries`) and monomials
 (`Poly`).
+
+The sparse eliminator `util.rref`, and `nullspace`, `solve_each` and
+`common_kernel` on it, must return what the dense Gauss-Jordan
+`rref_dense_reference` (conftest) gives, on dense and mostly-zero
+rational matrices of every shape.
 """
 
 import operator
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sympair import util
 from sympair.poly import _mono_mul
 from sympair.series import TraceSeries, _merge_keys
 
-from conftest import exp_reference, graded_product_reference, log_reference
+from conftest import exp_reference, graded_product_reference, log_reference, rref_dense_reference
 
 PROPERTY = settings(max_examples=80, deadline=None, derandomize=True, database=None)
 
@@ -160,3 +165,88 @@ def test_key_order_after_cancellation(u):
 def test_power_sum_needs_positive_degrees():
     with pytest.raises(ValueError):
         util.exp({(("p", 0),): Fraction(1)}, (), TraceSeries.degree, 4, _merge_keys)
+
+
+# -- sparse elimination -------------------------------------------------------
+
+@st.composite
+def rational_matrices(draw):
+    """(rows, ncols): dense or >= 80% zero, wide or tall, with zero rows and duplicate rows."""
+    nrows, ncols = draw(st.integers(0, 7)), draw(st.integers(1, 7))
+    cells = [(i, j) for i in range(nrows) for j in range(ncols)]
+    if draw(st.booleans()):
+        filled = cells
+    else:
+        filled = draw(st.lists(st.sampled_from(cells), max_size=len(cells) // 5)) if len(cells) >= 5 else []
+    rows = [[Fraction(0)] * ncols for _ in range(nrows)]
+    for i, j in filled:
+        rows[i][j] = draw(st.fractions(-4, 4, max_denominator=5))
+    rows += [[Fraction(0)] * ncols for _ in range(draw(st.integers(0, 2)))]
+    if nrows:
+        rows += [list(rows[draw(st.integers(0, nrows - 1))]) for _ in range(draw(st.integers(0, 2)))]
+    return draw(st.permutations(rows)), ncols
+
+
+def nullspace_reference(rows, ncols):
+    R, pivots = rref_dense_reference(rows)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for row, pc in zip(R, pivots):
+            v[pc] = -row[fc]
+        basis.append(tuple(v))
+    return basis
+
+
+@PROPERTY
+@given(rational_matrices())
+@example(([], 3))
+def test_rref_matches_dense_reference(matrix):
+    rows, ncols = matrix
+    R, pivots = util.rref([dict(enumerate(row)) for row in rows])  # zero entries included
+    expected_rows, expected_pivots = rref_dense_reference(rows)
+    assert pivots == expected_pivots
+    assert [[row.get(c, 0) for c in range(ncols)] for row in R] == expected_rows
+    assert all(type(x) is Fraction and x for row in R for x in row.values())
+
+
+@PROPERTY
+@given(rational_matrices())
+@example(([], 3))
+def test_nullspace_and_common_kernel_match_dense_reference(matrix):
+    rows, ncols = matrix
+    expected = nullspace_reference(rows, ncols)
+    assert util.nullspace(rows, ncols) == expected
+    # the rows split over two maps, each reading the column of a key
+    halves = [rows[:len(rows) // 2], rows[len(rows) // 2:]]
+    maps = [lambda key, half=half: {i: row[key[1]] for i, row in enumerate(half) if row[key[1]]} for half in halves]
+    assert util.common_kernel([("x", c) for c in range(ncols)], maps) == expected
+
+
+@st.composite
+def linear_systems(draw):
+    """(rows, ncols, bs): images A x, which are consistent, and arbitrary vectors, which may not be."""
+    rows, ncols = draw(rational_matrices())
+    entries = st.fractions(-3, 3, max_denominator=3)
+    xs = draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols), max_size=2))
+    bs = [tuple(util.vec_dot(row, x) for row in rows) for x in xs]
+    return rows, ncols, bs + draw(st.lists(st.tuples(*[entries] * len(rows)), max_size=1))
+
+
+@PROPERTY
+@given(linear_systems())
+@example(([], 3, [()]))
+def test_solve_each_matches_dense_reference(system):
+    rows, ncols, bs = system
+    width = ncols if rows else 0  # `solve_each` reads the width off the first row
+    R, pivots = rref_dense_reference([list(row) + [b[i] for b in bs] for i, row in enumerate(rows)])
+    expected = None
+    if not (pivots and pivots[-1] >= width):
+        expected = []
+        for k in range(width, width + len(bs)):
+            x = [Fraction(0)] * width
+            for row, pc in zip(R, pivots):
+                x[pc] = row[k]
+            expected.append(tuple(x))
+    assert util.solve_each(rows, bs) == expected

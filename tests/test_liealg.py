@@ -29,9 +29,19 @@ def file_pairs():
 
 
 def test_jacobi_violation_reports_witness():
-    with pytest.raises(JacobiViolation) as exc:
-        LieAlgebraDef("bad", ["a", "b", "c"], {(0, 1): {0: 1}, (0, 2): {2: 1}, (1, 2): {2: 1}})
-    assert len(exc.value.triple) == 3
+    """The witness is the first failing triple in `combinations` order, with its dense defect;
+    in the 4-dimensional case (a, b, c) holds and the second triple fails."""
+    cases = [
+        (["a", "b", "c"], {(0, 1): {0: 1}, (0, 2): {2: 1}, (1, 2): {2: 1}}, ("a", "b", "c"), (0, 0, -1)),
+        (["a", "b", "c", "d"], {(0, 1): {2: 1}, (0, 2): {3: 2}, (1, 2): {0: 1}, (2, 3): {1: "1/3"}},
+         ("a", "b", "d"), (0, Fraction(-1, 3), 0, 0)),
+    ]
+    for basis, brackets, triple, defect in cases:
+        with pytest.raises(JacobiViolation) as exc:
+            LieAlgebraDef("bad", basis, brackets)
+        assert (exc.value.triple, exc.value.defect) == (triple, defect)
+        assert all(type(c) is Fraction for c in exc.value.defect)
+    assert str(exc.value) == "Jacobi identity fails on basis triple ('a', 'b', 'd'): defect (0, -1/3, 0, 0)"
 
 
 def test_sigma_must_be_involution(sl2_pair):

@@ -22,7 +22,7 @@ from sympair.errors import NotInvolution, TruncationWarning
 from sympair.hc import IwasawaData, hc_restrict, validate_iwasawa, weyl_invariance_check
 from sympair.io import load_algebra_file
 from sympair.poly import Poly
-from sympair.polyops import invariant_subspace
+from sympair.polyops import invariant_subspace, is_invariant
 from sympair.starprod import star_cf
 from sympair.uea import duflo_relation_check, rouviere_sharp
 
@@ -129,6 +129,28 @@ def test_non_unimodular_semidirect_pairs_at_every_character(base, trk):
                 product = star_cf(pair, f, g, lam)
             assert product == rouviere_sharp(pair, f, g, lam) == f * g
         assert all(duflo_relation_check(pair, lam, d) for d in (1, 2, 3))
+
+
+def partitions(d, parts):
+    """The number of ways to write d as a sum of the given parts, in any order."""
+    if d == 0:
+        return 1
+    return sum(partitions(d - p, [q for q in parts if q <= p]) for p in parts if p <= d)
+
+
+@pytest.mark.parametrize("n, degrees", [(2, [1, 2, 3, 4]), (3, [1, 2, 3, 4]), (4, [1, 2, 3, 4]), (5, [1, 2, 3])],
+                         ids=["sl2", "sl3", "sl4", "sl5"])
+def test_sl_so_invariants_follow_chevalley(n, degrees):
+    """S(p)^k of sl(n)/so(n) is a polynomial algebra on generators of degrees 2..n (Chevalley).
+
+    So the degree-d invariants number the partitions of d into parts 2..n:
+    one at degree 3 on sl5/so(5) and two at degree 4 on sl4/so(4).
+    """
+    pair = sl_so(n)
+    for d in degrees:
+        basis = invariant_subspace(pair, d)
+        assert len(basis) == partitions(d, list(range(2, n + 1)))
+        assert all(is_invariant(pair, f) and f.degree() == d for f in basis)
 
 
 # -- Iwasawa data of sl(n)/so(n) ----------------------------------------------

@@ -410,6 +410,14 @@ def test_character_rejects_non_polarization(heisenberg_pair):
         character_sigma_stable(heisenberg_pair, Pz, small)
 
 
+def test_character_rejects_forms_of_the_wrong_length(heisenberg_pair):
+    _, _, Pz = heis_data(heisenberg_pair)
+    with pytest.raises(ValueError, match=r"f = \(0, 1\) and each b vector need 3 coordinates"):
+        character_sigma_stable(heisenberg_pair, Pz, PolarizationCandidate([0, 1], [[0, 0, 1]]))
+    with pytest.raises(ValueError, match="need 3 coordinates"):
+        character_sigma_stable(heisenberg_pair, Pz, PolarizationCandidate([0, 0, 1], [[0, 1]]))
+
+
 def test_character_constant_on_orbit(heisenberg_pair, solvable_pair):
     # evaluation of an invariant agrees at f and at exp(ad K)* f
     rng = random.Random(17)
