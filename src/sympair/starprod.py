@@ -32,7 +32,7 @@ from .liealg import (
 )
 from .poly import Poly, poly_exp
 from .polyops import BlockPolynomial, require_invariant
-from .series import TraceSeries, density_series, log_density
+from .series import TraceSeries, log_density
 
 E_MAX_ORDER = 4
 
@@ -104,17 +104,19 @@ def star_cf(pair: SymmetricPair, f: BlockPolynomial, g: BlockPolynomial,
             lam: Character | None = None) -> BlockPolynomial:
     """The E-function product on S(p)^k at character lambda.
 
-    Exact whenever one argument has degree <= 2 (unknown order >= 6 slots
-    then need three or more derivatives on a single factor); otherwise a
-    TruncationWarning is emitted.
+    Exact whenever one argument is constant or deg f + deg g <= 5.  An
+    unknown order >= 6 term with slot bidegree (a, b), a, b >= 1, reaches
+    f # g when a <= deg f and b <= deg g, so every other product emits a
+    TruncationWarning.
     """
     lam = lam or pair.zero_character()
     if f.space != "p" or g.space != "p":
         raise ValueError("star_cf needs p-polynomials")
     require_invariant(pair, f, "f")
     require_invariant(pair, g, "g")
-    if f.degree() >= 3 and g.degree() >= 3:
-        warnings.warn("both degrees >= 3: product truncated at order 4", TruncationWarning)
+    if min(f.degree(), g.degree()) >= 1 and f.degree() + g.degree() >= 6:
+        warnings.warn(f"degrees {f.degree()} and {g.degree()}: unknown order >= 6 terms are dropped, "
+                      f"product truncated at order {E_MAX_ORDER}", TruncationWarning)
     dp = pair.dim_p
     on_g: dict[tuple[int, ...], Poly] = {}  # derivative on f -> symbol of the operator on g
     for mono, c in _bidiff_symbol(pair, lam).terms.items():
@@ -143,12 +145,16 @@ def exp_coord_operator(pair: SymmetricPair, R: BlockPolynomial, jet_order: int, 
 
     Computes exp(-<xi, X>) R(d_Y)[ J^(1/2)(Y) J^(1/2)(X) J^(-1/2)(Z(X,Y))
     exp(<xi, Z(X,Y)>) ] at Y = 0, with Z the symmetric-space BCH series
-    truncated at jet_order (the wheel factor on the second axis is 1).
+    truncated at jet_order (the wheel factor on the second axis is 1).  With
+    l = log J^(1/2), compiled once, the bracket is the single exponential
+    exp(l(Y) + l(X) - l(Z) + <xi, Z - X>).
 
     Variables of the result: 0..dim_p-1 are the X coordinates, dim_p..2dim_p-1
-    the symbol (xi) coordinates.  A concrete X, given by its dim_p
-    p-coordinates or as an adapted vector of g with k-part 0, is substituted
-    for the X variables.  Exact through total (X,Y) order jet_order.
+    the symbol (xi) coordinates.  The result is exact and holds every term
+    of x-degree <= jet_order - deg R, and no other: R(d_Y) reads y-degrees up
+    to deg R, and Z is known only through (X,Y)-order jet_order.  A concrete
+    X, given by its dim_p p-coordinates or as an adapted vector of g with
+    k-part 0, is substituted for the X variables of that jet.
     """
     if R.space != "p":
         raise ValueError("R must be a p-polynomial")
@@ -166,26 +172,20 @@ def exp_coord_operator(pair: SymmetricPair, R: BlockPolynomial, jet_order: int, 
     ys = pair.symbolic_vector("p", nv, 2 * dp)
     Z = z_sym(jet_order).evaluate_poly(pair, xs, ys)
 
-    cap = jet_order + R.degree()
-    Jh = density_series("J_half", 2 * ((jet_order + 1) // 2) + 2)
-    jh, jh_inv = Jh.as_polynomial(pair, "p"), Jh.inverse().as_polynomial(pair, "p")
-    pref = jh.subs(ys[:dp], cap)  # the series compiled over p, at the p-coordinates of each vector
-    pref = pref.mul(jh.subs(xs[:dp], cap), cap)
-    pref = pref.mul(jh_inv.subs(Z[:dp], cap), cap)
-
-    # exp(<xi, Z - X>): every term of Z - X has y-degree >= 1
-    pairing = Poly.zero(nv)
+    # (X,Y)-orders above jet_order reach only x-degrees above jet_order - deg R, dropped below
+    l = log_density("J_half", jet_order).as_polynomial(pair, "p")
+    exponent = l.subs(ys[:dp], jet_order) + l.subs(xs[:dp], jet_order) - l.subs(Z[:dp], jet_order)
     for t, i in enumerate(pair.block_indices("p")):
-        delta = Z[i] - Poly.var(nv, t)
-        if not delta.is_zero():
-            pairing = pairing + delta.mul(Poly.var(nv, dp + t))
-    total = pref.mul(poly_exp(pairing.truncate(cap), cap), cap)
+        exponent = exponent + (Z[i] - Poly.var(nv, t)).mul(Poly.var(nv, dp + t))
+    cap = jet_order + R.degree()  # xi counts in the total degree
+    total = poly_exp(exponent.truncate(cap), cap)
 
     # R(d_Y) then Y = 0: d^beta y^gamma at 0 is beta! when gamma = beta, else 0
+    exact = jet_order - R.degree()  # x-degree + |beta| <= jet_order for every |beta| <= deg R
     terms: dict[tuple[int, ...], Fraction] = {}
     for m, c in total.terms.items():
         r = R.poly.terms.get(m[2 * dp:])
-        if r is not None:
+        if r is not None and sum(m[:dp]) <= exact:
             key = m[:2 * dp]
             terms[key] = terms.get(key, 0) + c * r * math.prod(math.factorial(e) for e in m[2 * dp:])
     out = Poly(2 * dp, terms)

@@ -521,6 +521,32 @@ def laplace_beltrami_symbol(pair, R, jet, density):
     return Poly(2 * dp, terms)
 
 
+def composition_symbol_at_origin(P, D_Q):
+    """The symbol at x = 0 of D_P o D_Q, given that D_P has symbol P(xi) there:
+    sum_alpha d_xi^alpha P(xi) (d_x^alpha D_Q)(0, xi) / alpha!, a polynomial in xi.
+
+    D_Q is a symbol in the variables of `exp_coord_operator` (x, then xi), so
+    (d_x^alpha D_Q)(0, xi) / alpha! is its coefficient of x^alpha.  The PBW
+    layer is not used.
+    """
+    dp = P.poly.nvars
+    out = Poly.zero(dp)
+    for mono, c in D_Q.terms.items():
+        out = out + P.poly.diff_mono(mono[:dp]).mul(Poly.monomial(dp, mono[dp:], c))
+    return out
+
+
+def moyal(f, g, c):
+    """The Moyal product f exp((c/2)(d_u (x) d_v - d_v (x) d_u)) g of two polynomials in u, v:
+    sum_n (c/2)^n / n! sum_k C(n, k) (-1)^k (d_u^(n-k) d_v^k f) (d_u^k d_v^(n-k) g)."""
+    out = Poly.zero(2)
+    for n in range(min(f.degree(), g.degree()) + 1):
+        for k in range(n + 1):
+            coeff = (Fraction(c) / 2) ** n / math.factorial(n) * math.comb(n, k) * (-1) ** k
+            out = out + f.diff_mono((n - k, k)).mul(g.diff_mono((k, n - k))).scale(coeff)
+    return out
+
+
 def coadjoint_orbit_point(pair, K, f, max_power=12):
     """exp(ad K)* f for a k-vector with nilpotent ad, exactly."""
     K = util.vec(K)
