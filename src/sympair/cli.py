@@ -2,13 +2,14 @@
 
 Exit codes: 0 success, 1 usage error, 2 validation error (with witness).
 Exact results print as p/q rationals; Monte-Carlo estimates carry explicit
-error fields.  --json writes the machine-readable run report.
+error fields.  --json writes the machine-readable run report, warnings included.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from fractions import Fraction
 
 from . import io as sio
@@ -106,7 +107,12 @@ def run(argv) -> int:
         return 1 if e.code not in (0, None) else 0
     report = sio.RunReport(["sympair"] + list(argv))
     try:
-        code = _dispatch(args, report)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = _dispatch(args, report)
+        for w in caught:
+            report.warnings.append({"category": w.category.__name__, "message": str(w.message)})
+            print(f"warning: {w.category.__name__}: {w.message}", file=sys.stderr)
         if args.json:
             report.write_json(args.json)
     except SympairError as e:

@@ -283,6 +283,7 @@ class RunReport:
         self.command = list(command)
         self.inputs_digest = None
         self.results = []
+        self.warnings = []  # {"category", "message"} of each warning the command raised
         self._t0 = time.monotonic()
 
     def digest_file(self, path: str):
@@ -309,6 +310,7 @@ class RunReport:
             "command": self.command,
             "inputs_digest": self.inputs_digest,
             "results": self.results,
+            "warnings": self.warnings,
             "elapsed_s": time.monotonic() - self._t0,
         }
 

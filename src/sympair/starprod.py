@@ -30,7 +30,7 @@ from .liealg import (
     polarization_check,
     trace_alternation,
 )
-from .poly import Poly, poly_exp
+from .poly import Poly, _mono_mul, poly_exp
 from .polyops import BlockPolynomial, require_invariant
 from .series import TraceSeries, log_density
 
@@ -152,7 +152,9 @@ def exp_coord_operator(pair: SymmetricPair, R: BlockPolynomial, jet_order: int, 
     Variables of the result: 0..dim_p-1 are the X coordinates, dim_p..2dim_p-1
     the symbol (xi) coordinates.  The result is exact and holds every term
     of x-degree <= jet_order - deg R, and no other: R(d_Y) reads y-degrees up
-    to deg R, and Z is known only through (X,Y)-order jet_order.  A concrete
+    to deg R, and Z is known only through (X,Y)-order jet_order.  Only that
+    jet is formed: Z and the exponential are cut at x-degree jet_order - deg R
+    and y-degree deg R, xi of weight 0.  A concrete
     X, given by its dim_p p-coordinates or as an adapted vector of g with
     k-part 0, is substituted for the X variables of that jet.
     """
@@ -168,26 +170,27 @@ def exp_coord_operator(pair: SymmetricPair, R: BlockPolynomial, jet_order: int, 
             raise ValueError(f"X = {util.fmt_vec(X)} must be {dp} p-coordinates "
                              f"or an adapted vector of length {pair.dim} that lies in p")
     nv = 3 * dp  # x block, xi block, y block
+    r, a = R.degree(), jet_order - R.degree()  # the exact jet: y-degree <= r, x-degree <= a
     xs = pair.symbolic_vector("p", nv, 0)
     ys = pair.symbolic_vector("p", nv, 2 * dp)
-    Z = z_sym(jet_order).evaluate_poly(pair, xs, ys)
+    words = {w: c for w, c in z_sym(jet_order).terms.items() if len(w) - sum(w) <= a and sum(w) <= r}
+    Z = FreeLieSeries(jet_order, words).evaluate_poly(pair, xs, ys)  # i X's, j Y's: x-degree i, y-degree j
 
-    # (X,Y)-orders above jet_order reach only x-degrees above jet_order - deg R, dropped below
-    l = log_density("J_half", jet_order).as_polynomial(pair, "p")
-    exponent = l.subs(ys[:dp], jet_order) + l.subs(xs[:dp], jet_order) - l.subs(Z[:dp], jet_order)
+    l = log_density("J_half", jet_order).as_polynomial(pair, "p")  # l(Z) past order a + r leaves the jet
+    exponent = l.truncate(r).subs(ys[:dp]) + l.truncate(a).subs(xs[:dp]) - l.subs(Z[:dp], jet_order)
     for t, i in enumerate(pair.block_indices("p")):
         exponent = exponent + (Z[i] - Poly.var(nv, t)).mul(Poly.var(nv, dp + t))
-    cap = jet_order + R.degree()  # xi counts in the total degree
-    total = poly_exp(exponent.truncate(cap), cap)
+    # cut at (x-degree, y-degree) <= (a, r), xi of weight 0 as each term of Z - X carries a Y;
+    # a constant term, of degree (0, 0), raises ValueError as in poly_exp
+    total = util.exp(exponent.terms, (0,) * nv, lambda m: (sum(m[:dp]), sum(m[2 * dp:])), (a, r), _mono_mul)
 
     # R(d_Y) then Y = 0: d^beta y^gamma at 0 is beta! when gamma = beta, else 0
-    exact = jet_order - R.degree()  # x-degree + |beta| <= jet_order for every |beta| <= deg R
     terms: dict[tuple[int, ...], Fraction] = {}
-    for m, c in total.terms.items():
-        r = R.poly.terms.get(m[2 * dp:])
-        if r is not None and sum(m[:dp]) <= exact:
+    for m, c in total.items():
+        coeff = R.poly.terms.get(m[2 * dp:])
+        if coeff is not None:
             key = m[:2 * dp]
-            terms[key] = terms.get(key, 0) + c * r * math.prod(math.factorial(e) for e in m[2 * dp:])
+            terms[key] = terms.get(key, 0) + c * coeff * math.prod(math.factorial(e) for e in m[2 * dp:])
     out = Poly(2 * dp, terms)
     if X is not None:
         images = [Poly.const(dp, c) for c in X[:dp]]

@@ -8,9 +8,10 @@ of the linear algebra: the dense routines convert their rows to it, and
 `common_kernel` builds its mostly-zero rows sparse from the start.
 
 The two series kernels, `graded_product` and `power_sum` (behind `exp`
-and `log`), take and return {key: Fraction} dicts but compute on integer
-numerators over one common denominator: a Fraction multiply-add costs
-two gcds and an allocation, an integer one neither.  Each output
+and `log`), are graded by an int or by a tuple of ints, bounded in each
+component.  They take and return {key: Fraction} dicts but compute on
+integer numerators over one common denominator: a Fraction multiply-add
+costs two gcds and an allocation, an integer one neither.  Each output
 coefficient is divided once.  `add_into` stays on Fraction.
 """
 
@@ -313,13 +314,20 @@ def _graded_numerators(terms: dict, degree) -> tuple[dict, int]:
     return out, d
 
 
+def _fits(d1, d2, order) -> bool:
+    """d1 + d2 within `order`: None bounds nothing, a tuple each component."""
+    if type(order) is tuple:
+        return all(a + b <= o for a, b, o in zip(d1, d2, order))
+    return order is None or d1 + d2 <= order
+
+
 def _graded_ints(lefts: dict, rights: dict, order, combine) -> dict:
     """The truncated product of two `by_degree` groupings of {key: int};
     keys whose sum cancels stay, at 0."""
     out: dict = {}
     get = out.get
     for d1, terms in lefts.items():
-        kept = [t for d2, ts in rights.items() if order is None or d1 + d2 <= order for t in ts]
+        kept = [t for d2, ts in rights.items() if _fits(d1, d2, order) for t in ts]
         for k1, c1 in terms:
             for k2, c2 in kept:
                 k = combine(k1, k2)
@@ -332,8 +340,8 @@ def graded_product(left: dict, right: dict, degree, order, combine) -> dict:
 
     The product of the terms at k1 and k2 lands on combine(k1, k2), whose
     degree is degree(k1) + degree(k2).  Terms are bucketed by degree and
-    only bucket pairs whose degrees add up to at most `order` (None: no
-    bound) are visited, so no key is built that the truncation drops.
+    only bucket pairs whose degrees add up to at most `order` (`_fits`)
+    are visited, so no key is built that the truncation drops.
     Each factor is scaled to integers by its common denominator, the
     products are summed as integers, and every key is divided once.
     """
@@ -415,7 +423,7 @@ class Series:
 
 # -- truncated exp and log --------------------------------------------------
 
-def power_sum(u: dict, weight, unit, degree, order: int, combine) -> dict:
+def power_sum(u: dict, weight, unit, degree, order, combine) -> dict:
     """sum_k weight(k) u^k truncated at `order`, for u without terms of degree 0.
 
     u^0 is {unit: 1} and u^k is the graded product u^(k-1) u.  The powers
@@ -425,12 +433,13 @@ def power_sum(u: dict, weight, unit, degree, order: int, combine) -> dict:
     the common denominator of the weights (Fractions).  A key whose
     partial sum cancels is dropped by `add_into`.
     """
-    if order < 0:
+    if not _fits(degree(unit), degree(unit), order):  # the truncation drops even the unit
         return {}
-    low = min(map(degree, u), default=order + 1)
+    size = sum if type(order) is tuple else int  # a tuple grading counts powers by its sum
+    low = min(map(size, map(degree, u)), default=size(order) + 1)
     if low < 1:
         raise ValueError("power_sum needs terms of positive degree")
-    top = order // low
+    top = size(order) // low
     weights = [weight(k) for k in range(top + 1)]
     L = math.lcm(*[w.denominator for w in weights])
     rights, d = _graded_numerators(u, degree)

@@ -52,6 +52,28 @@ def test_star_cf_matches(capsys):
     assert out == "omega^2 + 16/15"
 
 
+def test_warnings_enter_stderr_and_the_json_report(tmp_path, capsys):
+    # omega # omega^2: the unknown order-6 terms of E are dropped, and the report says so
+    with open(alg("sl2.json")) as fh:
+        data = json.load(fh)
+    data["definitions"]["omega2"] = {"H^4": "1", "H^2*(X+Y)^2": "2", "(X+Y)^4": "1"}
+    path, report = tmp_path / "sl2w.json", tmp_path / "report.json"
+    path.write_text(json.dumps(data))
+    assert run(["star-cf", str(path), "--p", "omega", "--q", "omega2", "--json", str(report)]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("warning: TruncationWarning: degrees 2 and 4:")
+    (entry,) = json.loads(report.read_text())["warnings"]
+    assert entry["category"] == "TruncationWarning" and entry["message"].startswith("degrees 2 and 4:")
+    assert err[0] == f"warning: {entry['category']}: {entry['message']}"
+
+
+def test_no_warnings_give_an_empty_list(tmp_path, capsys):
+    report = tmp_path / "report.json"
+    assert run(["star-cf", alg("sl2.json"), "--p", "omega", "--q", "omega", "--json", str(report)]) == 0
+    assert capsys.readouterr().err == ""
+    assert json.loads(report.read_text())["warnings"] == []
+
+
 def test_star_rou_unknown_name(capsys):
     code = run(["star-rou", alg("sl2.json"), "--p", "nope", "--q", "omega"])
     assert code == 2

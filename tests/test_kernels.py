@@ -5,7 +5,8 @@ numerators over a common denominator.  They must return the coefficients
 of `graded_product_reference`, `exp_reference` and `log_reference`
 (conftest), in the same key order, on the three key types of the package:
 words (free associative series), trace keys (`TraceSeries`) and monomials
-(`Poly`).
+(`Poly`).  Under a grading by a tuple, such as (x-degree, y-degree), they
+must return the results under total degree, cut to the order componentwise.
 
 The sparse eliminator `util.rref`, and `nullspace`, `solve_each` and
 `common_kernel` on it, must return what the dense Gauss-Jordan
@@ -165,6 +166,67 @@ def test_key_order_after_cancellation(u):
 def test_power_sum_needs_positive_degrees():
     with pytest.raises(ValueError):
         util.exp({(("p", 0),): Fraction(1)}, (), TraceSeries.degree, 4, _merge_keys)
+
+
+# -- gradings by a tuple -------------------------------------------------------------
+
+def bidegree(m):
+    """(x-degree, y-degree) of a monomial in x0, x1, y0, y1, w: w has weight 0."""
+    return m[0] + m[1], m[2] + m[3]
+
+
+BI_UNIT = (0,) * 5
+BI_TERMS = st.dictionaries(
+    st.tuples(*[st.integers(0, 2)] * 4, st.integers(0, 1)).filter(lambda m: sum(bidegree(m)) > 0),
+    COEFFS, max_size=5)
+BI_ORDERS = st.tuples(st.integers(0, 2), st.integers(0, 2))
+
+
+def within(terms: dict, order) -> dict:
+    return {m: c for m, c in terms.items() if all(d <= o for d, o in zip(bidegree(m), order))}
+
+
+def nonzero_fractions(terms: dict) -> bool:
+    return all(type(c) is Fraction and c for c in terms.values())
+
+
+@PROPERTY
+@given(left=BI_TERMS, right=BI_TERMS, order=BI_ORDERS)
+def test_graded_product_under_a_tuple_order_filters_the_full_product(left, right, order):
+    out = util.graded_product(left, right, bidegree, order, _mono_mul)
+    assert out == within(util.graded_product(left, right, sum, None, _mono_mul), order)
+    assert nonzero_fractions(out)
+
+
+@PROPERTY
+@given(u=BI_TERMS, order=BI_ORDERS)
+def test_exp_under_a_tuple_order_filters_the_total_degree_exp(u, order):
+    # a term within (a, r) is a product of at most a + r factors of u, each of
+    # total degree at most its (x + y)-degree plus the largest w-degree in u
+    a, r = order
+    w = max((m[4] for m in u), default=0)
+    out = util.exp(u, BI_UNIT, bidegree, order, _mono_mul)
+    assert out == within(util.exp(u, BI_UNIT, sum, (a + r) * (1 + w), _mono_mul), order)
+    assert nonzero_fractions(out)
+
+
+@PROPERTY
+@given(u=BI_TERMS, v=BI_TERMS, n=st.integers(-1, 4))
+def test_a_one_component_tuple_order_is_the_int_order(u, v, n):
+    """The int path is pinned to the reference loops above; a 1-tuple grading gives its dicts."""
+    def total(m):
+        return (sum(m),)
+
+    assert same(util.graded_product(u, v, total, (n,), _mono_mul), util.graded_product(u, v, sum, n, _mono_mul))
+    assert same(util.exp(u, BI_UNIT, total, (n,), _mono_mul), util.exp(u, BI_UNIT, sum, n, _mono_mul))
+
+
+def test_power_sum_under_a_tuple_order():
+    with pytest.raises(ValueError):  # every term needs a positive component sum
+        util.exp({(0, 0, 0, 0, 1): Fraction(1)}, BI_UNIT, bidegree, (2, 2), _mono_mul)
+    assert util.exp({(1, 0, 0, 0, 0): Fraction(1)}, BI_UNIT, bidegree, (2, -1), _mono_mul) == {}
+    assert util.exp({(1, 0, 0, 0, 1): Fraction(1)}, BI_UNIT, bidegree, (2, 0), _mono_mul) == \
+        {BI_UNIT: 1, (1, 0, 0, 0, 1): 1, (2, 0, 0, 0, 2): Fraction(1, 2)}
 
 
 # -- sparse elimination -------------------------------------------------------

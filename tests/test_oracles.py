@@ -136,7 +136,8 @@ def test_group_type_rouviere_is_the_plain_product(group_type_invariants, name, p
 
 # -- Duflo's problem against Riemannian geometry ---------------------------------
 
-JET = 6
+#: name -> jet of the Casimir operator; sl4/so(4), the ladder's largest pair, at jet 4
+JETS = {"sl2": 6, "sl3": 6, "sl4": 4}
 
 
 def standard_j(n, a):
@@ -146,32 +147,34 @@ def standard_j(n, a):
 
 @pytest.fixture(scope="module")
 def casimir_operators(sl2_pair, omega):
-    """name -> (pair, R, exp_coord_operator(pair, R, JET)) for a quadratic Casimir R."""
-    sl3 = sl_so(3)
-    cases = {"sl2": (sl2_pair, omega), "sl3": (sl3, killing_casimir(sl3, "p"))}
-    return {name: (pair, R, exp_coord_operator(pair, R, JET)) for name, (pair, R) in cases.items()}
+    """name -> (pair, R, exp_coord_operator(pair, R, JETS[name])) for a quadratic Casimir R."""
+    cases = {"sl2": (sl2_pair, omega)}
+    for n in (3, 4):
+        pair = sl_so(n)
+        cases[f"sl{n}"] = (pair, killing_casimir(pair, "p"))
+    return {name: (pair, R, exp_coord_operator(pair, R, JETS[name])) for name, (pair, R) in cases.items()}
 
 
-@pytest.mark.parametrize("name", ["sl2", "sl3"])
+@pytest.mark.parametrize("name", ["sl2", "sl3", "sl4"])
 def test_exp_coord_casimir_is_the_laplace_beltrami_operator(casimir_operators, name):
     # The invariant operator of the Casimir is the Laplace-Beltrami operator
     # plus a constant; exp_coord_operator writes it conjugated by J^(1/2),
     # and it acts on half-densities only when J = J_g.
     pair, R, operator = casimir_operators[name]
-    dp = pair.dim_p
+    dp, jet = pair.dim_p, JETS[name]
 
-    def through_jet(symbol):  # x-degree <= JET - 2, where the jet truncation does not reach
-        return {m: c for m, c in symbol.terms.items() if sum(m[:dp]) <= JET - 2}
+    def through_jet(symbol):  # x-degree <= jet - 2, where the jet truncation does not reach
+        return {m: c for m, c in symbol.terms.items() if sum(m[:dp]) <= jet - 2}
 
-    expected = through_jet(laplace_beltrami_symbol(pair, R, JET, standard_j))
-    assert any(sum(m[:dp]) == JET - 2 for m in expected)  # the oracle reaches the compared degree
+    expected = through_jet(laplace_beltrami_symbol(pair, R, jet, standard_j))
+    assert any(sum(m[:dp]) == jet - 2 for m in expected)  # the oracle reaches the compared degree
     assert operator.terms == expected
 
 
 @pytest.mark.parametrize("name", ["sl2", "sl3"])
 def test_composition_with_the_casimir_operator_is_rouviere_sharp(casimir_operators, name):
     # R -> D_R is an algebra isomorphism, so D_(P # R) = D_P o D_R; its symbol at
-    # x = 0 is P # R.  D_R is exact through x-degree JET - 2 = 4 = deg P.
+    # x = 0 is P # R.  D_R is exact through x-degree 6 - 2 = 4 = deg P.
     pair, R, operator = casimir_operators[name]
     P = R * R
     assert composition_symbol_at_origin(P, operator) == rouviere_sharp(pair, P, R).poly

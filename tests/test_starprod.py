@@ -372,6 +372,26 @@ def test_exp_coord_jet_is_unchanged_by_a_higher_jet(name, request):
         assert exp_coord_operator(pair, R, jet).terms == kept
 
 
+@pytest.mark.parametrize("name", ["diagonal_pair", "solvable_pair"])
+def test_exp_coord_forms_only_its_exact_jet(name, request, monkeypatch):
+    """Its exponential forms no term of x-degree above jet - deg R or of y-degree above deg R."""
+    pair = request.getfixturevalue(name)
+    R, jet = next((R, jet) for R, jet in _exp_coord_cases(pair, 7) if 2 <= R.degree() < jet)
+    dp = pair.dim_p
+    formed = []
+    original = util.power_sum
+
+    def recording(u, weight, unit, *rest):
+        out = original(u, weight, unit, *rest)
+        if unit == (0,) * (3 * dp):  # the exponential, not a density series
+            formed.extend(out)
+        return out
+
+    monkeypatch.setattr(util, "power_sum", recording)
+    exp_coord_operator(pair, R, jet)
+    assert formed and all(sum(m[:dp]) <= jet - R.degree() and sum(m[2 * dp:]) <= R.degree() for m in formed)
+
+
 def test_exp_coord_sl2_against_uea_factorization_oracle(sl2_pair, omega):
     """Independent oracle: move J^(1/2)(Y) onto R by adjunction and use the
     group-factorization series of the per-degree solver instead of z_sym."""
