@@ -5,10 +5,13 @@ variables.  Exponent tuples are dense (length == nvars) which keeps hashing
 and arithmetic simple.  Rings have up to a few dozen variables (sl(4)/so(4)
 has dimension 15 and dim p = 9, and the exponential-coordinate symbols use
 three copies of p) and degrees stay small, so dense exponents cost little.
-A product truncated by total degree never forms a monomial above the
+The product, the substitution and `poly_exp` take the grading of the
+`util` kernels: an order, an int or a tuple, under a `degree` of a
+monomial, by default its total degree, so (x-degree, y-degree) cuts them
+as one bound.  A truncated product never forms a monomial above the
 bound (`util.graded_product`); it and `poly_exp` (`util.exp`) multiply
 integer numerators over a common denominator and return Fractions.
-Sums, substitution and derivatives stay on Fraction.
+Sums and derivatives stay on Fraction.
 """
 
 from __future__ import annotations
@@ -33,6 +36,13 @@ class Poly:
                 c = frac(c)
                 if c:
                     self.terms[tuple(mono)] = c
+
+    @classmethod
+    def _of(cls, nvars: int, terms: dict) -> "Poly":
+        """A Poly on terms that are already normalized (nvars-tuple keys, nonzero Fractions)."""
+        p = cls.__new__(cls)
+        p.nvars, p.terms = nvars, terms
+        return p
 
     @classmethod
     def zero(cls, nvars: int) -> "Poly":
@@ -76,16 +86,12 @@ class Poly:
     def __add__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
             other = Poly.const(self.nvars, other)
-        p = Poly(self.nvars)
-        p.terms = util.add_into(dict(self.terms), other.terms)
-        return p
+        return Poly._of(self.nvars, util.add_into(dict(self.terms), other.terms))
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        p = Poly(self.nvars)
-        p.terms = {m: -c for m, c in self.terms.items()}
-        return p
+        return Poly._of(self.nvars, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
@@ -97,10 +103,7 @@ class Poly:
 
     def scale(self, c) -> "Poly":
         c = frac(c)
-        p = Poly(self.nvars)
-        if c:
-            p.terms = {m: c * v for m, v in self.terms.items()}
-        return p
+        return Poly._of(self.nvars, {m: c * v for m, v in self.terms.items()} if c else {})
 
     def __mul__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
@@ -109,12 +112,11 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def mul(self, other: "Poly", max_degree: int | None = None) -> "Poly":
-        """The product, truncated by total degree when max_degree is given."""
+    def mul(self, other: "Poly", order=None, degree=sum) -> "Poly":
+        """The product, truncated at `order` (an int or a tuple) under `degree`
+        when an order is given (`util.graded_product`)."""
         assert self.nvars == other.nvars
-        p = Poly(self.nvars)
-        p.terms = util.graded_product(self.terms, other.terms, sum, max_degree, _mono_mul)
-        return p
+        return Poly._of(self.nvars, util.graded_product(self.terms, other.terms, degree, order, _mono_mul))
 
     def diff(self, i: int) -> "Poly":
         return self.diff_mono(tuple(1 if t == i else 0 for t in range(self.nvars)))
@@ -132,35 +134,29 @@ class Poly:
                     c *= math.perm(m[i], a)
                     m2[i] -= a
                 out[tuple(m2)] = c
-        p = Poly(self.nvars)
-        p.terms = out
-        return p
+        return Poly._of(self.nvars, out)
 
     def diff_by(self, op: "Poly") -> "Poly":
         """The constant-coefficient operator with symbol `op`: x^alpha acts as d^alpha."""
         out: dict[tuple[int, ...], Fraction] = {}
         for alpha, c in op.terms.items():
             util.add_into(out, self.diff_mono(alpha).terms, c)
-        p = Poly(self.nvars)
-        p.terms = out
-        return p
+        return Poly._of(self.nvars, out)
 
     def derivation(self, images: list["Poly"]) -> "Poly":
         """Image under the derivation sending variable i to images[i]."""
         used = {i for m in self.terms for i, e in enumerate(m) if e}
-        out = Poly(self.nvars)
+        out: dict[tuple[int, ...], Fraction] = {}
         for i in sorted(used):
             if images[i]:
-                util.add_into(out.terms, images[i].mul(self.diff(i)).terms)
-        return out
+                util.add_into(out, images[i].mul(self.diff(i)).terms)
+        return Poly._of(self.nvars, out)
 
     def degree(self) -> int:
         return max((sum(m) for m in self.terms), default=0)
 
     def truncate(self, max_degree: int) -> "Poly":
-        p = Poly(self.nvars)
-        p.terms = {m: c for m, c in self.terms.items() if sum(m) <= max_degree}
-        return p
+        return Poly._of(self.nvars, {m: c for m, c in self.terms.items() if sum(m) <= max_degree})
 
     def evaluate(self, values) -> Fraction:
         """Evaluate at a point given by one Fraction per variable."""
@@ -173,11 +169,12 @@ class Poly:
             total += term
         return total
 
-    def subs(self, images: list["Poly"], max_degree: int | None = None) -> "Poly":
+    def subs(self, images: list["Poly"], order=None, degree=sum) -> "Poly":
         """Substitute variable i -> images[i] (all in a common target ring).
 
-        Each power images[i]^k is formed once per call, truncated at
-        max_degree like every product here.
+        Each power images[i]^k is formed once per call.  Every product,
+        the first power included, is truncated at `order` under `degree`
+        like `mul`, so the result is the full substitution cut by that grading.
         """
         tgt = images[0].nvars if images else 0
         one = Poly.const(tgt, 1)
@@ -189,12 +186,10 @@ class Poly:
                 if k:
                     pw = powers[i]
                     while len(pw) <= k:
-                        pw.append(pw[-1].mul(images[i], max_degree))
-                    term = pw[k] if term is one else term.mul(pw[k], max_degree)
+                        pw.append(pw[-1].mul(images[i], order, degree))
+                    term = pw[k] if term is one else term.mul(pw[k], order, degree)
             util.add_into(out, term.terms, c)
-        p = Poly(tgt)
-        p.terms = out
-        return p
+        return Poly._of(tgt, out)
 
     def coefficient(self, exps) -> Fraction:
         return self.terms.get(tuple(exps), Fraction(0))
@@ -203,9 +198,7 @@ class Poly:
         return self.terms.get((0,) * self.nvars, Fraction(0))
 
     def homogeneous_part(self, d: int) -> "Poly":
-        p = Poly(self.nvars)
-        p.terms = {m: c for m, c in self.terms.items() if sum(m) == d}
-        return p
+        return Poly._of(self.nvars, {m: c for m, c in self.terms.items() if sum(m) == d})
 
     def __repr__(self):
         return f"Poly({self.nvars}, {self.terms!r})"
@@ -215,13 +208,12 @@ def _mono_mul(m1: tuple[int, ...], m2: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(map(operator.add, m1, m2))
 
 
-def poly_exp(a: Poly, max_degree: int) -> Poly:
-    """exp of a polynomial with zero constant term, truncated by total degree."""
+def poly_exp(a: Poly, order, degree=sum) -> Poly:
+    """exp of a polynomial with zero constant term, truncated at `order` (an
+    int or a tuple) under `degree` (`util.exp`)."""
     if a.constant() != 0:
         raise ValueError("poly_exp needs a zero constant term")
-    p = Poly(a.nvars)
-    p.terms = util.exp(a.terms, (0,) * a.nvars, sum, max_degree, _mono_mul)
-    return p
+    return Poly._of(a.nvars, util.exp(a.terms, (0,) * a.nvars, degree, order, _mono_mul))
 
 
 def monomials_of_degree(nvars: int, d: int):

@@ -73,21 +73,22 @@ class BlockPolynomial:
         return self.poly.evaluate(coords)
 
     def to_g(self) -> "BlockPolynomial":
-        """Reinterpret a p-polynomial inside S(g)."""
+        """Reinterpret a p-polynomial inside S(g): the p symbols come first, so
+        each exponent gains dim_k zero exponents of the k symbols."""
         if self.space == "g":
             return self
-        if not self.pair.dim_p:  # a constant, and subs has no image to read the ring of S(g) from
-            return BlockPolynomial.constant(self.pair, "g", self.poly.constant())
-        images = [Poly.var(self.pair.dim, i) for i in self.pair.block_indices("p")]
-        return BlockPolynomial(self.pair, "g", self.poly.subs(images))
+        pad = (0,) * self.pair.dim_k
+        terms = {m + pad: c for m, c in self.poly.terms.items()}
+        return BlockPolynomial(self.pair, "g", Poly._of(self.pair.dim, terms))
 
     def restrict_to_p(self) -> "BlockPolynomial":
-        """Set every k symbol to 0 (restriction to the k-annihilator)."""
+        """Set every k symbol to 0 (restriction to the k-annihilator): the terms
+        free of k symbols, their exponents cut to the leading p symbols."""
         if self.space == "p":
             return self
         dp = self.pair.dim_p
-        images = [Poly.var(dp, t) for t in range(dp)] + [Poly.zero(dp)] * self.pair.dim_k
-        return BlockPolynomial(self.pair, "p", self.poly.subs(images))
+        terms = {m[:dp]: c for m, c in self.poly.terms.items() if not any(m[dp:])}
+        return BlockPolynomial(self.pair, "p", Poly._of(dp, terms))
 
     def __repr__(self):
         return f"BlockPolynomial({self.space}, {self.poly.terms!r})"

@@ -30,7 +30,7 @@ from .liealg import (
     polarization_check,
     trace_alternation,
 )
-from .poly import Poly, _mono_mul, poly_exp
+from .poly import Poly, poly_exp
 from .polyops import BlockPolynomial, require_invariant
 from .series import TraceSeries, log_density
 
@@ -97,7 +97,7 @@ def _bidiff_symbol(pair: SymmetricPair, lam: Character) -> Poly:
                 log_sym = log_sym + hval[i].scale(lam.values[i - dp])
     W = pair.bracket_poly(Xs, Ys)
     log_sym = log_sym + LN_E_SERIES.as_polynomial(pair, "k").subs([W[i] for i in pair.block_indices("k")], order)
-    return poly_exp(log_sym.truncate(order), order)
+    return poly_exp(log_sym, order)
 
 
 def star_cf(pair: SymmetricPair, f: BlockPolynomial, g: BlockPolynomial,
@@ -153,10 +153,11 @@ def exp_coord_operator(pair: SymmetricPair, R: BlockPolynomial, jet_order: int, 
     the symbol (xi) coordinates.  The result is exact and holds every term
     of x-degree <= jet_order - deg R, and no other: R(d_Y) reads y-degrees up
     to deg R, and Z is known only through (X,Y)-order jet_order.  Only that
-    jet is formed: Z and the exponential are cut at x-degree jet_order - deg R
-    and y-degree deg R, xi of weight 0.  A concrete
-    X, given by its dim_p p-coordinates or as an adapted vector of g with
-    k-part 0, is substituted for the X variables of that jet.
+    jet is formed: Z, the three substitutions into l and the exponential are
+    cut by the one grading (x-degree, y-degree) <= (jet_order - deg R, deg R),
+    xi of weight 0.  At jet_order 0, R is a constant and so is the result.  A
+    concrete X, given by its dim_p p-coordinates or as an adapted vector of g
+    with k-part 0, is substituted for the X variables of that jet.
     """
     if R.space != "p":
         raise ValueError("R must be a p-polynomial")
@@ -170,23 +171,27 @@ def exp_coord_operator(pair: SymmetricPair, R: BlockPolynomial, jet_order: int, 
             raise ValueError(f"X = {util.fmt_vec(X)} must be {dp} p-coordinates "
                              f"or an adapted vector of length {pair.dim} that lies in p")
     nv = 3 * dp  # x block, xi block, y block
-    r, a = R.degree(), jet_order - R.degree()  # the exact jet: y-degree <= r, x-degree <= a
+    r, a = R.degree(), jet_order - R.degree()
+    jet = (a, r)  # the exact jet: x-degree <= a, y-degree <= r
+
+    def grade(m):  # xi has weight 0: each term of Z - X carries a Y, so xi-degree <= y-degree
+        return sum(m[:dp]), sum(m[2 * dp:])
+
     xs = pair.symbolic_vector("p", nv, 0)
     ys = pair.symbolic_vector("p", nv, 2 * dp)
-    words = {w: c for w, c in z_sym(jet_order).terms.items() if len(w) - sum(w) <= a and sum(w) <= r}
+    # z_sym starts at order 1; at jet 0 (R constant) the cut keeps none of its words
+    words = {w: c for w, c in z_sym(max(jet_order, 1)).terms.items() if len(w) - sum(w) <= a and sum(w) <= r}
     Z = FreeLieSeries(jet_order, words).evaluate_poly(pair, xs, ys)  # i X's, j Y's: x-degree i, y-degree j
 
-    l = log_density("J_half", jet_order).as_polynomial(pair, "p")  # l(Z) past order a + r leaves the jet
-    exponent = l.truncate(r).subs(ys[:dp]) + l.truncate(a).subs(xs[:dp]) - l.subs(Z[:dp], jet_order)
+    l = log_density("J_half", jet_order).as_polynomial(pair, "p")
+    exponent = l.subs(ys[:dp], jet, grade) + l.subs(xs[:dp], jet, grade) - l.subs(Z[:dp], jet, grade)
     for t, i in enumerate(pair.block_indices("p")):
         exponent = exponent + (Z[i] - Poly.var(nv, t)).mul(Poly.var(nv, dp + t))
-    # cut at (x-degree, y-degree) <= (a, r), xi of weight 0 as each term of Z - X carries a Y;
-    # a constant term, of degree (0, 0), raises ValueError as in poly_exp
-    total = util.exp(exponent.terms, (0,) * nv, lambda m: (sum(m[:dp]), sum(m[2 * dp:])), (a, r), _mono_mul)
+    total = poly_exp(exponent, jet, grade)
 
     # R(d_Y) then Y = 0: d^beta y^gamma at 0 is beta! when gamma = beta, else 0
     terms: dict[tuple[int, ...], Fraction] = {}
-    for m, c in total.items():
+    for m, c in total.terms.items():
         coeff = R.poly.terms.get(m[2 * dp:])
         if coeff is not None:
             key = m[:2 * dp]

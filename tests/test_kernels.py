@@ -6,7 +6,8 @@ of `graded_product_reference`, `exp_reference` and `log_reference`
 (conftest), in the same key order, on the three key types of the package:
 words (free associative series), trace keys (`TraceSeries`) and monomials
 (`Poly`).  Under a grading by a tuple, such as (x-degree, y-degree), they
-must return the results under total degree, cut to the order componentwise.
+must return the results under total degree, cut to the order componentwise,
+and so must `Poly.subs` and `poly_exp`, which take the same grading.
 
 The sparse eliminator `util.rref`, and `nullspace`, `solve_each` and
 `common_kernel` on it, must return what the dense Gauss-Jordan
@@ -22,7 +23,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sympair import util
-from sympair.poly import _mono_mul
+from sympair.poly import Poly, _mono_mul, poly_exp
 from sympair.series import TraceSeries, _merge_keys
 
 from conftest import exp_reference, graded_product_reference, log_reference, rref_dense_reference
@@ -227,6 +228,30 @@ def test_power_sum_under_a_tuple_order():
     assert util.exp({(1, 0, 0, 0, 0): Fraction(1)}, BI_UNIT, bidegree, (2, -1), _mono_mul) == {}
     assert util.exp({(1, 0, 0, 0, 1): Fraction(1)}, BI_UNIT, bidegree, (2, 0), _mono_mul) == \
         {BI_UNIT: 1, (1, 0, 0, 0, 1): 1, (2, 0, 0, 0, 2): Fraction(1, 2)}
+
+
+BI_IMAGES = st.lists(st.dictionaries(st.tuples(*[st.integers(0, 2)] * 4, st.integers(0, 1)), COEFFS, max_size=3),
+                     min_size=3, max_size=3)
+SOURCES = st.dictionaries(st.tuples(*[st.integers(0, 2)] * 3), COEFFS, max_size=5)
+
+
+@PROPERTY
+@given(f=SOURCES, images=BI_IMAGES, order=BI_ORDERS)
+def test_poly_subs_under_a_tuple_order_filters_the_full_substitution(f, images, order):
+    f, images = Poly(3, f), [Poly(5, image) for image in images]
+    out = f.subs(images, order, bidegree)
+    assert out.terms == within(f.subs(images).terms, order)
+    assert nonzero_fractions(out.terms)
+
+
+@PROPERTY
+@given(u=BI_TERMS, order=BI_ORDERS)
+def test_poly_exp_under_a_tuple_order_filters_the_total_degree_exp(u, order):
+    # as for util.exp above: a + r factors of u, each of total degree at most (1 + w) times its grade
+    a, r = order
+    w = max((m[4] for m in u), default=0)
+    u = Poly(5, u)
+    assert poly_exp(u, order, bidegree).terms == within(poly_exp(u, (a + r) * (1 + w)).terms, order)
 
 
 # -- sparse elimination -------------------------------------------------------

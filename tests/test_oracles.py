@@ -8,7 +8,8 @@ Casimir of S(g)^g and on the group-type pairs G x G / G, the agreement of
 Laplace-Beltrami operator, which holds only for the Riemannian volume
 J = det_p(sinh ad X / ad X).  Beyond the normalization: the composition of
 invariant operators in exponential coordinates, the Moyal product on the
-Heisenberg pair h3 and on n3D, and the order-6 gaps of `star_cf`.
+Heisenberg pair h3 and on n3D, the plain product on the solvable pairs
+solvable4 and aff1's coadjoint pair (E = 1), and the order-6 gaps of `star_cf`.
 """
 
 import itertools
@@ -19,7 +20,7 @@ from conftest import composition_symbol_at_origin, laplace_beltrami_symbol, moya
 
 from sympair import util
 from sympair.errors import TruncationWarning
-from sympair.liealg import Character, group_type, pair_from_matrices, sl_so
+from sympair.liealg import Character, LieAlgebraDef, coadjoint_semidirect, group_type, pair_from_matrices, sl_so
 from sympair.poly import Poly, monomials_of_degree
 from sympair.polyops import BlockPolynomial, invariant_subspace
 from sympair.starprod import exp_coord_operator, star_cf
@@ -209,7 +210,7 @@ def test_heisenberg_rouviere_is_the_moyal_product(h3, c):
     # k is central, so S(p)^k = S(p) and the product at lambda(E13) = c is Weyl's
     assert h3.adapted_names == ["u", "v", "z"]
     lam = Character(h3, [c])
-    monomials = [BlockPolynomial(h3, "p", Poly.monomial(2, m)) for d in range(4) for m in monomials_of_degree(2, d)]
+    monomials = [BlockPolynomial(h3, "p", Poly.monomial(2, m)) for d in range(5) for m in monomials_of_degree(2, d)]
     for f, g in itertools.product(monomials, repeat=2):
         assert rouviere_sharp(h3, f, g, lam).poly == moyal(f.poly, g.poly, c)
 
@@ -237,3 +238,20 @@ def test_n3d_rouviere_is_the_moyal_product(n3d, c):
     assert [f.poly for f in invariant_subspace(n3d, 2)] == [powers[1].poly]
     for f, g in itertools.product(powers, repeat=2):
         assert rouviere_sharp(n3d, f, g, lam).poly == moyal(f.poly, g.poly, c)
+
+
+# -- closed-form pairs: E = 1 on solvable pairs --------------------------------------
+
+@pytest.mark.parametrize("name", ["solvable4", "aff1_coad"])
+def test_solvable_rouviere_is_the_plain_product(name, request):
+    """Rouviere's E = 1 on solvable pairs: at lambda = 0, tr_k / 2 and tr_k the
+    product of invariants of degree 1 to 4 is the pointwise one."""
+    if name == "aff1_coad":
+        pair = coadjoint_semidirect(LieAlgebraDef("aff1", ["a", "b"], {(0, 1): {1: 1}}))
+    else:
+        pair = request.getfixturevalue("solvable_pair")
+    invariants = [f for d in range(1, 5) for f in invariant_subspace(pair, d)]
+    trk = pair.trk_character()
+    for lam in (pair.zero_character(), trk.scale(Fraction(1, 2)), trk):
+        for f, g in itertools.product(invariants, repeat=2):
+            assert rouviere_sharp(pair, f, g, lam) == f * g

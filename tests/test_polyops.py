@@ -82,6 +82,20 @@ def test_to_g_and_restrict_to_p(solvable_pair):
     assert BlockPolynomial.constant(trivial, "p", 3).to_g() == BlockPolynomial.constant(trivial, "g", 3)
 
 
+@pytest.mark.parametrize("fixture", ["sl2_pair", "solvable_pair", "diagonal_pair"])
+def test_to_g_and_restrict_to_p_are_substitutions(fixture, request):
+    """Padding and slicing exponents give the substitutions p -> g and (p, k) -> (p, 0), in the same term order."""
+    pair = request.getfixturevalue(fixture)
+    dp, n = pair.dim_p, pair.dim
+    into_g = [Poly.var(n, i) for i in range(dp)]
+    onto_p = [Poly.var(dp, t) for t in range(dp)] + [Poly.zero(dp)] * pair.dim_k
+    rng = random.Random(41)
+    for _ in range(10):
+        f, g = random_block_poly(pair, "p", 4, rng), random_block_poly(pair, "g", 3, rng)
+        assert list(f.to_g().poly.terms.items()) == list(f.poly.subs(into_g).terms.items())
+        assert list(g.restrict_to_p().poly.terms.items()) == list(g.poly.subs(onto_p).terms.items())
+
+
 # -- invariants ------------------------------------------------------------------
 
 def test_sl2_invariants(sl2_pair, omega):

@@ -333,15 +333,14 @@ def test_exp_coord_compiles_two_series(sl2_pair, omega, monkeypatch, call, count
 
 def _exp_coord_cases(pair, seed):
     """(R, jet): R a random combination of the invariants of every degree <= d, the
-    constant included, for each d in 0..4 where invariants exist, at jets d (at least 1)
-    and d + 1."""
+    constant included, for each d in 0..4 where invariants exist, at jets d and d + 1."""
     rng = random.Random(seed)
     R = BlockPolynomial.zero(pair, "p")
     for d in range(5):
         basis = invariant_subspace(pair, d)
         if basis:
             R = sum((b.scale(Fraction(rng.randint(-5, 5) or 1, rng.randint(1, 3))) for b in basis), R)
-            for jet in sorted({max(d, 1), d + 1}):
+            for jet in (d, d + 1):
                 yield R, jet
 
 
@@ -374,22 +373,48 @@ def test_exp_coord_jet_is_unchanged_by_a_higher_jet(name, request):
 
 @pytest.mark.parametrize("name", ["diagonal_pair", "solvable_pair"])
 def test_exp_coord_forms_only_its_exact_jet(name, request, monkeypatch):
-    """Its exponential forms no term of x-degree above jet - deg R or of y-degree above deg R."""
+    """Neither its exponential nor a product of its three substitutions into
+    log J^(1/2) forms a term of x-degree above jet - deg R or of y-degree above deg R."""
     pair = request.getfixturevalue(name)
     R, jet = next((R, jet) for R, jet in _exp_coord_cases(pair, 7) if 2 <= R.degree() < jet)
     dp = pair.dim_p
-    formed = []
-    original = util.power_sum
+    exponential, substituted, substituting = [], [], []
+    power_sum, subs, mul = util.power_sum, Poly.subs, Poly.mul
 
-    def recording(u, weight, unit, *rest):
-        out = original(u, weight, unit, *rest)
+    def recording_power_sum(u, weight, unit, *rest):
+        out = power_sum(u, weight, unit, *rest)
         if unit == (0,) * (3 * dp):  # the exponential, not a density series
-            formed.extend(out)
+            exponential.extend(out)
         return out
 
-    monkeypatch.setattr(util, "power_sum", recording)
+    def recording_subs(poly, images, *rest):
+        substituting.append(images[0].nvars == 3 * dp)  # into the (x, xi, y) ring
+        try:
+            return subs(poly, images, *rest)
+        finally:
+            substituting.pop()
+
+    def recording_mul(poly, other, *rest):
+        out = mul(poly, other, *rest)
+        if substituting and substituting[-1]:
+            substituted.extend(out.terms)
+        return out
+
+    monkeypatch.setattr(util, "power_sum", recording_power_sum)
+    monkeypatch.setattr(Poly, "subs", recording_subs)
+    monkeypatch.setattr(Poly, "mul", recording_mul)
     exp_coord_operator(pair, R, jet)
-    assert formed and all(sum(m[:dp]) <= jet - R.degree() and sum(m[2 * dp:]) <= R.degree() for m in formed)
+    for formed in (exponential, substituted):
+        assert formed and all(sum(m[:dp]) <= jet - R.degree() and sum(m[2 * dp:]) <= R.degree() for m in formed)
+
+
+@pytest.mark.parametrize("name", EXP_COORD_PAIRS)
+def test_exp_coord_at_jet_zero_is_R(name, request):
+    # deg R <= jet 0: R is a constant, and so is its operator
+    pair = _exp_coord_pair(name, request)
+    R = BlockPolynomial.constant(pair, "p", Fraction(-7, 3))
+    assert exp_coord_operator(pair, R, 0) == Poly.const(2 * pair.dim_p, Fraction(-7, 3))
+    assert exp_coord_operator(pair, R, 0, X=(1,) * pair.dim_p) == Poly.const(pair.dim_p, Fraction(-7, 3))
 
 
 def test_exp_coord_sl2_against_uea_factorization_oracle(sl2_pair, omega):
