@@ -1,24 +1,30 @@
 """Generalized Iwasawa data and the Harish-Chandra restriction.
 
 Iwasawa data is user supplied and only validated here: the package checks
-that k0 + r is a basis of k, the direct sum g = k + p0 + n+, the subalgebra
-and stability conditions of the little pair g0 = k0 + p0, and that
-sigma(n+) closes the triangular decomposition.  The projection itself is
-the substitution sending every p symbol to its p0 component along
-g = (k + n+) + p0.
+that k0 + r is a basis of k, the direct sum g = k + p0 + n+, that n+ and
+the little pair g0 = k0 + p0 are subalgebras and that p0 and k0 normalize
+n+, and that sigma(n+) closes the triangular decomposition.  Valid data
+carries the Iwasawa basis `basis` = (n+, p0, k0, r), the coordinates
+`coords` of every adapted basis vector in it (one elimination, read by
+`hc_restrict` and `uea.hc_projection_uea`), and, when g0 != 0, the little
+pair `little`: g0 as a SymmetricPair on the basis (p0, k0), sigma = -1 on
+p0 and +1 on k0.  The restriction is the substitution sending every p
+symbol to its p0 component along g = (k + n+) + p0; its image is checked
+for k0-invariance by `polyops.is_invariant` on the little pair.
 """
 
 from __future__ import annotations
 
 from . import util
 from .errors import InvalidIwasawa, NotInvariant, NotNormalizing
-from .liealg import SymmetricPair
+from .liealg import SymmetricPair, escaping_brackets
 from .poly import Poly
 from .polyops import BlockPolynomial, is_invariant
 
 
 class IwasawaData:
-    """Ordered Iwasawa blocks, all vectors in adapted coordinates."""
+    """Ordered Iwasawa blocks, all vectors in adapted coordinates; once they
+    validate, also `basis`, `coords` and `little` (see the module docstring)."""
 
     def __init__(self, pair: SymmetricPair, p0, n_plus, k0, r):
         self.pair = pair
@@ -29,6 +35,15 @@ class IwasawaData:
         report = validate_iwasawa(self)
         if report:
             raise InvalidIwasawa("; ".join(report))
+        self.basis = self.n_plus + self.p0 + self.k0 + self.r
+        self.coords = util.solve_each(util.mat_from_cols(self.basis),
+                                      [util.unit_vec(pair.dim, i) for i in range(pair.dim)])
+        g0 = self.p0 + self.k0
+        units = [util.unit_vec(len(g0), i) for i in range(len(g0))]
+        p_units, k_units = units[:len(self.p0)], units[len(self.p0):]
+        sigma = util.mat_from_cols([util.vec_scale(-1, u) for u in p_units] + k_units)
+        # there is no algebra of dimension 0, so g0 = 0 has no little pair
+        self.little = SymmetricPair(pair.adapted.rebased(g0), sigma, adapted=(p_units, k_units)) if g0 else None
 
     @property
     def n_minus(self):
@@ -59,21 +74,14 @@ def validate_iwasawa(data: IwasawaData) -> list[str]:
         problems.append("k0 + r is not a basis of k")
 
     g0 = data.k0 + data.p0
-    g0_span = util.span_rref(list(g0))
-    for a in range(len(g0)):
-        for b in range(a + 1, len(g0)):
-            w = pair.adapted.bracket(g0[a], g0[b])
-            if not util.span_contains(g0_span, w):
-                problems.append(f"g0 is not a subalgebra: [{a},{b}] escapes")
+    for a, b in escaping_brackets(pair.adapted, g0, g0, g0):
+        problems.append(f"g0 is not a subalgebra: [{a},{b}] escapes")
     # sigma stability of g0 is automatic for blocks chosen inside p and k
 
-    n_span = util.span_rref(list(data.n_plus))
-    for label, block in (("p0", data.p0), ("k0", data.k0)):
-        for u in block:
-            for v in data.n_plus:
-                w = pair.adapted.bracket(u, v)
-                if not util.span_contains(n_span, w):
-                    problems.append(f"[{label}, n+] escapes n+ (witness {util.fmt_vec(u)} x {util.fmt_vec(v)})")
+    nplus = data.n_plus
+    for label, block in (("n+", nplus), ("p0", data.p0), ("k0", data.k0)):
+        for a, b in escaping_brackets(pair.adapted, block, nplus, nplus):
+            problems.append(f"[{label}, n+] escapes n+ (witness {util.fmt_vec(block[a])} x {util.fmt_vec(nplus[b])})")
     if not util.direct_sum_check([data.n_minus, g0, data.n_plus], pair.dim):
         problems.append("g != n- + g0 + n+ with n- = sigma(n+)")
     return problems
@@ -83,9 +91,10 @@ def hc_restrict(data: IwasawaData, f: BlockPolynomial, require_invariant_flag: b
     """Substitute each p symbol by its p0 component along g = (k + n+) + p0.
 
     validate_iwasawa has checked that k + n+ + p0 is a basis of g, so each
-    p symbol has exactly one such decomposition.  Returns a polynomial in
-    the p0-basis coordinates.  With the flag set,
-    f must be k-invariant and the image is checked to be k0-invariant.
+    p symbol has exactly one such decomposition: the p0 block of its
+    coordinates in `data.basis`, as k0 + r spans k.  Returns a polynomial in
+    the p0-basis coordinates.  With the flag set, f must be k-invariant and
+    the image is checked to be k0-invariant on the little pair.
     """
     pair = data.pair
     if f.space != "p":
@@ -93,30 +102,13 @@ def hc_restrict(data: IwasawaData, f: BlockPolynomial, require_invariant_flag: b
     if require_invariant_flag and not is_invariant(pair, f):
         raise NotInvariant("f is not k-invariant")
 
-    # decomposition matrix: columns are (k, n+, p0) basis vectors
-    k_basis = [util.unit_vec(pair.dim, i) for i in range(pair.dim_p, pair.dim)]
-    cols = util.mat_from_cols(list(k_basis) + list(data.n_plus) + list(data.p0))
-    xs = util.solve_each(cols, [util.unit_vec(pair.dim, i) for i in pair.block_indices("p")])
-    skip = len(k_basis) + len(data.n_plus)
-    out = f.poly.subs([Poly.linear(x[skip:]) for x in xs])
-    if require_invariant_flag and not _is_k0_invariant(data, out):
-        raise NotInvariant("image is not k0-invariant")
+    lo, hi = len(data.n_plus), len(data.n_plus) + len(data.p0)
+    out = f.poly.subs([Poly.linear(x[lo:hi]) for x in data.coords[:pair.dim_p]])
+    # with g0 = 0 there is no k0 whose action could move the image
+    if require_invariant_flag and data.little is not None:
+        if not is_invariant(data.little, BlockPolynomial(data.little, "p", out)):
+            raise NotInvariant("image is not k0-invariant")
     return out
-
-
-def _is_k0_invariant(data: IwasawaData, poly: Poly) -> bool:
-    """Whether every K in k0 kills `poly` as a derivation of S(p0).
-
-    validate_iwasawa makes g0 = k0 + p0 a subalgebra, so [k0, p0] lies in
-    g0 and in p, that is in p0: each [K, v] has p0 coordinates.
-    """
-    pair = data.pair
-    cols = util.mat_from_cols(list(data.p0))
-    for K in data.k0:
-        xs = util.solve_each(cols, [pair.adapted.bracket(K, v) for v in data.p0])
-        if not poly.derivation([Poly.linear(x) for x in xs]).is_zero():
-            return False
-    return True
 
 
 def weyl_invariance_check(data: IwasawaData, images: list[Poly], weyl_matrices) -> bool:

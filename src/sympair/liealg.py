@@ -490,13 +490,19 @@ def stabilizer(algebra: LieAlgebraDef, f: Vec) -> list[Vec]:
     return util.nullspace(rows, n)
 
 
+def escaping_brackets(algebra: LieAlgebraDef, us: list[Vec], vs: list[Vec], into: list[Vec]):
+    """Yield, in order, each index pair (a, b) whose bracket [us[a], vs[b]]
+    leaves span(into); when vs is us, only the pairs a < b, so each
+    unordered pair is witnessed once."""
+    span = util.span_rref(list(into))
+    for a, u in enumerate(us):
+        for b in range(a + 1 if vs is us else 0, len(vs)):
+            if not util.span_contains(span, algebra.bracket(u, vs[b])):
+                yield a, b
+
+
 def subalgebra_closed(algebra: LieAlgebraDef, basis: list[Vec]) -> bool:
-    span = util.span_rref(list(basis))
-    for a in range(len(basis)):
-        for b in range(a + 1, len(basis)):
-            if not util.span_contains(span, algebra.bracket(basis[a], basis[b])):
-                return False
-    return True
+    return next(escaping_brackets(algebra, basis, basis, basis), None) is None
 
 
 def _is_solvable(algebra: LieAlgebraDef, basis: list[Vec]) -> bool:

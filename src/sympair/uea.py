@@ -350,11 +350,8 @@ def hc_projection_uea(pair: SymmetricPair, class_poly: BlockPolynomial, iwasawa)
     the p0 symbols.
     """
     nn = len(iwasawa.n_plus)
-    ctx = PBWContext(pair, iwasawa.n_plus + iwasawa.p0 + iwasawa.k0 + iwasawa.r,
-                     k_start=nn + len(iwasawa.p0), p_start=nn)
+    ctx = PBWContext(pair, iwasawa.basis, k_start=nn + len(iwasawa.p0), p_start=nn)
     # symmetrization does not depend on the basis: substitute Iwasawa coordinates first
-    units = [util.unit_vec(pair.dim, i) for i in range(pair.dim)]
-    coords = util.solve_each(util.mat_from_cols(ctx.vectors), units)
-    u = _beta_over(ctx, range(pair.dim), class_poly.to_g().poly.subs([Poly.linear(x) for x in coords]))
+    u = _beta_over(ctx, range(pair.dim), class_poly.to_g().poly.subs([Poly.linear(x) for x in iwasawa.coords]))
     kept = UEAElement(ctx, {w: c for w, c in u.terms.items() if not w or w[0] >= nn})
     return _project(ctx, kept, pair.zero_character())

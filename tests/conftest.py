@@ -18,8 +18,9 @@ from sympair.freelie import (
 from sympair.graphs import ColoredGraph, _edge_key, _relabel
 from sympair.liealg import LieAlgebraDef, build_symmetric_pair, coadjoint_semidirect, group_type
 from sympair.poly import Poly, monomials_of_degree
-from sympair.polyops import BlockPolynomial, CEChain, k_derivation
-from sympair.uea import UEAElement
+from sympair.polyops import BlockPolynomial, CEChain, apply_series_operator, k_derivation
+from sympair.series import density_series
+from sympair.uea import UEAElement, hc_projection_uea
 
 
 # -- small constructions only the tests use -----------------------------------
@@ -545,6 +546,19 @@ def moyal(f, g, c):
             coeff = (Fraction(c) / 2) ** n / math.factorial(n) * math.comb(n, k) * (-1) ** k
             out = out + f.diff_mono((n - k, k)).mul(g.diff_mono((k, n - k))).scale(coeff)
     return out
+
+
+def hc_gamma(iw, P):
+    """gamma(P) = hc_projection_uea(d_{J^(1/2)} P), the density through order 2 ceil(deg P / 2),
+    which covers deg P: the Harish-Chandra map of the class of P, a polynomial in the p0 coordinates."""
+    order = 2 * math.ceil(P.degree() / 2)
+    return hc_projection_uea(iw.pair, apply_series_operator(iw.pair, density_series("J_half", order), P), iw)
+
+
+def shifted(f, c):
+    """f with every variable t replaced by t + c (the rho shift of p0 coordinates at c = 1)."""
+    n = f.nvars
+    return f.subs([Poly.var(n, i) + Poly.const(n, c) for i in range(n)])
 
 
 def coadjoint_orbit_point(pair, K, f, max_power=12):

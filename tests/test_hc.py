@@ -1,11 +1,14 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from conftest import hc_gamma, shifted
 
 from sympair import util
 from sympair.errors import InvalidIwasawa, NotInvariant, NotNormalizing
 from sympair.hc import IwasawaData, hc_restrict, validate_iwasawa, weyl_invariance_check
+from sympair.io import load_algebra_file, load_iwasawa, load_weyl, resolve_definition
 from sympair.poly import Poly
 from sympair.polyops import BlockPolynomial, invariant_subspace
 from sympair.uea import hc_projection_uea, rouviere_sharp
@@ -109,6 +112,35 @@ def test_two_routes_top_symbol_agreement(sl2_iwasawa, sl2_pair, omega):
         restricted = hc_restrict(sl2_iwasawa, f, False)
         through_uea = hc_projection_uea(sl2_pair, f, sl2_iwasawa)
         assert through_uea.homogeneous_part(d) == restricted.homogeneous_part(d)
+
+
+def test_empty_little_pair_restricts_to_zero(diagonal_pair):
+    """g0 = 0 on sl2diag: n+ is the first sl2 factor and r = k.  There is no
+    little pair, and every invariant restricts to 0 in no variables."""
+    pair = diagonal_pair
+    first_factor = [pair.to_adapted(util.unit_vec(pair.dim, i)) for i in range(3)]
+    iw = IwasawaData(pair, p0=[], n_plus=first_factor, k0=[],
+                     r=[pair.to_adapted(v) for v in pair.adapted_vectors[pair.dim_p:]])
+    assert iw.little is None
+    for d in (2, 4):
+        for f in invariant_subspace(pair, d):
+            assert hc_restrict(iw, f, True) == Poly.zero(0)
+
+
+def test_gamma_is_multiplicative_and_weyl_invariant_after_the_rho_shift():
+    """On algebras/sl2.json gamma (conftest.hc_gamma) turns the Rouviere
+    product into the pointwise one, and its images are fixed by the file's
+    Weyl block after H -> H + 1, but not after H -> H - 1 or unshifted."""
+    pair, data = load_algebra_file(Path(__file__).resolve().parent.parent / "algebras" / "sl2.json")
+    iw, weyl = load_iwasawa(pair, data), load_weyl(pair, data)
+    w = resolve_definition(pair, data, "omega")
+    assert hc_gamma(iw, w) == Poly(1, {(2,): 1, (1,): -2, (0,): Fraction(4, 3)})
+    for P, Q in [(w, w), (w * w, w), (w * w, w * w)]:
+        assert hc_gamma(iw, rouviere_sharp(pair, P, Q)) == hc_gamma(iw, P).mul(hc_gamma(iw, Q))
+    images = [hc_gamma(iw, f) for f in (w, w * w, rouviere_sharp(pair, w, w))]
+    assert weyl_invariance_check(iw, [shifted(f, 1) for f in images], weyl)
+    for c in (-1, 0):
+        assert not any(weyl_invariance_check(iw, [shifted(f, c)], weyl) for f in images)
 
 
 def test_weyl_checks(sl2_iwasawa):

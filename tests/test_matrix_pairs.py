@@ -15,14 +15,14 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from conftest import sl2_algebra
+from conftest import hc_gamma, shifted, sl2_algebra
 
 from sympair import LieAlgebraDef, coadjoint_semidirect, group_type, pair_from_matrices, sl_so, util
-from sympair.errors import NotInvolution, TruncationWarning
+from sympair.errors import InvalidIwasawa, NotInvolution, TruncationWarning
 from sympair.hc import IwasawaData, hc_restrict, validate_iwasawa, weyl_invariance_check
 from sympair.io import load_algebra_file
 from sympair.poly import Poly
-from sympair.polyops import invariant_subspace, is_invariant
+from sympair.polyops import BlockPolynomial, invariant_subspace, is_invariant
 from sympair.starprod import star_cf
 from sympair.uea import duflo_relation_check, rouviere_sharp
 
@@ -155,16 +155,25 @@ def test_sl_so_invariants_follow_chevalley(n, degrees):
 
 # -- Iwasawa data of sl(n)/so(n) ----------------------------------------------
 
+def adapted(pair, **coeffs):
+    """The adapted coordinates of the sum of coeffs[name] * name over the original basis names."""
+    return pair.to_adapted(util.vec(coeffs.get(name, 0) for name in pair.algebra.basis))
+
+
 def sl_so_iwasawa(n):
     """p0 = the H_i, n+ = the E_ij with i < j, k0 = 0 and r = k, all converted through `to_adapted`."""
     pair = sl_so(n)
-
-    def unit(name):
-        return pair.to_adapted(util.unit_vec(pair.dim, pair.algebra.basis.index(name)))
-
-    return IwasawaData(pair, p0=[unit(f"H{i + 1}") for i in range(n - 1)],
-                       n_plus=[unit(f"E{i + 1}{j + 1}") for i, j in itertools.combinations(range(n), 2)],
+    return IwasawaData(pair, p0=[adapted(pair, **{f"H{i + 1}": 1}) for i in range(n - 1)],
+                       n_plus=[adapted(pair, **{f"E{i + 1}{j + 1}": 1}) for i, j in itertools.combinations(range(n), 2)],
                        k0=[], r=[pair.to_adapted(v) for v in pair.adapted_vectors[pair.dim_p:]])
+
+
+def levi_iwasawa():
+    """The Levi datum of the (2, 1) parabolic of sl3/so(3): g0 = gl(2), whose k0 = so(2) moves p0."""
+    pair = sl_so(3)
+    return IwasawaData(pair, p0=[adapted(pair, H1=1), adapted(pair, H2=1), adapted(pair, E12=1, E21=1)],
+                       n_plus=[adapted(pair, E13=1), adapted(pair, E23=1)], k0=[adapted(pair, E12=1, E21=-1)],
+                       r=[adapted(pair, E13=1, E31=-1), adapted(pair, E23=1, E32=-1)])
 
 
 def basis_matrix(name, n):
@@ -192,6 +201,41 @@ def weyl_matrices(pair, n):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_sl_so_iwasawa_data_validates(n):
     assert validate_iwasawa(sl_so_iwasawa(n)) == []
+
+
+def test_validate_rejects_an_n_plus_that_is_not_a_subalgebra():
+    """n+ = (E12, E23, E31) with p0 = (H1, H2) meets every other axiom, but
+    [E12, E23] = E13 and [E23, E31] = E21 leave n+."""
+    pair = sl_so(3)
+    with pytest.raises(InvalidIwasawa, match=r"\[n\+, n\+\] escapes n\+") as exc:
+        IwasawaData(pair, p0=[adapted(pair, H1=1), adapted(pair, H2=1)],
+                    n_plus=[adapted(pair, E12=1), adapted(pair, E23=1), adapted(pair, E31=1)],
+                    k0=[], r=[pair.to_adapted(v) for v in pair.adapted_vectors[pair.dim_p:]])
+    assert str(exc.value).count("[n+, n+]") == 3  # each unordered pair once
+
+
+def test_levi_datum_has_a_k0_that_acts():
+    iw = levi_iwasawa()
+    assert validate_iwasawa(iw) == []
+    little = iw.little
+    assert (little.dim_p, little.dim_k) == (3, 1)
+    assert not is_invariant(little, BlockPolynomial.symbol(little, "p", 0))  # H1 is moved by k0
+    assert len(invariant_subspace(little, 2)) == 2
+    for d in (2, 3):
+        (f,) = invariant_subspace(iw.pair, d)
+        assert not hc_restrict(iw, f, True).is_zero()  # the image check meets a nonzero derivation
+
+
+def test_gamma_on_sl3_is_multiplicative_and_weyl_invariant_after_the_rho_shift():
+    iw = sl_so_iwasawa(3)
+    pair, weyl = iw.pair, weyl_matrices(iw.pair, 3)
+    (c2,), (c3,) = invariant_subspace(pair, 2), invariant_subspace(pair, 3)
+    c2c2 = rouviere_sharp(pair, c2, c2)
+    assert hc_gamma(iw, c2c2) == hc_gamma(iw, c2).mul(hc_gamma(iw, c2))
+    images = [hc_gamma(iw, f) for f in (c2, c3, c2c2)]
+    assert weyl_invariance_check(iw, [shifted(f, 1) for f in images], weyl)
+    for c in (-1, 0):
+        assert not any(weyl_invariance_check(iw, [shifted(f, c)], weyl) for f in images)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

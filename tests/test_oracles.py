@@ -20,11 +20,19 @@ from conftest import composition_symbol_at_origin, laplace_beltrami_symbol, moya
 
 from sympair import util
 from sympair.errors import TruncationWarning
-from sympair.liealg import Character, LieAlgebraDef, coadjoint_semidirect, group_type, pair_from_matrices, sl_so
+from sympair.liealg import (
+    Character,
+    LieAlgebraDef,
+    SymmetricPair,
+    coadjoint_semidirect,
+    group_type,
+    pair_from_matrices,
+    sl_so,
+)
 from sympair.poly import Poly, monomials_of_degree
 from sympair.polyops import BlockPolynomial, invariant_subspace
 from sympair.starprod import exp_coord_operator, star_cf
-from sympair.uea import rouviere_sharp, star_dk
+from sympair.uea import duflo_relation_check, rouviere_sharp, star_dk
 
 
 def killing_casimir(pair, space="g"):
@@ -238,6 +246,24 @@ def test_n3d_rouviere_is_the_moyal_product(n3d, c):
     assert [f.poly for f in invariant_subspace(n3d, 2)] == [powers[1].poly]
     for f, g in itertools.product(powers, repeat=2):
         assert rouviere_sharp(n3d, f, g, lam).poly == moyal(f.poly, g.poly, c)
+
+
+def test_non_unimodular_rouviere_is_the_moyal_product():
+    """n3D with w adjoined to k, [D, w] = w: tr_k = (1, 0, 0) is not 0, yet
+    at every lambda(D), with lambda(w) = 0, the product of the powers of uv
+    is Moyal's at c = lambda(z), and Duflo's relation holds at degree 3."""
+    alg = LieAlgebraDef("n3Dw", ["u", "v", "D", "z", "w"],
+                        {(0, 1): {3: 1}, (0, 2): {0: -1}, (1, 2): {1: 1}, (2, 4): {4: 1}})
+    pair = SymmetricPair(alg, [[(-1 if i < 2 else 1) * (i == j) for j in range(5)] for i in range(5)])
+    assert pair.adapted_names == ["u", "v", "D", "z", "w"]
+    assert pair.trk_character().values == (1, 0, 0)
+    powers = [BlockPolynomial(pair, "p", Poly.monomial(2, (a, a))) for a in range(3)]
+    assert [f.poly for f in invariant_subspace(pair, 2)] == [powers[1].poly]
+    for d, c in itertools.product([0, Fraction(1, 2), 1, 3], [0, 1, Fraction(1, 3)]):
+        lam = Character(pair, [d, c, 0])
+        for f, g in itertools.product(powers, repeat=2):
+            assert rouviere_sharp(pair, f, g, lam).poly == moyal(f.poly, g.poly, c)
+        assert duflo_relation_check(pair, lam, 3)
 
 
 # -- closed-form pairs: E = 1 on solvable pairs --------------------------------------
