@@ -11,10 +11,13 @@ is also how the PBW contexts and restricted adjoint actions get their
 structure constants.  `SymmetricPair.bracket_poly` is the one bracket of
 polynomial-coefficient vectors (`TraceSeries.as_polynomial` carries
 adjoint orbits with it to half the top power of a trace word, then
-contracts two half powers), and `trace_word` the one numeric block trace
-of adjoint words, which `trace_alternation`, `trk_character` and
-`killing_k` call; `trace_alternation` evaluates its nested brackets with
-`freelie.evaluate_bracket` over the numeric bracket of `adapted`.
+contracts two half powers).  `LieAlgebraDef.trace` is the one adjoint
+trace: the trace of ad(w_1) ... ad(w_n) on a span of basis vectors, read
+off the bracket table.  `killing` and `nilradical_solvable` take it over
+the whole algebra, and `trace_word` over one block of `adapted`, for
+`trace_alternation`, `trk_character` and `killing_k`; `trace_alternation`
+evaluates its nested brackets with `freelie.evaluate_bracket` over the
+numeric bracket of `adapted`.
 `pair_from_matrices` is the one builder of pairs of matrix Lie algebras,
 with commutators as brackets; the classical pairs
 `sl_so(n)`, `group_type` (the diagonal pair of g + g) and
@@ -120,6 +123,18 @@ class LieAlgebraDef:
                         out[k] += ab * c
         return tuple(out)
 
+    def trace(self, word: list[Vec], indices) -> Fraction:
+        """Trace of ad(w_1) o ... o ad(w_n) on the span of the basis vectors
+        e_i, i in `indices`: the sum of the e_i-coordinates of
+        [w_1, [w_2, ... [w_n, e_i]]].  The empty word gives len(indices)."""
+        total = Fraction(0)
+        for i in indices:
+            v = util.unit_vec(self.dim, i)
+            for w in reversed(word):
+                v = self.bracket(w, v)
+            total += v[i]
+        return total
+
     def ad(self, u: Vec) -> list[list[Fraction]]:
         """Matrix of ad(u) acting on column coordinate vectors."""
         cols = [self.bracket(u, util.unit_vec(self.dim, j)) for j in range(self.dim)]
@@ -138,7 +153,7 @@ class LieAlgebraDef:
                 raise JacobiViolation(self.basis[i], self.basis[j], self.basis[k], tuple(d))
 
     def killing(self, u: Vec, v: Vec) -> Fraction:
-        return util.mat_trace(util.mat_mul(self.ad(u), self.ad(v)))
+        return self.trace([u, v], range(self.dim))
 
     def __repr__(self):
         return f"LieAlgebraDef({self.name!r}, dim={self.dim})"
@@ -300,9 +315,6 @@ class SymmetricPair:
             return range(self.dim)
         raise ValueError(f"unknown space {space!r}")
 
-    def block_trace(self, M, space: str) -> Fraction:
-        return sum((M[i][i] for i in self.block_indices(space)), Fraction(0))
-
     def killing_k(self, u: Vec, v: Vec) -> Fraction:
         """Killing form of the subalgebra k (adjoint action restricted to k)."""
         if any(u[i] for i in range(self.dim_p)) or any(v[i] for i in range(self.dim_p)):
@@ -429,12 +441,7 @@ def trace_word(pair: SymmetricPair, space: str, word: list[Vec]) -> Fraction:
     Vectors are in adapted coordinates.  The empty word gives the block
     dimension (trace of the identity).
     """
-    if not word:
-        return Fraction(len(pair.block_indices(space)))
-    M = pair.adapted.ad(word[0])
-    for w in word[1:]:
-        M = util.mat_mul(M, pair.adapted.ad(w))
-    return pair.block_trace(M, space)
+    return pair.adapted.trace(word, pair.block_indices(space))
 
 
 def trace_alternation(pair: SymmetricPair, words, X: Vec, Y: Vec) -> Fraction:
@@ -536,13 +543,9 @@ def nilradical_solvable(algebra: LieAlgebraDef, basis: list[Vec]) -> list[Vec]:
     if m == 0:
         return []
     sub = algebra.rebased(basis)
-    mats = [sub.ad(util.unit_vec(m, i)) for i in range(m)]
-    rows = []
-    prefixes = [util.mat_identity(m)]
-    for _ in range(m):  # word lengths 0 .. m-1
-        for P in prefixes:
-            rows.append([util.mat_trace(util.mat_mul(P, mats[v])) for v in range(m)])
-        prefixes = [util.mat_mul(P, M) for P in prefixes for M in mats]
+    units = [util.unit_vec(m, i) for i in range(m)]
+    rows = [[sub.trace([units[t] for t in word] + [units[v]], range(m)) for v in range(m)]
+            for a in range(m) for word in itertools.product(range(m), repeat=a)]
     return util.span_rref([util.lin_comb(c, basis) for c in util.nullspace(rows, m)])
 
 

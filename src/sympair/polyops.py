@@ -4,8 +4,7 @@ Elements of S(p) or S(g) are polynomials in the adapted basis symbols of
 the chosen block, i.e. functions on the dual of that block.  The action of
 k on S(p) is the derivation extending the adjoint action through
 [k, p] <= p; invariants are solved degree by degree as the common kernel
-of that action on the monomials (`util.common_kernel`, the one solver that
-`uea.invariant_uea_subspace` uses for U(g)^k too).
+of that action on the monomials (`util.common_kernel`).
 """
 
 from __future__ import annotations

@@ -291,53 +291,39 @@ def rouviere_sharp(pair: SymmetricPair, P: BlockPolynomial, Q: BlockPolynomial,
 
 # -- Duflo relation on filtered subspaces -------------------------------------
 
-def _uea_basis(pair: SymmetricPair, degree: int):
-    """PBW monomials of the default context up to a total degree."""
-    monos = []
-    for d in range(degree + 1):
-        monos.extend(monomials_of_degree(pair.dim, d))
-    words = [_mono_to_word(range(pair.dim), m) for m in monos]
-    index = {w: t for t, w in enumerate(words)}
-    return words, index
-
-
-def _coords(index, u: UEAElement):
-    v = [Fraction(0)] * len(index)
-    for w, c in u.terms.items():
-        v[index[w]] = c
-    return tuple(v)
-
-
-def invariant_uea_subspace(pair: SymmetricPair, ctx: PBWContext, degree: int):
-    """Basis (as coefficient vectors) of U(g)^k truncated at a degree."""
-    words, index = _uea_basis(pair, degree)
-    maps = [lambda w, i=i: ad_action(ctx, i, UEAElement(ctx, {w: 1})).terms for i in pair.block_indices("k")]
-    return util.common_kernel(words, maps), words, index
-
-
 def duflo_relation_check(pair: SymmetricPair, lam: Character, degree: int) -> bool:
-    """Exact test of k^(-lam).U ∩ U^k == U^k ∩ U.k^(-lam + tr_k) at a degree."""
+    """Exact test of k^(-lam).U ∩ U^k == U^k ∩ U.k^(-lam + tr_k) at a degree.
+
+    The left side is spanned by (K - lam(K)).m, the right by
+    m.K + (tr_k - lam)(K).m, for K in the k basis and m a PBW word of degree
+    < `degree`.  The invariant part of each is the common kernel of ad k
+    over its generators, and the two are compared by their canonical RREF.
+    """
     if degree < 0:
         raise ValueError("degree must be >= 0")
     ctx = PBWContext(pair)
-    inv_basis, words, index = invariant_uea_subspace(pair, ctx, degree)
     trk = pair.trk_character()
-    lam_left = lam.scale(-1)
-    lam_right = Character(pair, [(-lam.values[i]) + trk.values[i] for i in range(pair.dim_k)])
+    words = [UEAElement(ctx, {_mono_to_word(range(pair.dim), m): 1})
+             for d in range(degree) for m in monomials_of_degree(pair.dim, d)]
+    maps = [lambda u, i=i: ad_action(ctx, i, u).terms for i in pair.block_indices("k")]
 
-    lower_words = [w for w in words if len(w) <= degree - 1]
+    def invariant_rref(generators):
+        rows = []
+        for c in util.common_kernel(generators, maps):
+            row: dict = {}
+            for ct, u in zip(c, generators):
+                if ct:
+                    util.add_into(row, u.terms, ct)
+            rows.append(row)
+        return util.rref(rows)[0]
+
     left, right = [], []
-    for a in range(pair.dim_k):
-        kgen = UEAElement.generator(ctx, pair.dim_p + a)
-        for w in lower_words:
-            m = UEAElement(ctx, {w: 1})
-            lelt = pbw_multiply(kgen, m) + m.scale(lam_left.values[a])
-            relt = pbw_multiply(m, kgen) + m.scale(lam_right.values[a])
-            left.append(_coords(index, lelt))
-            right.append(_coords(index, relt))
-    lhs = util.span_intersect(left, list(inv_basis))
-    rhs = util.span_intersect(right, list(inv_basis))
-    return util.span_eq(lhs, rhs)
+    for a, i in enumerate(pair.block_indices("k")):
+        K = UEAElement.generator(ctx, i)
+        for m in words:
+            left.append(pbw_multiply(K, m) - m.scale(lam.values[a]))
+            right.append(pbw_multiply(m, K) + m.scale(trk.values[a] - lam.values[a]))
+    return invariant_rref(left) == invariant_rref(right)
 
 
 # -- Harish-Chandra projection through the enveloping algebra ----------------

@@ -119,14 +119,6 @@ def mat_apply(A, v: Vec) -> Vec:
     return tuple(sum((A[i][j] * v[j] for j in range(len(v)) if v[j]), Fraction(0)) for i in range(len(A)))
 
 
-def mat_identity(n: int):
-    return [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-
-
-def mat_trace(A) -> Fraction:
-    return sum((A[i][i] for i in range(len(A))), Fraction(0))
-
-
 def rref(rows) -> tuple[list[dict], list[int]]:
     """Reduced row echelon form of sparse rows {column: coefficient}: (nonzero rows, pivot columns).
 

@@ -187,11 +187,12 @@ def test_trace_word_brute_force_product(sl2_pair):
         word = []
         for _ in range(rng.randint(1, 4)):
             word.append(tuple(Fraction(rng.randint(-2, 2)) for _ in range(3)))
-        M = util.mat_identity(3)
+        # dense oracle: the diagonal of the product of the ad matrices, summed by hand
+        M = [[Fraction(int(i == j)) for j in range(3)] for i in range(3)]
         for w in word:
             M = util.mat_mul(M, sl2_pair.adapted.ad(w))
-        for space in ("p", "k", "g"):
-            assert trace_word(sl2_pair, space, word) == sl2_pair.block_trace(M, space)
+        for space, block in (("p", range(2)), ("k", range(2, 3)), ("g", range(3))):
+            assert trace_word(sl2_pair, space, word) == sum((M[i][i] for i in block), Fraction(0))
 
 
 def test_trace_empty_word_is_dimension(sl2_pair, solvable_pair):
@@ -209,8 +210,9 @@ def test_block_trace_additivity_on_k(sl2_pair, diagonal_pair):
     for pair in (sl2_pair, diagonal_pair):
         for a in range(pair.dim_k):
             K = util.unit_vec(pair.dim, pair.dim_p + a)
+            for word in ([K], [K, K]):
+                assert trace_word(pair, "g", word) == trace_word(pair, "p", word) + trace_word(pair, "k", word)
             M = pair.adapted.ad(K)
-            assert pair.block_trace(M, "g") == pair.block_trace(M, "p") + pair.block_trace(M, "k")
             # ad K preserves both blocks
             for i in pair.block_indices("p"):
                 assert all(M[j][i] == 0 for j in pair.block_indices("k"))

@@ -9,7 +9,8 @@ Laplace-Beltrami operator, which holds only for the Riemannian volume
 J = det_p(sinh ad X / ad X).  Beyond the normalization: the composition of
 invariant operators in exponential coordinates, the Moyal product on the
 Heisenberg pair h3 and on n3D, the plain product on the solvable pairs
-solvable4 and aff1's coadjoint pair (E = 1), and the order-6 gaps of `star_cf`.
+solvable4, aff1's coadjoint pair and the gradings of the filiform n4 (E = 1),
+and the order-6 gaps of `star_cf`.
 """
 
 import itertools
@@ -281,3 +282,29 @@ def test_solvable_rouviere_is_the_plain_product(name, request):
     for lam in (pair.zero_character(), trk.scale(Fraction(1, 2)), trk):
         for f, g in itertools.product(invariants, repeat=2):
             assert rouviere_sharp(pair, f, g, lam) == f * g
+
+
+# the three non-trivial diagonal involutions of n4 = span(x1..x4), [x1, x2] = x3, [x1, x3] = x4,
+# each with its number of invariants of degree 1 to 4
+N4_GRADINGS = [((1, -1, -1, -1), 8), ((-1, 1, -1, 1), 4), ((-1, -1, 1, -1), 14)]
+
+
+@pytest.mark.parametrize("signs, count", N4_GRADINGS,
+                         ids=["".join("+-"[s < 0] for s in g) for g, _ in N4_GRADINGS])
+def test_n4_gradings_rouviere_is_the_plain_product(signs, count):
+    """E = 1 on the filiform n4 under each grading: at lambda = 0 and at each
+    unit character, `rouviere_sharp` of invariants of degree 1 to 4 is f * g
+    for degree sums <= 6, `star_cf` is for sums <= 5, and Duflo's relation holds."""
+    alg = LieAlgebraDef("n4", ["x1", "x2", "x3", "x4"], {(0, 1): {2: 1}, (0, 2): {3: 1}})
+    pair = SymmetricPair(alg, [[s * (i == j) for j in range(4)] for i, s in enumerate(signs)])
+    assert pair.trk_character().is_zero()
+    invariants = [f for d in range(1, 5) for f in invariant_subspace(pair, d)]
+    assert len(invariants) == count
+    units = [util.unit_vec(pair.dim_k, a) for a in range(pair.dim_k)]
+    for lam in [pair.zero_character()] + [Character(pair, u) for u in units]:
+        for f, g in itertools.product(invariants, repeat=2):
+            if f.degree() + g.degree() <= 6:
+                assert rouviere_sharp(pair, f, g, lam) == f * g
+            if f.degree() + g.degree() <= 5:
+                assert star_cf(pair, f, g, lam) == f * g
+        assert duflo_relation_check(pair, lam, 3)
