@@ -19,7 +19,7 @@ from . import util
 from .errors import InvalidIwasawa, NotInvariant, NotNormalizing
 from .liealg import SymmetricPair, escaping_brackets
 from .poly import Poly
-from .polyops import BlockPolynomial, is_invariant
+from .polyops import BlockPolynomial, is_invariant, require_invariant
 
 
 class IwasawaData:
@@ -97,10 +97,10 @@ def hc_restrict(data: IwasawaData, f: BlockPolynomial, require_invariant_flag: b
     the image is checked to be k0-invariant on the little pair.
     """
     pair = data.pair
-    if f.space != "p":
+    if require_invariant_flag:
+        require_invariant(pair, f, "f")
+    elif f.space != "p":
         raise ValueError("hc_restrict needs a p-polynomial")
-    if require_invariant_flag and not is_invariant(pair, f):
-        raise NotInvariant("f is not k-invariant")
 
     lo, hi = len(data.n_plus), len(data.n_plus) + len(data.p0)
     out = f.poly.subs([Poly.linear(x[lo:hi]) for x in data.coords[:pair.dim_p]])

@@ -186,31 +186,10 @@ def format_monomial(names: list[str], exps) -> str:
     return "*".join(parts) if parts else "1"
 
 
-def _signed_sum(terms) -> str:
-    """Render (coefficient, label) pairs as "c*label + ... - c*label"; label None is a constant."""
-    parts = []
-    for coeff, label in terms:
-        if label is None:
-            term = util.fmt(coeff)
-        elif coeff == 1:
-            term = label
-        elif coeff == -1:
-            term = f"-{label}"
-        else:
-            term = f"{util.fmt(coeff)}*{label}"
-        if parts and not term.startswith("-"):
-            parts.append(f"+ {term}")
-        elif parts:
-            parts.append(f"- {term[1:]}")
-        else:
-            parts.append(term)
-    return " ".join(parts) if parts else "0"
-
-
 def format_poly(names: list[str], poly: Poly) -> str:
     """Render a polynomial over the given symbol names, highest degree first."""
     items = sorted(poly.terms.items(), key=lambda kv: (-sum(kv[0]), kv[0]))
-    return _signed_sum((c, format_monomial(names, exps) if any(exps) else None) for exps, c in items)
+    return util.signed_sum((c, format_monomial(names, exps) if any(exps) else None) for exps, c in items)
 
 
 def pretty_in_definitions(pair: SymmetricPair, data: dict, f: BlockPolynomial) -> str:
@@ -225,9 +204,9 @@ def pretty_in_definitions(pair: SymmetricPair, data: dict, f: BlockPolynomial) -
             d = resolve_definition(pair, data, name, f.space)
         except UnknownSymbol:  # a definition over another block
             continue
-        if d.poly.is_zero() or d.degree() == 0:
+        if d.degree() == 0:  # a constant, zero included
             continue
-        max_pow = f.degree() // d.degree() if d.degree() else 0
+        max_pow = f.degree() // d.degree()
         powers = [BlockPolynomial.constant(pair, f.space, 1)]
         for _ in range(max_pow):
             powers.append(powers[-1] * d)
@@ -237,8 +216,8 @@ def pretty_in_definitions(pair: SymmetricPair, data: dict, f: BlockPolynomial) -
         x = util.solve(A, b)
         if x is None:
             continue
-        return _signed_sum((x[k], None if k == 0 else name if k == 1 else f"{name}^{k}")
-                           for k in range(len(powers) - 1, -1, -1) if x[k])
+        return util.signed_sum((x[k], None if k == 0 else name if k == 1 else f"{name}^{k}")
+                               for k in range(len(powers) - 1, -1, -1) if x[k])
     return format_poly(block_names(pair, f.space), f.poly)
 
 

@@ -161,22 +161,7 @@ class LieAlgebraDef:
 
 def combo_name(basis: list[str], v: Vec) -> str:
     """Readable name for a linear combination of basis symbols."""
-    parts = []
-    for i, c in enumerate(v):
-        if not c:
-            continue
-        sym = basis[i]
-        if c == 1:
-            term = sym
-        elif c == -1:
-            term = f"-{sym}"
-        else:
-            term = f"{util.fmt(c)}*{sym}"
-        if parts and not term.startswith("-"):
-            parts.append("+" + term)
-        else:
-            parts.append(term)
-    return "".join(parts) if parts else "0"
+    return util.signed_sum(((c, basis[i]) for i, c in enumerate(v) if c), sep="")
 
 
 class Character:

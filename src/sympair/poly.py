@@ -5,6 +5,8 @@ variables.  Exponent tuples are dense (length == nvars) which keeps hashing
 and arithmetic simple.  Rings have up to a few dozen variables (sl(4)/so(4)
 has dimension 15 and dim p = 9, and the exponential-coordinate symbols use
 three copies of p) and degrees stay small, so dense exponents cost little.
+Arithmetic is closed in the type: `+`, `-`, `*` take a Poly of the same
+ring (ValueError otherwise), `==` a Poly; scalars go through `scale`/`const`.
 The product, the substitution and `poly_exp` take the grading of the
 `util` kernels: an order, an int or a tuple, under a `degree` of a
 monomial, by default its total degree, so (x-degree, y-degree) cuts them
@@ -77,45 +79,31 @@ class Poly:
         return bool(self.terms)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, Poly):
-            return self.nvars == other.nvars and self.terms == other.terms
-        if isinstance(other, (int, Fraction)):
-            return self == Poly.const(self.nvars, other)
-        return NotImplemented
+        return isinstance(other, Poly) and self.nvars == other.nvars and self.terms == other.terms
 
-    def __add__(self, other) -> "Poly":
-        if isinstance(other, (int, Fraction)):
-            other = Poly.const(self.nvars, other)
+    def __add__(self, other: "Poly") -> "Poly":
+        if self.nvars != other.nvars:
+            raise ValueError(f"cannot add polynomials in {self.nvars} and {other.nvars} variables")
         return Poly._of(self.nvars, util.add_into(dict(self.terms), other.terms))
-
-    __radd__ = __add__
 
     def __neg__(self) -> "Poly":
         return Poly._of(self.nvars, {m: -c for m, c in self.terms.items()})
 
-    def __sub__(self, other) -> "Poly":
-        if isinstance(other, (int, Fraction)):
-            other = Poly.const(self.nvars, other)
+    def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
-
-    def __rsub__(self, other) -> "Poly":
-        return (-self) + other
 
     def scale(self, c) -> "Poly":
         c = frac(c)
         return Poly._of(self.nvars, {m: c * v for m, v in self.terms.items()} if c else {})
 
-    def __mul__(self, other) -> "Poly":
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
+    def __mul__(self, other: "Poly") -> "Poly":
         return self.mul(other)
-
-    __rmul__ = __mul__
 
     def mul(self, other: "Poly", order=None, degree=sum) -> "Poly":
         """The product, truncated at `order` (an int or a tuple) under `degree`
         when an order is given (`util.graded_product`)."""
-        assert self.nvars == other.nvars
+        if self.nvars != other.nvars:
+            raise ValueError(f"cannot multiply polynomials in {self.nvars} and {other.nvars} variables")
         return Poly._of(self.nvars, util.graded_product(self.terms, other.terms, degree, order, _mono_mul))
 
     def diff(self, i: int) -> "Poly":

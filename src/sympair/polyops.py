@@ -5,6 +5,8 @@ the chosen block, i.e. functions on the dual of that block.  The action of
 k on S(p) is the derivation extending the adjoint action through
 [k, p] <= p; invariants are solved degree by degree as the common kernel
 of that action on the monomials (`util.common_kernel`).
+`require_invariant` is the one check of an invariant p-polynomial argument.
+`BlockPolynomial` arithmetic, like `Poly`'s, is closed in the type.
 """
 
 from __future__ import annotations
@@ -45,25 +47,20 @@ class BlockPolynomial:
     def _wrap(self, poly):
         return BlockPolynomial(self.pair, self.space, poly)
 
-    def __add__(self, other):
-        other = other.poly if isinstance(other, BlockPolynomial) else other
-        return self._wrap(self.poly + other)
+    def __add__(self, other: "BlockPolynomial"):
+        return self._wrap(self.poly + other.poly)
 
-    def __sub__(self, other):
-        other = other.poly if isinstance(other, BlockPolynomial) else other
-        return self._wrap(self.poly - other)
+    def __sub__(self, other: "BlockPolynomial"):
+        return self._wrap(self.poly - other.poly)
 
-    def __mul__(self, other):
-        other = other.poly if isinstance(other, BlockPolynomial) else other
-        return self._wrap(self.poly * other)
+    def __mul__(self, other: "BlockPolynomial"):
+        return self._wrap(self.poly * other.poly)
 
     def scale(self, c):
         return self._wrap(self.poly.scale(c))
 
     def __eq__(self, other):
-        if isinstance(other, BlockPolynomial):
-            return self.space == other.space and self.poly == other.poly
-        return self.poly == other
+        return isinstance(other, BlockPolynomial) and self.space == other.space and self.poly == other.poly
 
     def degree(self):
         return self.poly.degree()
@@ -115,7 +112,10 @@ def is_invariant(pair: SymmetricPair, f: BlockPolynomial) -> bool:
     return all(k_derivation(pair, a, f).poly.is_zero() for a in range(pair.dim_k))
 
 
-def require_invariant(pair: SymmetricPair, f: BlockPolynomial, label="argument"):
+def require_invariant(pair: SymmetricPair, f: BlockPolynomial, label: str):
+    """The one check of an invariant argument: f must lie in S(p) and be k-invariant."""
+    if f.space != "p":
+        raise ValueError(f"{label} must be a p-polynomial")
     if not is_invariant(pair, f):
         raise NotInvariant(f"{label} is not k-invariant")
 

@@ -95,8 +95,9 @@ def _bidiff_symbol(pair: SymmetricPair, lam: Character) -> Poly:
         for i in pair.block_indices("k"):
             if not hval[i].is_zero():
                 log_sym = log_sym + hval[i].scale(lam.values[i - dp])
-    W = pair.bracket_poly(Xs, Ys)
-    log_sym = log_sym + LN_E_SERIES.as_polynomial(pair, "k").subs([W[i] for i in pair.block_indices("k")], order)
+    if pair.dim_k:  # ln E is a function of W = [X, Y] in k: zero when k = 0
+        W = pair.bracket_poly(Xs, Ys)
+        log_sym = log_sym + LN_E_SERIES.as_polynomial(pair, "k").subs([W[i] for i in pair.block_indices("k")], order)
     return poly_exp(log_sym, order)
 
 
@@ -110,22 +111,20 @@ def star_cf(pair: SymmetricPair, f: BlockPolynomial, g: BlockPolynomial,
     TruncationWarning.
     """
     lam = lam or pair.zero_character()
-    if f.space != "p" or g.space != "p":
-        raise ValueError("star_cf needs p-polynomials")
     require_invariant(pair, f, "f")
     require_invariant(pair, g, "g")
     if min(f.degree(), g.degree()) >= 1 and f.degree() + g.degree() >= 6:
         warnings.warn(f"degrees {f.degree()} and {g.degree()}: unknown order >= 6 terms are dropped, "
                       f"product truncated at order {E_MAX_ORDER}", TruncationWarning)
     dp = pair.dim_p
-    on_g: dict[tuple[int, ...], Poly] = {}  # derivative on f -> symbol of the operator on g
+    on_g: dict[tuple[int, ...], dict] = {}  # derivative on f -> terms of the operator's symbol on g
     for mono, c in _bidiff_symbol(pair, lam).terms.items():
-        on_g.setdefault(mono[:dp], Poly.zero(dp)).terms[mono[dp:]] = c
+        on_g.setdefault(mono[:dp], {})[mono[dp:]] = c
     out = Poly.zero(dp)
     for alpha, op in on_g.items():
         df = f.poly.diff_mono(alpha)
         if df:
-            out = out + df.mul(g.poly.diff_by(op))
+            out = out + df.mul(g.poly.diff_by(Poly._of(dp, op)))
     return BlockPolynomial(pair, "p", out)
 
 
@@ -159,8 +158,6 @@ def exp_coord_operator(pair: SymmetricPair, R: BlockPolynomial, jet_order: int, 
     concrete X, given by its dim_p p-coordinates or as an adapted vector of g
     with k-part 0, is substituted for the X variables of that jet.
     """
-    if R.space != "p":
-        raise ValueError("R must be a p-polynomial")
     require_invariant(pair, R, "R")
     if R.degree() > jet_order:
         raise TruncationTooLow(f"deg R = {R.degree()} exceeds jet order {jet_order}")
@@ -213,8 +210,6 @@ def character_sigma_stable(pair: SymmetricPair, P: BlockPolynomial, b: Polarizat
     the invariant algebra is then evaluation at b.f (the vertical wheel
     factor is 1), constant on the K-orbit of b.f.
     """
-    if P.space != "p":
-        raise ValueError("P must be a p-polynomial")
     require_invariant(pair, P, "P")
     f = b.f  # adapted coordinates of a form on g
     if len(f) != pair.dim or any(len(v) != pair.dim for v in b.b_basis):

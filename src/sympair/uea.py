@@ -281,8 +281,6 @@ def rouviere_sharp(pair: SymmetricPair, P: BlockPolynomial, Q: BlockPolynomial,
     """
     ctx = PBWContext(pair)
     lam = lam or pair.zero_character()
-    if P.space != "p" or Q.space != "p":
-        raise ValueError("rouviere_sharp needs p-polynomials")
     require_invariant(pair, P, "P")
     require_invariant(pair, Q, "Q")
     Jh = density_series("J_half", 2 * ((P.degree() + Q.degree() + 1) // 2))

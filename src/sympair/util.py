@@ -1,6 +1,7 @@
-"""Exact-rational helpers: parsing, formatting, linear algebra, and the
-truncated series shared by every series type: the linear arithmetic of
-`Series`, the graded truncated product, exponential and logarithm.
+"""Exact-rational helpers: parsing, formatting (`fmt`, and `signed_sum`,
+the one renderer of signed sums), linear algebra, and the truncated series
+shared by every series type: the linear arithmetic of `Series`, the graded
+truncated product, exponential and logarithm.
 
 Matrices are lists of lists of Fraction; vectors are tuples of Fraction.
 One sparse Gauss-Jordan, `rref` on rows {column: Fraction}, serves all
@@ -46,6 +47,25 @@ def fmt(x: Fraction) -> str:
 def fmt_vec(v) -> str:
     """'(p/q, ...)' rendering of an exact vector."""
     return "(" + ", ".join(fmt(c) for c in v) + ")"
+
+
+def signed_sum(terms, sep: str = " ") -> str:
+    """Render (coefficient, label) pairs as "c*label + ... - c*label", each sign
+    joined to its neighbours by `sep`; label None is a constant."""
+    parts = []
+    for coeff, label in terms:
+        if label is None:
+            term = fmt(coeff)
+        elif coeff == 1:
+            term = label
+        elif coeff == -1:
+            term = f"-{label}"
+        else:
+            term = f"{fmt(coeff)}*{label}"
+        if parts:
+            term = f"-{sep}{term[1:]}" if term.startswith("-") else f"+{sep}{term}"
+        parts.append(term)
+    return sep.join(parts) if parts else "0"
 
 
 def vec(entries) -> Vec:
@@ -152,11 +172,9 @@ def rank(rows) -> int:
     return len(rref(_sparse(rows))[0])
 
 
-def nullspace(rows: list[list[Fraction]], ncols: int | None = None) -> list[Vec]:
-    """Canonical basis of {v : M v = 0}, from the RREF free columns."""
-    if not rows and ncols is None:
-        raise ValueError("ncols required for an empty matrix")
-    return _kernel(_sparse(rows), len(rows[0]) if rows else ncols)
+def nullspace(rows: list[list[Fraction]], ncols: int) -> list[Vec]:
+    """Canonical basis of {v : M v = 0} over `ncols` columns, from the RREF free columns."""
+    return _kernel(_sparse(rows), ncols)
 
 
 def _kernel(rows: list[dict], ncols: int) -> list[Vec]:

@@ -552,3 +552,43 @@ def test_negative_order_or_degree_is_rejected(capsys, argv, message):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert message in captured.err and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("lam", ["trk", "half-trk"])
+def test_duflo_check_at_the_trk_characters(capsys, lam):
+    assert run(["duflo-check", alg("sl2.json"), "--degree", "2", "--lambda", lam]) == 0
+    assert capsys.readouterr().out == "duflo relation at degree 2: holds\n"
+
+
+def test_star_rou_at_a_file_defined_character(capsys):
+    assert run(["star-rou", alg("solvable4.json"), "--p", "zz", "--q", "zz", "--lambda", "mu"]) == 0
+    assert capsys.readouterr().out == "zz^2\n"
+
+
+def test_star_rou_rejects_an_unknown_character(capsys):
+    assert run(["star-rou", alg("solvable4.json"), "--p", "zz", "--q", "zz", "--lambda", "nope"]) == 2
+    assert capsys.readouterr().err == ("validation error: unknown character 'nope' "
+                                       "(use zero | trk | half-trk or a file-defined name)\n")
+
+
+@pytest.mark.parametrize("form, code, out, err", [
+    ("0,0,1", 0, "1\n", ""),
+    ("0,1", 2, "", "error: form needs one coordinate per basis symbol\n"),
+    ("w", 2, "", "error: unknown form 'w'\n"),
+])
+def test_char_reads_the_form_as_coordinates_or_a_basis_symbol(capsys, form, code, out, err):
+    pol = alg(os.path.join("polarizations", "heisenberg3.json"))
+    assert run(["char", alg("heisenberg3.json"), "--poly", "zz", "--f", form, "--pol", pol]) == code
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (out, err)
+
+
+def test_products_render_past_constant_and_other_block_definitions(tmp_path, capsys):
+    # a constant cannot name the product, and a definition over k does not resolve over p
+    with open(alg("sl2.json")) as fh:
+        data = json.load(fh)
+    data["definitions"].update({"aaa": {"1": "3"}, "kk": {"X-Y": "1"}})
+    path = tmp_path / "sl2defs.json"
+    path.write_text(json.dumps(data))
+    assert run(["star-rou", str(path), "--p", "omega", "--q", "omega"]) == 0
+    assert capsys.readouterr().out == "omega^2 + 16/15\n"

@@ -1,11 +1,15 @@
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from sympair import util
-from sympair.liealg import build_symmetric_pair, sl_so
+from sympair.errors import NotInvariant
+from sympair.hc import hc_restrict
+from sympair.io import load_algebra_file, load_iwasawa
+from sympair.liealg import PolarizationCandidate, build_symmetric_pair, sl_so
 from sympair.poly import Poly, poly_exp
 from sympair.polyops import (
     BlockPolynomial,
@@ -17,6 +21,8 @@ from sympair.polyops import (
     k_derivation,
 )
 from sympair.series import TraceSeries, density_series
+from sympair.starprod import character_sigma_stable, exp_coord_operator, star_cf
+from sympair.uea import rouviere_sharp
 
 from conftest import ce_diff_reference, monomials_up_to_degree, random_block_poly, sl2_algebra
 
@@ -135,6 +141,41 @@ def test_invariant_monotonicity_solvable(solvable_pair):
         for f in inv_d:
             prod = (z * f).poly
             assert util.span_contains(span, tuple(prod.terms.get(m, Fraction(0)) for m in monos))
+
+
+#: each entry point that takes an invariant p-polynomial: (call on the checked
+#: argument f, an invariant ok and the Iwasawa data, the argument's name)
+INVARIANT_ARGUMENTS = {
+    "rouviere_sharp-P": (lambda pair, iw, f, ok: rouviere_sharp(pair, f, ok), "P"),
+    "rouviere_sharp-Q": (lambda pair, iw, f, ok: rouviere_sharp(pair, ok, f), "Q"),
+    "star_cf-f": (lambda pair, iw, f, ok: star_cf(pair, f, ok), "f"),
+    "star_cf-g": (lambda pair, iw, f, ok: star_cf(pair, ok, f), "g"),
+    "exp_coord_operator-R": (lambda pair, iw, f, ok: exp_coord_operator(pair, f, 2), "R"),
+    "character_sigma_stable-P": (
+        lambda pair, iw, f, ok: character_sigma_stable(pair, f, PolarizationCandidate([0] * pair.dim, [])), "P"),
+    "hc_restrict-f": (lambda pair, iw, f, ok: hc_restrict(iw, f, True), "f"),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(INVARIANT_ARGUMENTS))
+def test_invariant_arguments_fail_naming_the_argument(entry):
+    pair, data = load_algebra_file(str(Path(__file__).resolve().parent.parent / "algebras" / "sl2.json"))
+    call, label = INVARIANT_ARGUMENTS[entry]
+    iw, (omega,) = load_iwasawa(pair, data), invariant_subspace(pair, 2)
+    with pytest.raises(ValueError, match=f"^{label} must be a p-polynomial$"):
+        call(pair, iw, omega.to_g(), omega)
+    with pytest.raises(NotInvariant, match=f"^{label} is not k-invariant$"):
+        call(pair, iw, BlockPolynomial.symbol(pair, "p", 0), omega)  # H: [X-Y, H] = -2(X+Y)
+
+
+def test_polys_of_different_rings_neither_add_nor_multiply():
+    a, b = Poly.var(2, 0), Poly.var(3, 0)
+    with pytest.raises(ValueError, match="add polynomials in 2 and 3 variables"):
+        a + b
+    with pytest.raises(ValueError, match="add polynomials in 3 and 2 variables"):
+        b - a
+    with pytest.raises(ValueError, match="multiply polynomials in 2 and 3 variables"):
+        a * b
 
 
 def test_is_invariant_flags(solvable_pair):
