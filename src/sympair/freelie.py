@@ -13,7 +13,8 @@ lengths add up to at most the order (`util.graded_product`), so no word
 beyond the order is formed; exp and log sum the weighted powers of the
 series as each is formed (`util.power_sum`).  Both kernels run on integer
 numerators over a common denominator and return Fraction coefficients.
-Lie coordinates are peeled one degree at a time in place, by the
+Lie coordinates are peeled one degree at a time in place, on integer
+numerators over that degree's common denominator, by the (integral)
 degree-n expansion of each Lyndon bracketing.  The factorization
 g = e^X e^Y = e^P e^K reads P off the symmetric-space series: sigma
 fixes K and negates P, so g sigma(g)^(-1) = e^(2P) = e^X e^(2Y) e^X and
@@ -29,6 +30,7 @@ and a string bracket.
 
 from __future__ import annotations
 
+import math
 import operator
 from fractions import Fraction
 
@@ -166,14 +168,17 @@ def lie_from_assoc(series: FreeAssocSeries) -> FreeLieSeries:
 
     Peels the lexicographically smallest remaining word degree by degree;
     for a genuine Lie element that word is Lyndon and carries the
-    coefficient of its standard bracketing.  A non-Lie input is detected
-    and rejected.  Each degree n is peeled in place in one dict, by the
-    degree-n expansion of each bracket.
+    coefficient of its standard bracketing.  A non-Lie input, a constant
+    term included, is detected and rejected.  Each degree n is peeled in
+    place in one dict of integer numerators over the degree's common
+    denominator, by the integer degree-n expansion of each bracket.
     """
+    if () in series.terms:
+        raise ValueError(f"not a Lie element: constant term {series.terms[()]}")
     out: dict[tuple[int, ...], Fraction] = {}
-    graded = util.by_degree(series.terms, len)
-    for n in range(1, series.order + 1):
-        comp = dict(graded.get(n, ()))
+    for n, items in sorted(util.by_degree(series.terms, len).items()):
+        d = math.lcm(*[c.denominator for _, c in items])
+        comp = {w: c.numerator * (d // c.denominator) for w, c in items}
         guard = 0
         while comp:
             w = min(comp)
@@ -182,12 +187,17 @@ def lie_from_assoc(series: FreeAssocSeries) -> FreeLieSeries:
             if entry is None:
                 raise ValueError(f"not a Lie element: leading word {w} is not Lyndon")
             w, b = entry
-            out[w] = c
-            util.add_into(comp, expand_bracket(b, n).terms, -c)
+            out[w] = Fraction(c, d)
+            for u, v in expand_bracket(b, n).terms.items():
+                s = comp.get(u, 0) - c * v.numerator
+                if s:
+                    comp[u] = s
+                else:
+                    del comp[u]
             guard += 1
             if guard > 4 ** n:
                 raise RuntimeError("Lyndon peeling failed to terminate")
-    return FreeLieSeries(series.order, out)
+    return FreeLieSeries._of(series.order, out)
 
 
 def _check_order(order: int):

@@ -12,7 +12,9 @@ from sympair.freelie import (
     FreeAssocSeries,
     FreeLieSeries,
     _check_order,
+    _lyndon,
     bch,
+    expand_bracket,
     lie_from_assoc,
 )
 from sympair.graphs import ColoredGraph, _edge_key, _relabel
@@ -437,6 +439,29 @@ def bch_dynkin(order):
     return out
 
 
+def lie_from_assoc_reference(series: FreeAssocSeries) -> FreeLieSeries:
+    """Lyndon coordinates peeled on Fraction dicts, degree by degree (the
+    peel of `freelie.lie_from_assoc` before it ran on integer numerators)."""
+    out: dict[tuple[int, ...], Fraction] = {}
+    graded = util.by_degree(series.terms, len)
+    for n in range(1, series.order + 1):
+        comp = dict(graded.get(n, ()))
+        guard = 0
+        while comp:
+            w = min(comp)
+            c = comp[w]
+            entry = _lyndon(w)
+            if entry is None:
+                raise ValueError(f"not a Lie element: leading word {w} is not Lyndon")
+            w, b = entry
+            out[w] = c
+            util.add_into(comp, expand_bracket(b, n).terms, -c)
+            guard += 1
+            if guard > 4 ** n:
+                raise RuntimeError("Lyndon peeling failed to terminate")
+    return FreeLieSeries(series.order, out)
+
+
 def sym_factorize_reference(order):
     """e^X e^Y = e^P e^K, recomputing log(e^P e^K) at the full order for every degree."""
     _check_order(order)
@@ -444,7 +469,7 @@ def sym_factorize_reference(order):
     P = FreeLieSeries(order)
     K = FreeLieSeries(order)
     for n in range(1, order + 1):
-        current = lie_from_assoc((P.to_assoc().exp() * K.to_assoc().exp()).log())
+        current = lie_from_assoc_reference((P.to_assoc().exp() * K.to_assoc().exp()).log())
         defect = (target - current).homogeneous_part(n)
         if n % 2 == 1:
             P = P + defect

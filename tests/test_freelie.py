@@ -8,6 +8,7 @@ from sympair.freelie import (
     FreeAssocSeries,
     FreeLieSeries,
     bch,
+    expand_bracket,
     is_lyndon,
     lie_from_assoc,
     standard_factorization,
@@ -15,8 +16,17 @@ from sympair.freelie import (
     z_sym,
 )
 from sympair.poly import Poly
+from sympair.starprod import H_TERMS, h_component
 
-from conftest import bch_dynkin, dynkin_map, lyndon_words, substitute_letter, swap_letters, sym_factorize_reference
+from conftest import (
+    bch_dynkin,
+    dynkin_map,
+    lie_from_assoc_reference,
+    lyndon_words,
+    substitute_letter,
+    swap_letters,
+    sym_factorize_reference,
+)
 
 X, Y = 0, 1
 
@@ -97,6 +107,37 @@ def test_non_lie_input_rejected():
     s = FreeAssocSeries(3, {(0, 0): 1})
     with pytest.raises(ValueError):
         lie_from_assoc(s)
+    # a fractional coefficient is rejected the same way, naming the leading word
+    with pytest.raises(ValueError, match=r"\(0, 0\)"):
+        lie_from_assoc(FreeAssocSeries(3, {(0, 0): Fraction(1, 3)}))
+
+
+def test_constant_term_rejected():
+    with pytest.raises(ValueError, match="constant term 1"):
+        lie_from_assoc(FreeAssocSeries(3, {(): 1, (0,): 1}))
+
+
+def assert_same_peel(series):
+    """The integer peel equals the Fraction peel, key order included."""
+    got, expected = lie_from_assoc(series), lie_from_assoc_reference(series)
+    assert got == expected
+    assert list(got.terms) == list(expected.terms)
+    return got
+
+
+def test_integer_peel_matches_fraction_peel_on_the_series():
+    for order in range(1, 10):
+        ex, ey = exp_letter(order, X), exp_letter(order, Y)
+        assert assert_same_peel((ex * ey).log()) == bch(order)
+        zs = assert_same_peel((ex * exp_letter(order, Y, 2) * ex).log().scale(Fraction(1, 2)))
+        assert zs == z_sym(order)
+        K = assert_same_peel((zs.to_assoc().scale(-1).exp() * ex * ey).log())
+        assert K == sym_factorize(order)[1]
+    for order in range(1, 5):
+        assoc = FreeAssocSeries(order)
+        for c, b in H_TERMS:
+            assoc = assoc + expand_bracket(b, order).scale(c)
+        assert assert_same_peel(assoc) == h_component(order)
 
 
 def test_sym_factorize_low_orders():
@@ -207,3 +248,15 @@ def test_lie_from_assoc_inverts_to_assoc_on_random_series():
             L = FreeLieSeries(order, {w: Fraction(rng.randint(-5, 5), rng.randint(1, 4))
                                       for w in words if len(w) <= order and rng.random() < 0.4})
             assert lie_from_assoc(L.to_assoc()) == L
+
+
+def test_integer_peel_matches_fraction_peel_across_denominators():
+    # each degree carries its own denominator, so each is scaled by a different d_n
+    rng = random.Random(47)
+    words = lyndon_words(8)
+    denominators = (3, 5, 7, 9, 35)
+    for order in range(1, 9):
+        for _ in range(3):
+            L = FreeLieSeries(order, {w: Fraction(rng.randint(-5, 5), denominators[len(w) % 5] * rng.randint(1, 2))
+                                      for w in words if len(w) <= order and rng.random() < 0.4})
+            assert assert_same_peel(L.to_assoc()) == L
